@@ -35,8 +35,21 @@ from .distill import (
 )
 from .errors import ConfigError, ParameterError, PhysecError
 from .keystream import KeystreamSeed
-from .ofdm import OfdmConfig, awgn_link, ebn0_db_to_snr_db, wifi_like_config
-from .ple import PhaseEncryptConfig, PleCodec, SCHEME_ORDER
+from .ofdm import (
+    DOMAIN_TIME,
+    OfdmConfig,
+    SymbolFrame,
+    awgn_link,
+    ebn0_db_to_snr_db,
+    wifi_like_config,
+)
+from .ple import (
+    SCHEME_ORDER,
+    SCHEME_PHASE,
+    PhaseEncryptConfig,
+    PleCodec,
+    key_to_data_ratio,
+)
 from .probing import (
     LossModel,
     ProbeRecord,
@@ -186,14 +199,25 @@ def _validate_point(cfg: dict) -> list[str]:
         )
         if len(set(schemes)) != len(schemes):
             out.append("ple.schemes contains duplicates")
+    ofdm_cfg = phase_cfg = None
     try:
-        _ofdm_cfg(ple)
+        ofdm_cfg = _ofdm_cfg(ple)
     except (PhysecError, TypeError) as exc:
         out.append(f"ple.ofdm: {exc}")
     try:
-        _phase_cfg(ple)
+        phase_cfg = _phase_cfg(ple)
     except (PhysecError, TypeError) as exc:
         out.append(f"ple.phase: {exc}")
+    if (
+        ofdm_cfg is not None
+        and phase_cfg is not None
+        and isinstance(schemes, list)
+        and SCHEME_PHASE in schemes
+    ):
+        try:
+            phase_cfg.check_mapping(ofdm_cfg.mapping)
+        except ParameterError as exc:
+            out.append(f"ple.phase: {exc}")
     ebn0 = ple.get("ebn0_db")
     if not isinstance(ebn0, (int, float)) or (
         isinstance(ebn0, float) and math.isnan(ebn0)
@@ -528,20 +552,25 @@ def _ber_trial(
         receivers["eve"] = PleCodec(cfg, schemes, KeystreamSeed(eve_key), phase_cfg)
     n_frames = -(-ber_bits // cfg.payload_bits)
     rng = np.random.default_rng(ber_seed)
-    errors = {name: 0 for name in receivers}
-    total = 0
-    for frame_index in range(n_frames):
-        payload = rng.integers(0, 2, cfg.payload_bits, dtype=np.uint8)
-        tx = alice.encrypt(payload, frame_index)
-        rx = awgn_link(tx, snr_db, int(rng.integers(1 << 62)))
-        for name, codec in receivers.items():
-            errors[name] += int(
-                np.count_nonzero(codec.decrypt(rx, frame_index) != payload)
-            )
-        total += cfg.payload_bits
-    bob_ber = errors["bob"] / total if "bob" in receivers else math.nan
-    eve_ber = errors["eve"] / total if "eve" in receivers else math.nan
-    return bob_ber, eve_ber
+    payloads = np.empty((n_frames, cfg.payload_bits), dtype=np.uint8)
+    noise_seeds = []
+    for payload in payloads:
+        payload[:] = rng.integers(0, 2, cfg.payload_bits, dtype=np.uint8)
+        noise_seeds.append(int(rng.integers(1 << 62)))
+    frame_indices = np.arange(n_frames)
+    tx = alice.encrypt_batch(payloads, frame_indices)
+    # each frame gets awgn_link's noise draw from that frame's own seed
+    rx = np.empty_like(tx)
+    for row, (samples, seed) in enumerate(zip(tx, noise_seeds)):
+        frame = SymbolFrame(samples, DOMAIN_TIME, cfg, has_cp=True)
+        rx[row] = awgn_link(frame, snr_db, seed).data
+    total = n_frames * cfg.payload_bits
+    ber = {
+        name: int(np.count_nonzero(codec.decrypt_batch(rx, frame_indices) != payloads))
+        / total
+        for name, codec in receivers.items()
+    }
+    return ber.get("bob", math.nan), ber.get("eve", math.nan)
 
 
 def run_single_trial(raw_point: dict, sweep_index: int, trial_index: int) -> dict:
@@ -558,9 +587,9 @@ def run_single_trial(raw_point: dict, sweep_index: int, trial_index: int) -> dic
 
     metrics = {name: math.nan for name in METRIC_NAMES}
     ple = raw_point["ple"]
-    metrics["key_to_data_ratio"] = PleCodec(
-        _ofdm_cfg(ple), ple["schemes"], _PROBE_SEED, _phase_cfg(ple)
-    ).key_to_data_ratio()
+    metrics["key_to_data_ratio"] = key_to_data_ratio(
+        ple["schemes"], _ofdm_cfg(ple), _phase_cfg(ple)
+    )
 
     quantizer_kind, quantizer_cfg = _quantizer_cfg(raw_point["quantizer"])
     code = code_by_id(raw_point["code_id"])
@@ -620,9 +649,6 @@ def run_single_trial(raw_point: dict, sweep_index: int, trial_index: int) -> dic
         except PhysecError as exc:
             result.error = result.error or f"ple: {exc}"
     return {"metrics": metrics, "error": result.error}
-
-
-_PROBE_SEED = KeystreamSeed(BitKey(np.ones(8, dtype=np.uint8), "amplified"))
 
 
 def _trial_worker(payload) -> tuple[int, int, dict]:

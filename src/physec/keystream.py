@@ -64,36 +64,41 @@ def xor_encrypt(plain, ks) -> np.ndarray:
 
 
 class BitReader:
-    """Sequential reader over a keystream slice with exhaustion checking."""
+    """Sequential reader over a keystream slice with exhaustion checking.
+
+    The slice is packed once into a Python integer, MSB first, so a word of
+    any width is one shift and mask rather than a loop over its bits.
+    """
 
     def __init__(self, bits):
         self._bits = np.asarray(bits, dtype=np.uint8)
+        packed = np.packbits(self._bits)
+        self._word = int.from_bytes(packed.tobytes(), "big")
+        self._width = 8 * packed.size
+        self._size = self._bits.size
         self._pos = 0
 
     @property
     def consumed(self) -> int:
         return self._pos
 
+    def _exhausted(self, count: int) -> KeystreamExhausted:
+        return KeystreamExhausted(f"needed {count} bits, {self._size - self._pos} left")
+
     def read_word(self, width: int) -> int:
         """Next `width` bits as a big-endian integer."""
-        if self._pos + width > self._bits.size:
-            raise KeystreamExhausted(
-                f"needed {width} bits, {self._bits.size - self._pos} left"
-            )
-        word = 0
-        for b in self._bits[self._pos : self._pos + width]:
-            word = (word << 1) | int(b)
-        self._pos += width
-        return word
+        end = self._pos + width
+        if end > self._size:
+            raise self._exhausted(width)
+        self._pos = end
+        return (self._word >> (self._width - end)) & ((1 << width) - 1)
 
     def read_bits(self, count: int) -> np.ndarray:
-        if self._pos + count > self._bits.size:
-            raise KeystreamExhausted(
-                f"needed {count} bits, {self._bits.size - self._pos} left"
-            )
-        out = self._bits[self._pos : self._pos + count]
-        self._pos += count
-        return out
+        start = self._pos
+        if start + count > self._size:
+            raise self._exhausted(count)
+        self._pos = start + count
+        return self._bits[start : self._pos]
 
     def draw_uniform(self, m: int) -> int:
         """Unbiased draw from {0, .., m-1} by rejection sampling."""
@@ -117,23 +122,23 @@ def keyed_permutation(n: int, ks) -> np.ndarray:
     if n < 1:
         raise ParameterError("n must be >= 1")
     reader = BitReader(ks)
-    perm = np.arange(n, dtype=np.intp)
+    perm = list(range(n))
     for i in range(n - 1, 0, -1):
         j = reader.draw_uniform(i + 1)
         perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    return np.array(perm, dtype=np.intp)
 
 
 def keyed_subset(pool, count: int, ks) -> np.ndarray:
     """First `count` entries of a keystream-keyed partial shuffle of pool."""
-    arr = np.asarray(pool, dtype=np.intp).copy()
-    if not 0 <= count <= arr.size:
+    arr = np.asarray(pool, dtype=np.intp).tolist()
+    if not 0 <= count <= len(arr):
         raise ParameterError("count must be in [0, pool size]")
     reader = BitReader(ks)
     for i in range(count):
-        j = i + reader.draw_uniform(arr.size - i)
+        j = i + reader.draw_uniform(len(arr) - i)
         arr[i], arr[j] = arr[j], arr[i]
-    return arr[:count]
+    return np.array(arr[:count], dtype=np.intp)
 
 
 def invert_permutation(perm) -> np.ndarray:

@@ -166,10 +166,18 @@ def ofdm_demodulate(frame: SymbolFrame, channel_gain: complex = 1.0) -> SymbolFr
     """
     core = strip_cp(frame) if frame.has_cp else frame
     core.require(DOMAIN_TIME, has_cp=False)
+    grid = demodulate_samples(core.data, channel_gain)
+    return SymbolFrame(grid, DOMAIN_FREQ, frame.cfg)
+
+
+def demodulate_samples(core, channel_gain: complex = 1.0) -> np.ndarray:
+    """Prefix-free time samples -> equalized grid, along the last axis.
+
+    The array form of ofdm_demodulate, one OFDM symbol per row.
+    """
     if channel_gain == 0:
         raise ParameterError("channel gain must be nonzero")
-    grid = np.fft.fft(core.data, norm="ortho") / channel_gain
-    return SymbolFrame(grid, DOMAIN_FREQ, frame.cfg)
+    return np.fft.fft(core, axis=-1, norm="ortho") / channel_gain
 
 
 def awgn_link(frame: SymbolFrame, snr_db: float, rng_seed: int) -> SymbolFrame:

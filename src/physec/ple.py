@@ -26,9 +26,7 @@ from . import modulation
 from .errors import KeystreamExhausted, ParameterError
 from .keystream import (
     BLOCK_BITS,
-    BitReader,
     KeystreamSeed,
-    invert_permutation,
     keyed_permutation,
     keyed_subset,
     keystream,
@@ -42,9 +40,8 @@ from .ofdm import (
     OfdmConfig,
     SymbolFrame,
     attach_cp,
-    extract_data,
-    frame_from_symbols,
-    ofdm_demodulate,
+    demodulate_samples,
+    ofdm_demodulate,  # noqa: F401  (perfbench traces it under this module)
     strip_cp,
 )
 
@@ -93,6 +90,18 @@ class PhaseEncryptConfig:
 
     def bits_per_symbol(self) -> int:
         return self.bits_per_angle + (_NOISE_BITS if self.noise_enabled else 0)
+
+    def check_mapping(self, mapping: str) -> None:
+        """Refuse a perturbation that could push a symbol of mapping across
+        a decision boundary on its own."""
+        if (
+            self.noise_enabled
+            and self.noise_scale >= modulation.min_decision_distance(mapping) / 2
+        ):
+            raise ParameterError(
+                "phase noise_scale must stay below half the minimum decision "
+                f"distance of {mapping!r}"
+            )
 
 
 def _phase_terms(n_symbols: int, ks, cfg: PhaseEncryptConfig):
@@ -143,6 +152,27 @@ def _swap_re_im(values: np.ndarray) -> np.ndarray:
     return values.imag + 1j * values.real
 
 
+def _interleave(values: np.ndarray, threshold: float, inverse: bool) -> np.ndarray:
+    """Swap Re/Im of the values the selection rule picks, elementwise.
+
+    Forward, a value is swapped when its own phase exceeds the threshold;
+    inverse, when its candidate pre-swap value (Re/Im swapped back) does.
+    """
+    swapped = _swap_re_im(values)
+    sel = _principal_angle(swapped if inverse else values) > threshold
+    return np.where(sel, swapped, values)
+
+
+def _interleave_frame(frame: SymbolFrame, threshold: float, inverse: bool):
+    frame.require(DOMAIN_FREQ)
+    if not -math.pi <= threshold <= math.pi:
+        raise ParameterError("threshold must be in [-pi, pi]")
+    grid = frame.data.copy()
+    idx = np.asarray(frame.cfg.data_carriers, dtype=np.intp)
+    grid[idx] = _interleave(grid[idx], threshold, inverse)
+    return SymbolFrame(grid, DOMAIN_FREQ, frame.cfg)
+
+
 def partial_interleave(frame: SymbolFrame, threshold: float) -> SymbolFrame:
     """Swap Re/Im on data carriers whose phase exceeds the threshold.
 
@@ -150,16 +180,7 @@ def partial_interleave(frame: SymbolFrame, threshold: float) -> SymbolFrame:
     nothing and threshold = -pi selects everything. Key-independent by
     design; its protection comes from stacking under the keyed stages.
     """
-    frame.require(DOMAIN_FREQ)
-    if not -math.pi <= threshold <= math.pi:
-        raise ParameterError("threshold must be in [-pi, pi]")
-    grid = frame.data.copy()
-    idx = np.asarray(frame.cfg.data_carriers, dtype=np.intp)
-    values = grid[idx]
-    sel = _principal_angle(values) > threshold
-    values[sel] = _swap_re_im(values[sel])
-    grid[idx] = values
-    return SymbolFrame(grid, DOMAIN_FREQ, frame.cfg)
+    return _interleave_frame(frame, threshold, inverse=False)
 
 
 def partial_deinterleave(frame: SymbolFrame, threshold: float) -> SymbolFrame:
@@ -174,17 +195,7 @@ def partial_deinterleave(frame: SymbolFrame, threshold: float) -> SymbolFrame:
     noisy, imperfectly equalized link) selections can be misjudged; this
     stage is only guaranteed on noiseless or perfectly equalized links.
     """
-    frame.require(DOMAIN_FREQ)
-    if not -math.pi <= threshold <= math.pi:
-        raise ParameterError("threshold must be in [-pi, pi]")
-    grid = frame.data.copy()
-    idx = np.asarray(frame.cfg.data_carriers, dtype=np.intp)
-    values = grid[idx]
-    candidates = _swap_re_im(values)
-    sel = _principal_angle(candidates) > threshold
-    values[sel] = candidates[sel]
-    grid[idx] = values
-    return SymbolFrame(grid, DOMAIN_FREQ, frame.cfg)
+    return _interleave_frame(frame, threshold, inverse=True)
 
 
 def insert_dummy(frame: SymbolFrame, ks) -> SymbolFrame:
@@ -197,32 +208,54 @@ def insert_dummy(frame: SymbolFrame, ks) -> SymbolFrame:
     carriers are never touched; an empty dummy set is a no-op.
     """
     frame.require(DOMAIN_FREQ)
-    cfg = frame.cfg
+    grid = frame.data.copy()[None]
+    _fill_dummies(grid, np.asarray(ks, dtype=np.uint8)[None], frame.cfg)
+    return SymbolFrame(grid[0], DOMAIN_FREQ, frame.cfg)
+
+
+def _fill_dummies(grids: np.ndarray, ks: np.ndarray, cfg: OfdmConfig) -> None:
+    """insert_dummy in place on grids[F, n_fft], row f keyed by ks[f].
+
+    Per row, the first count * bits_per_symbol bits map to the decoy
+    values and the next subset_allocation_bits pick their slots.
+    """
     count = len(cfg.dummy_carriers)
     if count == 0:
-        return frame
-    reader = BitReader(ks)
-    bps = modulation.bits_per_symbol(cfg.mapping)
-    values = modulation.map_symbols(reader.read_bits(count * bps), cfg.mapping)
-    slots = keyed_subset(cfg.idle_carriers, count, reader.read_bits(
-        subset_allocation_bits(len(cfg.idle_carriers), count)
-    ))
-    grid = frame.data.copy()
-    grid[slots] = values
-    return SymbolFrame(grid, DOMAIN_FREQ, frame.cfg)
+        return
+    idle = cfg.idle_carriers
+    n_value_bits = count * modulation.bits_per_symbol(cfg.mapping)
+    need = n_value_bits + subset_allocation_bits(len(idle), count)
+    if ks.shape[1] < need:
+        raise KeystreamExhausted(f"dummy stage needs {need} bits, got {ks.shape[1]}")
+    values = modulation.map_symbols(ks[:, :n_value_bits].ravel(), cfg.mapping)
+    slots = [keyed_subset(idle, count, row) for row in ks[:, n_value_bits:need]]
+    slots = np.array(slots, dtype=np.intp).reshape(-1, count)
+    np.put_along_axis(grids, slots, values.reshape(-1, count), axis=1)
+
+
+def _permute(data: np.ndarray, perm: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Permute along the last axis: output i = input perm[i], one perm per row.
+
+    inverse undoes it: output perm[i] = input i.
+    """
+    if not inverse:
+        return np.take_along_axis(data, perm, axis=-1)
+    out = np.empty_like(data)
+    np.put_along_axis(out, perm, data, axis=-1)
+    return out
 
 
 def scramble_freq(frame: SymbolFrame, perm) -> SymbolFrame:
     """Permute subcarriers: output carrier i holds input carrier perm[i]."""
     frame.require(DOMAIN_FREQ)
     p = _check_perm(perm, frame.cfg.n_fft)
-    return SymbolFrame(frame.data[p], DOMAIN_FREQ, frame.cfg)
+    return SymbolFrame(_permute(frame.data, p), DOMAIN_FREQ, frame.cfg)
 
 
 def unscramble_freq(frame: SymbolFrame, perm) -> SymbolFrame:
     frame.require(DOMAIN_FREQ)
     p = _check_perm(perm, frame.cfg.n_fft)
-    return SymbolFrame(frame.data[invert_permutation(p)], DOMAIN_FREQ, frame.cfg)
+    return SymbolFrame(_permute(frame.data, p, inverse=True), DOMAIN_FREQ, frame.cfg)
 
 
 def scramble_time(frame: SymbolFrame, perm) -> SymbolFrame:
@@ -242,11 +275,9 @@ def unscramble_time(frame: SymbolFrame, perm) -> SymbolFrame:
 def _permute_time(frame: SymbolFrame, perm, inverse: bool) -> SymbolFrame:
     frame.require(DOMAIN_TIME)
     p = _check_perm(perm, frame.cfg.n_fft)
-    if inverse:
-        p = invert_permutation(p)
     had_cp = frame.has_cp
     core = strip_cp(frame) if had_cp else frame
-    permuted = SymbolFrame(core.data[p], DOMAIN_TIME, frame.cfg)
+    permuted = SymbolFrame(_permute(core.data, p, inverse), DOMAIN_TIME, frame.cfg)
     return attach_cp(permuted) if had_cp else permuted
 
 
@@ -277,6 +308,17 @@ def scheme_budget_bits(
     raise ParameterError(f"unknown scheme {scheme!r}")
 
 
+def _ordered_schemes(schemes) -> tuple:
+    """Requested scheme names in SCHEME_ORDER; unknown or repeated names raise."""
+    requested = list(schemes)
+    unknown = [s for s in requested if s not in SCHEME_ORDER]
+    if unknown:
+        raise ParameterError(f"unknown schemes {unknown}")
+    if len(set(requested)) != len(requested):
+        raise ParameterError("duplicate scheme names")
+    return tuple(s for s in SCHEME_ORDER if s in requested)
+
+
 class PleCodec:
     """Composition of the enabled schemes over one OFDM link.
 
@@ -285,6 +327,10 @@ class PleCodec:
     unitary IFFT, time scrambling, cyclic prefix. Decryption inverts the
     chain. frame_index advances the keystream so no two frames share
     keystream positions.
+
+    The codec works on batches of frames: encrypt_batch and decrypt_batch
+    take one row per frame plus each row's frame index. encrypt and decrypt
+    are the same path for a batch of one SymbolFrame.
     """
 
     def __init__(
@@ -295,29 +341,15 @@ class PleCodec:
         phase_cfg: PhaseEncryptConfig | None = None,
         interleave_threshold: float = DEFAULT_INTERLEAVE_THRESHOLD,
     ):
-        requested = list(schemes)
-        unknown = [s for s in requested if s not in SCHEME_ORDER]
-        if unknown:
-            raise ParameterError(f"unknown schemes {unknown}")
-        if len(set(requested)) != len(requested):
-            raise ParameterError("duplicate scheme names")
         self.cfg = cfg
-        self.schemes = tuple(s for s in SCHEME_ORDER if s in requested)
+        self.schemes = _ordered_schemes(schemes)
         self.seed = seed
         self.phase_cfg = phase_cfg or PhaseEncryptConfig()
         if not -math.pi <= interleave_threshold <= math.pi:
             raise ParameterError("interleave threshold must be in [-pi, pi]")
         self.interleave_threshold = float(interleave_threshold)
-        if (
-            SCHEME_PHASE in self.schemes
-            and self.phase_cfg.noise_enabled
-            and self.phase_cfg.noise_scale
-            >= modulation.min_decision_distance(cfg.mapping) / 2
-        ):
-            raise ParameterError(
-                "phase noise_scale must stay below half the minimum decision "
-                f"distance of {cfg.mapping!r}"
-            )
+        if SCHEME_PHASE in self.schemes:
+            self.phase_cfg.check_mapping(cfg.mapping)
         self._budgets = {
             s: scheme_budget_bits(s, cfg, self.phase_cfg) for s in self.schemes
         }
@@ -326,71 +358,121 @@ class PleCodec:
         for s in self.schemes:
             self._region_offset[s] = offset
             offset += -(-self._budgets[s] // BLOCK_BITS)
-        self._blocks_per_frame = max(offset, 1)
-
-    def _scheme_bits(self, scheme: str, frame_index: int) -> np.ndarray:
-        if frame_index < 0:
-            raise ParameterError("frame_index must be >= 0")
-        base = frame_index * self._blocks_per_frame + self._region_offset[scheme]
-        return keystream(self.seed, self._budgets[scheme], block_offset=base)
+        self._blocks_per_frame = offset
+        self._data_idx = np.asarray(cfg.data_carriers, dtype=np.intp)
 
     def key_to_data_ratio(self) -> float:
         """Keystream bits budgeted per frame over plaintext bits per frame."""
         return sum(self._budgets.values()) / self.cfg.payload_bits
 
+    def _regions(self, frame_indices) -> np.ndarray:
+        """Each frame's keystream region, one row per frame, one call each."""
+        idx = np.asarray(frame_indices)
+        if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
+            raise ParameterError("frame indices must be a 1-D integer array")
+        if np.any(idx < 0):
+            raise ParameterError("frame_index must be >= 0")
+        n_bits = self._blocks_per_frame * BLOCK_BITS
+        out = np.empty((idx.size, n_bits), dtype=np.uint8)
+        if n_bits:
+            for row, frame_index in zip(out, idx.tolist()):
+                row[:] = keystream(
+                    self.seed, n_bits, block_offset=frame_index * self._blocks_per_frame
+                )
+        return out
+
+    def _scheme_bits(self, scheme: str, regions: np.ndarray) -> np.ndarray:
+        """One scheme's keystream bits per frame, sliced from the regions."""
+        start = self._region_offset[scheme] * BLOCK_BITS
+        return regions[:, start : start + self._budgets[scheme]]
+
+    def _perm(self, scheme: str, regions: np.ndarray) -> np.ndarray:
+        """One scheme's keyed permutation per frame, shape [F, n_fft]."""
+        n = self.cfg.n_fft
+        perms = [keyed_permutation(n, ks) for ks in self._scheme_bits(scheme, regions)]
+        return np.array(perms, dtype=np.intp).reshape(-1, n)
+
+    def encrypt_batch(self, plain_bits, frame_indices) -> np.ndarray:
+        """Encrypt F frames: bits[F, payload_bits] -> samples[F, n_fft + cp_len]."""
+        cfg = self.cfg
+        regions = self._regions(frame_indices)
+        n_frames = regions.shape[0]
+        bits = np.asarray(plain_bits, dtype=np.uint8)
+        if bits.shape != (n_frames, cfg.payload_bits):
+            raise ParameterError(
+                f"payload must have shape ({n_frames}, {cfg.payload_bits}), "
+                f"got {bits.shape}"
+            )
+        # the xor budget is exactly payload_bits and the phase budget exactly
+        # bits_per_symbol * n_data, so flattened key rows line up with the
+        # flattened frames
+        bits = bits.ravel()
+        if SCHEME_XOR in self.schemes:
+            bits = xor_encrypt(bits, self._scheme_bits(SCHEME_XOR, regions).ravel())
+        symbols = modulation.map_symbols(bits, cfg.mapping)
+        if SCHEME_PHASE in self.schemes:
+            ks = self._scheme_bits(SCHEME_PHASE, regions).ravel()
+            symbols = phase_encrypt(symbols, ks, self.phase_cfg)
+        if SCHEME_INTERLEAVE in self.schemes:
+            symbols = _interleave(symbols, self.interleave_threshold, inverse=False)
+        grid = np.zeros((n_frames, cfg.n_fft), dtype=complex)
+        grid[:, self._data_idx] = symbols.reshape(n_frames, cfg.n_data)
+        if SCHEME_DUMMY in self.schemes:
+            _fill_dummies(grid, self._scheme_bits(SCHEME_DUMMY, regions), cfg)
+        if SCHEME_SCRAMBLE_FREQ in self.schemes:
+            grid = _permute(grid, self._perm(SCHEME_SCRAMBLE_FREQ, regions))
+        core = np.fft.ifft(grid, axis=1, norm="ortho")
+        if SCHEME_SCRAMBLE_TIME in self.schemes:
+            core = _permute(core, self._perm(SCHEME_SCRAMBLE_TIME, regions))
+        return np.concatenate([core[:, cfg.n_fft - cfg.cp_len :], core], axis=1)
+
+    def decrypt_batch(
+        self, samples, frame_indices, channel_gain: complex = 1.0
+    ) -> np.ndarray:
+        """Invert encrypt_batch: samples[F, n_fft + cp_len] -> bits[F, payload_bits].
+
+        channel_gain is the known one-tap flat-fading coefficient, divided
+        out per subcarrier as in ofdm_demodulate.
+        """
+        cfg = self.cfg
+        regions = self._regions(frame_indices)
+        n_frames = regions.shape[0]
+        rx = np.asarray(samples, dtype=complex)
+        if rx.shape != (n_frames, cfg.n_fft + cfg.cp_len):
+            raise ParameterError(
+                f"samples must have shape ({n_frames}, {cfg.n_fft + cfg.cp_len}), "
+                f"got {rx.shape}"
+            )
+        core = rx[:, cfg.cp_len :]
+        if SCHEME_SCRAMBLE_TIME in self.schemes:
+            perm = self._perm(SCHEME_SCRAMBLE_TIME, regions)
+            core = _permute(core, perm, inverse=True)
+        grid = demodulate_samples(core, channel_gain)
+        if SCHEME_SCRAMBLE_FREQ in self.schemes:
+            perm = self._perm(SCHEME_SCRAMBLE_FREQ, regions)
+            grid = _permute(grid, perm, inverse=True)
+        symbols = grid[:, self._data_idx].ravel()
+        if SCHEME_INTERLEAVE in self.schemes:
+            symbols = _interleave(symbols, self.interleave_threshold, inverse=True)
+        if SCHEME_PHASE in self.schemes:
+            ks = self._scheme_bits(SCHEME_PHASE, regions).ravel()
+            symbols = phase_decrypt(symbols, ks, self.phase_cfg)
+        bits = modulation.demap_symbols(symbols, cfg.mapping)
+        if SCHEME_XOR in self.schemes:
+            bits = xor_encrypt(bits, self._scheme_bits(SCHEME_XOR, regions).ravel())
+        return bits.reshape(n_frames, cfg.payload_bits)
+
     def encrypt(self, plain_bits, frame_index: int = 0) -> SymbolFrame:
         bits = np.asarray(plain_bits, dtype=np.uint8)
-        if bits.shape != (self.cfg.payload_bits,):
-            raise ParameterError(
-                f"payload must be exactly {self.cfg.payload_bits} bits"
-            )
-        if SCHEME_XOR in self.schemes:
-            bits = xor_encrypt(bits, self._scheme_bits(SCHEME_XOR, frame_index))
-        symbols = modulation.map_symbols(bits, self.cfg.mapping)
-        if SCHEME_PHASE in self.schemes:
-            symbols = phase_encrypt(
-                symbols, self._scheme_bits(SCHEME_PHASE, frame_index), self.phase_cfg
-            )
-        frame = frame_from_symbols(symbols, self.cfg)
-        if SCHEME_INTERLEAVE in self.schemes:
-            frame = partial_interleave(frame, self.interleave_threshold)
-        if SCHEME_DUMMY in self.schemes:
-            frame = insert_dummy(frame, self._scheme_bits(SCHEME_DUMMY, frame_index))
-        if SCHEME_SCRAMBLE_FREQ in self.schemes:
-            frame = scramble_freq(frame, self._perm(SCHEME_SCRAMBLE_FREQ, frame_index))
-        core = SymbolFrame(
-            np.fft.ifft(frame.data, norm="ortho"), DOMAIN_TIME, self.cfg
-        )
-        if SCHEME_SCRAMBLE_TIME in self.schemes:
-            core = scramble_time(core, self._perm(SCHEME_SCRAMBLE_TIME, frame_index))
-        return attach_cp(core)
+        samples = self.encrypt_batch(bits[None], [frame_index])[0]
+        return SymbolFrame(samples, DOMAIN_TIME, self.cfg, has_cp=True)
 
     def decrypt(
         self, frame: SymbolFrame, frame_index: int = 0, channel_gain: complex = 1.0
     ) -> np.ndarray:
         frame.require(DOMAIN_TIME)
-        core = strip_cp(frame) if frame.has_cp else frame
-        if SCHEME_SCRAMBLE_TIME in self.schemes:
-            core = unscramble_time(core, self._perm(SCHEME_SCRAMBLE_TIME, frame_index))
-        grid = ofdm_demodulate(core, channel_gain=channel_gain)
-        if SCHEME_SCRAMBLE_FREQ in self.schemes:
-            grid = unscramble_freq(grid, self._perm(SCHEME_SCRAMBLE_FREQ, frame_index))
-        if SCHEME_INTERLEAVE in self.schemes:
-            grid = partial_deinterleave(grid, self.interleave_threshold)
-        symbols = extract_data(grid)
-        if SCHEME_PHASE in self.schemes:
-            symbols = phase_decrypt(
-                symbols, self._scheme_bits(SCHEME_PHASE, frame_index), self.phase_cfg
-            )
-        bits = modulation.demap_symbols(symbols, self.cfg.mapping)
-        if SCHEME_XOR in self.schemes:
-            bits = xor_encrypt(bits, self._scheme_bits(SCHEME_XOR, frame_index))
-        return bits
-
-    def _perm(self, scheme: str, frame_index: int) -> np.ndarray:
-        return keyed_permutation(
-            self.cfg.n_fft, self._scheme_bits(scheme, frame_index)
-        )
+        with_cp = frame if frame.has_cp else attach_cp(frame)
+        return self.decrypt_batch(with_cp.data[None], [frame_index], channel_gain)[0]
 
 
 def encrypt_frame(
@@ -428,9 +510,6 @@ def key_to_data_ratio(
     phase_cfg: PhaseEncryptConfig | None = None,
 ) -> float:
     """Keystream bits budgeted per plaintext bit for a scheme stack."""
-    unknown = [s for s in schemes if s not in SCHEME_ORDER]
-    if unknown:
-        raise ParameterError(f"unknown schemes {unknown}")
     pc = phase_cfg or PhaseEncryptConfig()
-    total = sum(scheme_budget_bits(s, cfg, pc) for s in set(schemes))
+    total = sum(scheme_budget_bits(s, cfg, pc) for s in _ordered_schemes(schemes))
     return total / cfg.payload_bits

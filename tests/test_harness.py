@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from physec.bits import STAGE_AMPLIFIED, BitKey
 from physec.channel import ChannelParams, generate_trace
 from physec.errors import ConfigError, ParameterError
 from physec.harness import (
+    _ber_trial,
     CSV_COLUMNS,
     METRIC_NAMES,
     canonical_json_bytes,
@@ -22,6 +24,9 @@ from physec.harness import (
     run_single_trial,
     validate_config,
 )
+from physec.keystream import KeystreamSeed
+from physec.ofdm import awgn_link, ebn0_db_to_snr_db, wifi_like_config
+from physec.ple import SCHEME_ORDER, PleCodec
 
 GOOD_TRACE = """timestamp_a,rss_a,timestamp_b,rss_b
 1.0,-51.0,0.0,-50.5
@@ -100,6 +105,28 @@ def test_validation_unknown_top_level():
 
 def test_validation_non_dict_root():
     assert validate_config([1, 2]) == ["config root must be a JSON object"]
+
+
+def test_validation_rejects_phase_noise_too_large_for_mapping():
+    noisy = {"noise_enabled": True, "noise_scale": 0.8}
+    out = validate_config({"ple": {"schemes": ["phase"], "phase": noisy}})
+    assert any("noise_scale" in v and "qpsk" in v for v in out)
+    with pytest.raises(ConfigError):
+        config_from_dict({"ple": {"schemes": ["phase"], "phase": noisy}})
+    # the perturbation is only applied, and checked, when phase is enabled
+    assert validate_config({"ple": {"schemes": ["xor"], "phase": noisy}}) == []
+    ok = {"noise_enabled": True, "noise_scale": 0.5}
+    assert validate_config({"ple": {"schemes": ["phase"], "phase": ok}}) == []
+    qam = {"mapping": "16qam", "data_carriers": list(range(1, 49))}
+    out = validate_config({"ple": {"schemes": ["phase"], "phase": ok, "ofdm": qam}})
+    assert any("noise_scale" in v and "16qam" in v for v in out)
+    out = validate_config(
+        {
+            "ple": {"schemes": ["phase"], "phase": ok},
+            "sweep": {"parameter": "ple.phase.noise_scale", "values": [0.5, 0.8]},
+        }
+    )
+    assert len(out) == 1 and out[0].startswith("sweep value 0.8: ")
 
 
 def test_config_error_carries_all_violations():
@@ -334,6 +361,40 @@ def test_trace_config_rejects_loss_and_channel_sweep(tmp_path):
         "does not exist" in v
         for v in validate_config({"trace_file": str(tmp_path / "missing.csv")})
     )
+
+
+def _per_frame_ber(keys, raw_point, ber_seed):
+    """The BER loop one frame at a time: encrypt, awgn_link, decrypt."""
+    ple = raw_point["ple"]
+    cfg = wifi_like_config()
+    snr_db = ebn0_db_to_snr_db(ple["ebn0_db"], cfg.mapping)
+    alice, *receivers = [PleCodec(cfg, ple["schemes"], KeystreamSeed(k)) for k in keys]
+    rng = np.random.default_rng(ber_seed)
+    errors = [0] * len(receivers)
+    n_frames = -(-ple["ber_bits"] // cfg.payload_bits)
+    for f in range(n_frames):
+        payload = rng.integers(0, 2, cfg.payload_bits, dtype=np.uint8)
+        rx = awgn_link(alice.encrypt(payload, f), snr_db, int(rng.integers(1 << 62)))
+        for i, codec in enumerate(receivers):
+            errors[i] += int(np.count_nonzero(codec.decrypt(rx, f) != payload))
+    return tuple(e / (n_frames * cfg.payload_bits) for e in errors)
+
+
+@pytest.mark.parametrize("ebn0_db", [4.0, math.inf])
+def test_ber_trial_matches_per_frame_link(ebn0_db):
+    rng = np.random.default_rng(30)
+    alice, eve = (
+        BitKey(rng.integers(0, 2, 128, dtype=np.uint8), STAGE_AMPLIFIED) for _ in "ae"
+    )
+    ple = {"schemes": list(SCHEME_ORDER), "ber_bits": 1000}
+    raw = config_from_dict(_fast_cfg(ple=ple)).raw
+    raw["ple"]["ebn0_db"] = ebn0_db  # +inf: a noiseless link, not expressible in JSON
+    bob_ber, eve_ber = _ber_trial(alice, alice, eve, raw, ber_seed=31)
+    assert (bob_ber, eve_ber) == _per_frame_ber((alice, alice, eve), raw, 31)
+    if ebn0_db == math.inf:
+        assert bob_ber == 0.0
+    assert 0.4 < eve_ber < 0.6
+    assert all(math.isnan(ber) for ber in _ber_trial(alice, None, None, raw, 31))
 
 
 def test_run_single_trial_shape():

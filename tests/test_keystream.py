@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,69 @@ def test_allocation_validation():
         subset_allocation_bits(4, 5)
     assert permutation_allocation_bits(1) == 0
     assert subset_allocation_bits(4, 0) == 0
+
+
+def _bitwise_words(bits, widths):
+    """Reference reader: each word built one bit at a time, MSB first."""
+    pos, words = 0, []
+    for width in widths:
+        word = 0
+        for b in bits[pos : pos + width]:
+            word = (word << 1) | int(b)
+        words.append(word)
+        pos += width
+    return words
+
+
+def test_bit_reader_matches_bitwise_reference():
+    rng = np.random.default_rng(15)
+    for size in (1, 7, 8, 9, 63, 257, 1284):
+        bits = rng.integers(0, 2, size, dtype=np.uint8)
+        widths = []
+        while sum(widths) < size:
+            widths.append(int(rng.integers(0, 9)))
+        widths[-1] -= sum(widths) - size
+        reader = BitReader(bits)
+        for width, expected in zip(widths, _bitwise_words(bits, widths)):
+            before = reader.consumed
+            assert reader.read_word(width) == expected
+            assert reader.consumed == before + width
+        assert reader.consumed == size
+
+
+def test_bit_reader_exhaustion_leaves_position():
+    r = BitReader([1, 0, 1, 1, 0, 1, 1, 1, 0, 1])
+    assert r.read_word(9) == 0b101101110
+    with pytest.raises(KeystreamExhausted, match="needed 2 bits, 1 left"):
+        r.read_word(2)
+    assert r.consumed == 9
+    with pytest.raises(KeystreamExhausted, match="needed 3 bits, 1 left"):
+        r.read_bits(3)
+    assert r.consumed == 9
+    assert r.read_word(0) == 0
+    assert list(r.read_bits(1)) == [1]
+    assert r.consumed == 10
+    with pytest.raises(KeystreamExhausted):
+        r.draw_uniform(2)
+    assert r.consumed == 10
+
+
+GOLDEN_KEYED_SHA256 = "9c3e5a0584844dbc0779fbcf051b02c292abbd8c15515d442721263b10d1631b"
+
+
+def test_keyed_primitives_golden_hash():
+    # integers only, so the hash holds on any platform
+    key = BitKey(
+        np.random.default_rng(2026).integers(0, 2, 128, dtype=np.uint8),
+        STAGE_AMPLIFIED,
+    )
+    digest = hashlib.sha256()
+    for nonce in range(1000):
+        seed = KeystreamSeed(key, nonce)
+        perm = keyed_permutation(64, keystream(seed, permutation_allocation_bits(64)))
+        sub = keyed_subset(
+            np.arange(16, 64), 4, keystream(seed, subset_allocation_bits(48, 4))
+        )
+        digest.update(perm.astype(np.int64).tobytes())
+        digest.update(sub.astype(np.int64).tobytes())
+    assert digest.hexdigest() == GOLDEN_KEYED_SHA256
