@@ -75,8 +75,6 @@ from .ple import (
     PhaseEncryptConfig,
     PleCodec,
     SCHEME_ORDER,
-    decrypt_frame,
-    encrypt_frame,
     key_to_data_ratio,
 )
 from .probing import LossModel, ProbeRecord, align_timestamps, apply_loss
@@ -148,8 +146,6 @@ __all__ = [
     "PhaseEncryptConfig",
     "PleCodec",
     "SCHEME_ORDER",
-    "decrypt_frame",
-    "encrypt_frame",
     "key_to_data_ratio",
     "LossModel",
     "ProbeRecord",

@@ -5,7 +5,8 @@ Subcommands: ``run`` (execute an experiment config and emit a report),
 ``trace-stats`` (summarize a measured probing trace), and ``selftest``
 (exhaustive block-code and sketch/recover oracles).
 
-Exit codes: 0 success, 1 config error, 2 runtime error. The environment
+Exit codes: 0 success, 1 config or input error, 2 environment error (an
+unreadable or unwritable path) or selftest failure. The environment
 variables PHYSEC_OUT_DIR and PHYSEC_JOBS override the report directory and
 the parallelism degree; nothing else is configurable from the environment.
 """
@@ -96,13 +97,7 @@ def _resolve_out(out, scenario: str, fmt: str):
 def _cmd_run(args) -> int:
     try:
         config = load_config(args.config, master_seed=args.seed)
-        jobs = _resolve_jobs(args.jobs)
-    except ConfigError as exc:
-        for violation in exc.violations:
-            print(f"config error: {violation}", file=sys.stderr)
-        return 1
-    try:
-        report = run_experiment(config, jobs=jobs)
+        report = run_experiment(config, jobs=_resolve_jobs(args.jobs))
         path = _resolve_out(args.out, config.scenario, args.format)
         if path is None:
             if args.format == "json":
@@ -112,7 +107,14 @@ def _cmd_run(args) -> int:
         else:
             emit_report(report, args.format, path)
             print(f"wrote {path}")
-    except (PhysecError, OSError) as exc:
+    except ConfigError as exc:
+        for violation in exc.violations:
+            print(f"config error: {violation}", file=sys.stderr)
+        return 1
+    except PhysecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
@@ -137,7 +139,10 @@ def _cmd_trace_stats(args) -> int:
         alice, bob = read_trace_records(args.trace)
         tau = _infer_tau(args.trace)
         x_a, x_b = align_timestamps(alice, bob, tau)
-    except (PhysecError, OSError) as exc:
+    except PhysecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"probes kept: alice {len(alice)}, bob {len(bob)}")

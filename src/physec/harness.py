@@ -17,8 +17,9 @@ import json
 import hashlib
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -44,10 +45,10 @@ from .ofdm import (
     wifi_like_config,
 )
 from .ple import (
-    SCHEME_ORDER,
     SCHEME_PHASE,
     PhaseEncryptConfig,
     PleCodec,
+    _ordered_schemes,
     key_to_data_ratio,
 )
 from .probing import (
@@ -89,187 +90,255 @@ CSV_COLUMNS = (
     "count",
 )
 
-_DEFAULTS = {
-    "scenario": "unnamed",
-    "channel": {
-        "temporal_correlation": 0.99,
-        "sampling_delay": 1.0,
-        "snr_db": 30.0,
-        "eve_correlation": 0.0,
-        "n_probes": 600,
-    },
-    "trace_file": None,
-    "loss": {"loss_probability": 0.0},
-    "quantizer": {"algorithm": "mean_sigma", "alpha": 0.5},
-    "code_id": "hamming74",
-    "amplify_out_len": 128,
-    "ple": {
-        "schemes": ["xor"],
-        "ofdm": "wifi64",
-        "phase": {"bits_per_angle": 2, "noise_enabled": False, "noise_scale": 0.0},
-        "ebn0_db": 8.0,
-        "ber_bits": 4800,
-    },
-    "sweep": {"parameter": "channel.snr_db", "values": [30.0]},
-    "trials": 20,
-    "master_seed": 0,
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_of(kind: str):
+    return lambda v: isinstance(v, list) and all(map(_KINDS[kind], v))
+
+
+# What each kind of config value accepts. A bool is never an integer or a
+# number, and NaN is not a number.
+_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "a nonempty string": lambda v: isinstance(v, str) and v != "",
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    '"mean_sigma" or "cdf"': lambda v: v in ("mean_sigma", "cdf"),
+    '"wifi64" or an object': lambda v: v == "wifi64" or isinstance(v, dict),
+    "a boolean": lambda v: isinstance(v, bool),
+    "an integer": _is_int,
+    "an integer >= 0": lambda v: _is_int(v) and v >= 0,
+    "an integer >= 1": lambda v: _is_int(v) and v >= 1,
+    "a number": lambda v: _is_int(v) or isinstance(v, float) and not math.isnan(v),
+    "a nonempty list": lambda v: isinstance(v, list) and v != [],
+    "a list of strings": _list_of("a string"),
+    "a list of integers": _list_of("an integer"),
 }
 
 
-def _merge_defaults(raw: dict) -> dict:
-    merged = copy.deepcopy(_DEFAULTS)
+@dataclass(frozen=True)
+class _Leaf:
+    """One config value: its kind (a key of _KINDS) and its default.
 
-    def merge(dst, src, path):
-        for key, value in src.items():
-            if isinstance(value, dict) and isinstance(dst.get(key), dict):
-                merge(dst[key], value, path + (key,))
-            else:
-                dst[key] = copy.deepcopy(value)
+    fields is the schema of an object value. A hidden default applies where
+    the key is absent but is left out of the merged config that reports
+    embed.
+    """
 
-    merge(merged, raw, ())
-    return merged
+    kind: str
+    default: object
+    fields: dict | None = None
+    hidden: bool = False
 
 
-def _walk(cfg: dict, dotted: str):
-    node = cfg
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise KeyError(dotted)
-        node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        raise KeyError(dotted)
-    return node, parts[-1]
+# Every config value, once. Ranges are checked by the constructors the
+# values feed (ChannelParams, LossModel, MeanSigmaConfig, CdfConfig,
+# code_by_id, the PLE scheme list, OfdmConfig, PhaseEncryptConfig).
+_SCHEMA = {
+    "scenario": _Leaf("a nonempty string", "unnamed"),
+    "channel": {
+        "temporal_correlation": _Leaf("a number", 0.99),
+        "sampling_delay": _Leaf("a number", 1.0),
+        "snr_db": _Leaf("a number", 30.0),
+        "eve_correlation": _Leaf("a number", 0.0),
+        "n_probes": _Leaf("an integer", 600),
+    },
+    "trace_file": _Leaf("a string or null", None),
+    "loss": {"loss_probability": _Leaf("a number", 0.0)},
+    "quantizer": {
+        "algorithm": _Leaf('"mean_sigma" or "cdf"', "mean_sigma"),
+        "alpha": _Leaf("a number", 0.5),
+        "quantization_level": _Leaf("an integer", 1, hidden=True),
+    },
+    "code_id": _Leaf("a string", "hamming74"),
+    "amplify_out_len": _Leaf("an integer >= 1", 128),
+    "ple": {
+        "schemes": _Leaf("a list of strings", ["xor"]),
+        # the "wifi64" preset, or an OfdmConfig written out as an object
+        "ofdm": _Leaf(
+            '"wifi64" or an object',
+            "wifi64",
+            fields={
+                "n_fft": _Leaf("an integer", 64, hidden=True),
+                "cp_len": _Leaf("an integer", 16, hidden=True),
+                "data_carriers": _Leaf("a list of integers", [], hidden=True),
+                "dummy_carriers": _Leaf("a list of integers", [], hidden=True),
+                "mapping": _Leaf("a string", "qpsk", hidden=True),
+            },
+        ),
+        "phase": {
+            "bits_per_angle": _Leaf("an integer", 2),
+            "noise_enabled": _Leaf("a boolean", False),
+            "noise_scale": _Leaf("a number", 0.0),
+        },
+        "ebn0_db": _Leaf("a number", 8.0),
+        "ber_bits": _Leaf("an integer >= 0", 4800),
+    },
+    "sweep": {
+        "parameter": _Leaf("a string", "channel.snr_db"),
+        "values": _Leaf("a nonempty list", [30.0]),
+    },
+    "trials": _Leaf("an integer >= 1", 20),
+    "master_seed": _Leaf("an integer", 0),
+}
+
+
+def _complete(node, spec, out: list, path: str = "", hidden: bool = True):
+    """node with the defaults of spec that it lacks, hidden ones if hidden.
+
+    Unknown keys and values of the wrong kind go to out and are dropped or
+    replaced by their defaults. hidden=False gives the merged config.
+    """
+    if isinstance(spec, _Leaf):
+        if not _KINDS[spec.kind](node):
+            out.append(f"{path} must be {spec.kind}")
+            return copy.deepcopy(spec.default)
+        if isinstance(node, dict):
+            return _complete(node, spec.fields, out, path, hidden)
+        return node
+    if not isinstance(node, dict):
+        out.append(f"{path} must be an object")
+        node = {}
+    section = path or "top-level"
+    out.extend(f"unknown {section} field {key!r}" for key in node if key not in spec)
+    completed = {}
+    for key, sub in spec.items():
+        sub_path = f"{path}.{key}" if path else key
+        if key in node:
+            completed[key] = _complete(node[key], sub, out, sub_path, hidden)
+        elif isinstance(sub, dict):
+            completed[key] = _complete({}, sub, out, sub_path, hidden)
+        elif hidden or not sub.hidden:
+            completed[key] = copy.deepcopy(sub.default)
+    return completed
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """One sweep point, resolved once. trace is the (x_a, x_b) pair of
+    trace_file once run_experiment has read it."""
+
+    master_seed: int
+    channel: ChannelParams
+    loss: LossModel
+    quantizer: MeanSigmaConfig | CdfConfig
+    code: LinearBlockCode
+    out_len: int
+    ofdm: OfdmConfig
+    schemes: tuple
+    phase: PhaseEncryptConfig
+    snr_db: float
+    ber_bits: int
+    key_to_data_ratio: float
+    trace_file: str | None
+    trace: tuple | None = None
+
+
+def _resolve_point(cfg: dict) -> SweepPoint:
+    """Build what the trials of one sweep point share. Raises ConfigError
+    listing every violation, from the schema and from the constructors."""
+    out: list[str] = []
+    cfg = _complete(cfg, _SCHEMA, out)
+
+    def build(section, make):
+        try:
+            return make()
+        except PhysecError as exc:
+            out.append(f"{section}: {exc}")
+            return None
+
+    trace_file = cfg["trace_file"]
+    if trace_file is not None:
+        if not os.path.exists(trace_file):
+            out.append(f"trace_file {trace_file!r} does not exist")
+        if cfg["loss"]["loss_probability"]:
+            out.append("loss model does not apply to trace files")
+    q, ple = cfg["quantizer"], cfg["ple"]
+    channel = build("channel", lambda: ChannelParams(**cfg["channel"]))
+    loss = build("loss", lambda: LossModel(**cfg["loss"]))
+    if q["algorithm"] == "mean_sigma":
+        quantizer = build("quantizer", lambda: MeanSigmaConfig(q["alpha"]))
+    else:
+        quantizer = build("quantizer", lambda: CdfConfig(q["quantization_level"]))
+    code = build("code_id", lambda: code_by_id(cfg["code_id"]))
+    schemes = build("ple.schemes", lambda: _ordered_schemes(ple["schemes"]))
+    if ple["ofdm"] == "wifi64":
+        ofdm = wifi_like_config()
+    else:
+        ofdm = build("ple.ofdm", lambda: OfdmConfig(**ple["ofdm"]))
+    phase = build("ple.phase", lambda: PhaseEncryptConfig(**ple["phase"]))
+    if ofdm and phase and SCHEME_PHASE in ple["schemes"]:
+        build("ple.phase", lambda: phase.check_mapping(ofdm.mapping))
+    if out:
+        raise ConfigError(out)
+    return SweepPoint(
+        master_seed=cfg["master_seed"],
+        channel=channel,
+        loss=loss,
+        quantizer=quantizer,
+        code=code,
+        out_len=cfg["amplify_out_len"],
+        ofdm=ofdm,
+        schemes=schemes,
+        phase=phase,
+        snr_db=ebn0_db_to_snr_db(ple["ebn0_db"], ofdm.mapping),
+        ber_bits=ple["ber_bits"],
+        key_to_data_ratio=key_to_data_ratio(schemes, ofdm, phase),
+        trace_file=trace_file,
+    )
+
+
+def _violations(cfg: dict) -> list[str]:
+    try:
+        _resolve_point(cfg)
+    except ConfigError as exc:
+        return exc.violations
+    return []
 
 
 def _apply_sweep(raw: dict, parameter: str, value) -> dict:
+    """A copy of raw with value at the dotted path parameter; KeyError when
+    raw holds no such path."""
     cfg = copy.deepcopy(raw)
-    node, leaf = _walk(cfg, parameter)
+    node = cfg
+    *parents, leaf = parameter.split(".")
+    for part in parents:
+        node = node.get(part) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or leaf not in node:
+        raise KeyError(parameter)
     node[leaf] = value
     return cfg
 
 
-def _validate_point(cfg: dict) -> list[str]:
-    """Violations of everything except the sweep section."""
-    out: list[str] = []
-    if not isinstance(cfg["scenario"], str) or not cfg["scenario"]:
-        out.append("scenario must be a nonempty string")
-    if not isinstance(cfg["trials"], int) or cfg["trials"] < 1:
-        out.append("trials must be an integer >= 1")
-    if not isinstance(cfg["master_seed"], int):
-        out.append("master_seed must be an integer")
-
-    trace_file = cfg["trace_file"]
-    if trace_file is not None:
-        if not isinstance(trace_file, str):
-            out.append("trace_file must be a string path or null")
-        elif not os.path.exists(trace_file):
-            out.append(f"trace_file {trace_file!r} does not exist")
-        if cfg["loss"].get("loss_probability", 0.0):
-            out.append("loss model does not apply to trace files")
-    try:
-        _channel_params(cfg, rng_seed=0)
-    except (PhysecError, TypeError) as exc:
-        out.append(f"channel: {exc}")
-
-    loss_p = cfg["loss"].get("loss_probability", 0.0)
-    if not isinstance(loss_p, (int, float)) or not 0.0 <= loss_p < 1.0:
-        out.append("loss.loss_probability must be in [0, 1)")
-
-    try:
-        _quantizer_cfg(cfg["quantizer"])
-    except (PhysecError, TypeError, KeyError) as exc:
-        out.append(f"quantizer: {exc}")
-
-    try:
-        code_by_id(cfg["code_id"])
-    except PhysecError as exc:
-        out.append(str(exc))
-
-    if not isinstance(cfg["amplify_out_len"], int) or cfg["amplify_out_len"] < 1:
-        out.append("amplify_out_len must be an integer >= 1")
-
-    ple = cfg["ple"]
-    schemes = ple.get("schemes", [])
-    if not isinstance(schemes, list):
-        out.append("ple.schemes must be a list")
-    else:
-        out.extend(
-            f"unknown ple scheme {s!r}" for s in schemes if s not in SCHEME_ORDER
-        )
-        if len(set(schemes)) != len(schemes):
-            out.append("ple.schemes contains duplicates")
-    ofdm_cfg = phase_cfg = None
-    try:
-        ofdm_cfg = _ofdm_cfg(ple)
-    except (PhysecError, TypeError) as exc:
-        out.append(f"ple.ofdm: {exc}")
-    try:
-        phase_cfg = _phase_cfg(ple)
-    except (PhysecError, TypeError) as exc:
-        out.append(f"ple.phase: {exc}")
-    if (
-        ofdm_cfg is not None
-        and phase_cfg is not None
-        and isinstance(schemes, list)
-        and SCHEME_PHASE in schemes
-    ):
-        try:
-            phase_cfg.check_mapping(ofdm_cfg.mapping)
-        except ParameterError as exc:
-            out.append(f"ple.phase: {exc}")
-    ebn0 = ple.get("ebn0_db")
-    if not isinstance(ebn0, (int, float)) or (
-        isinstance(ebn0, float) and math.isnan(ebn0)
-    ):
-        out.append("ple.ebn0_db must be a number")
-    ber_bits = ple.get("ber_bits")
-    if not isinstance(ber_bits, int) or ber_bits < 0:
-        out.append("ple.ber_bits must be an integer >= 0")
-    return out
-
-
 def validate_config(raw) -> list[str]:
-    """Schema check; returns every violation found, empty when valid."""
+    """Schema check; returns every violation found, empty when valid.
+
+    The merged config and each of its sweep points are resolved the way
+    run_experiment resolves them, and whatever that raises is collected.
+    """
     if not isinstance(raw, dict):
         return ["config root must be a JSON object"]
     out: list[str] = []
-    known = set(_DEFAULTS)
-    out.extend(f"unknown top-level field {k!r}" for k in raw if k not in known)
-    cfg = _merge_defaults(raw)
-    out.extend(_validate_point(cfg))
-
-    sweep = cfg["sweep"]
-    if not isinstance(sweep, dict):
-        out.append("sweep must be a single object naming one parameter")
-        return out
-    extra = set(sweep) - {"parameter", "values"}
-    out.extend(f"unknown sweep field {k!r}" for k in sorted(extra))
-    param = sweep.get("parameter")
-    values = sweep.get("values")
-    param_ok = isinstance(param, str)
-    if param_ok:
-        try:
-            _walk(cfg, param)
-        except KeyError:
-            out.append(f"sweep.parameter {param!r} is not a config path")
-            param_ok = False
-        if param == "sweep" or param.startswith("sweep."):
-            out.append("sweep.parameter cannot target the sweep itself")
-            param_ok = False
-        if cfg["trace_file"] is not None and param.startswith("channel."):
-            out.append("cannot sweep channel parameters of a trace file")
-    else:
-        out.append("sweep.parameter must be a dotted config path")
-    if not isinstance(values, list) or not values:
-        out.append("sweep.values must be a nonempty list")
-    elif param_ok:
-        for value in values:
-            point = _apply_sweep(cfg, param, value)
-            for violation in _validate_point(point):
-                message = f"sweep value {value!r}: {violation}"
-                if violation not in out and message not in out:
-                    out.append(message)
+    cfg = _complete(raw, _SCHEMA, out, hidden=False)
+    out += [v for v in _violations(cfg) if v not in out]
+    if any(v.startswith("sweep") for v in out):
+        return out  # a malformed sweep was replaced by the default sweep
+    param, values = cfg["sweep"]["parameter"], cfg["sweep"]["values"]
+    if param == "sweep" or param.startswith("sweep."):
+        return out + ["sweep.parameter cannot target the sweep itself"]
+    try:
+        _apply_sweep(cfg, param, None)
+    except KeyError:
+        return out + [f"sweep.parameter {param!r} is not a config path"]
+    if cfg["trace_file"] is not None and param.startswith("channel."):
+        out.append("cannot sweep channel parameters of a trace file")
+    for value in values:
+        for violation in _violations(_apply_sweep(cfg, param, value)):
+            message = f"sweep value {value!r}: {violation}"
+            if violation not in out and message not in out:
+                out.append(message)
     return out
 
 
@@ -312,7 +381,7 @@ def config_from_dict(raw: dict, master_seed: int | None = None) -> ExperimentCon
     if violations:
         raise ConfigError(violations)
     config_hash = hashlib.sha256(canonical_json_bytes(raw)).hexdigest()
-    merged = _merge_defaults(raw)
+    merged = copy.deepcopy(_complete(raw, _SCHEMA, [], hidden=False))
     if master_seed is not None:
         merged["master_seed"] = int(master_seed)
     return ExperimentConfig(raw=merged, config_hash=config_hash)
@@ -335,53 +404,8 @@ def load_config(path: str, master_seed: int | None = None) -> ExperimentConfig:
     return config_from_dict(raw, master_seed=master_seed)
 
 
-def _channel_params(cfg: dict, rng_seed: int) -> ChannelParams:
-    ch = cfg["channel"]
-    return ChannelParams(
-        temporal_correlation=ch["temporal_correlation"],
-        sampling_delay=ch["sampling_delay"],
-        snr_db=ch["snr_db"],
-        eve_correlation=ch["eve_correlation"],
-        n_probes=ch["n_probes"],
-        rng_seed=rng_seed,
-    )
-
-
-def _quantizer_cfg(qcfg: dict):
-    algorithm = qcfg.get("algorithm")
-    if algorithm == "mean_sigma":
-        return "mean_sigma", MeanSigmaConfig(alpha=qcfg.get("alpha", 0.5))
-    if algorithm == "cdf":
-        return "cdf", CdfConfig(quantization_level=qcfg.get("quantization_level", 1))
-    raise ParameterError(f"unknown quantizer algorithm {algorithm!r}")
-
-
-def _ofdm_cfg(ple: dict) -> OfdmConfig:
-    ofdm = ple.get("ofdm", "wifi64")
-    if ofdm == "wifi64":
-        return wifi_like_config()
-    if isinstance(ofdm, dict):
-        return OfdmConfig(
-            n_fft=ofdm.get("n_fft", 64),
-            cp_len=ofdm.get("cp_len", 16),
-            data_carriers=tuple(ofdm.get("data_carriers", ())),
-            dummy_carriers=tuple(ofdm.get("dummy_carriers", ())),
-            mapping=ofdm.get("mapping", "qpsk"),
-        )
-    raise ParameterError("ple.ofdm must be \"wifi64\" or an object")
-
-
-def _phase_cfg(ple: dict) -> PhaseEncryptConfig:
-    ph = ple.get("phase", {})
-    return PhaseEncryptConfig(
-        bits_per_angle=ph.get("bits_per_angle", 2),
-        noise_enabled=ph.get("noise_enabled", False),
-        noise_scale=ph.get("noise_scale", 0.0),
-    )
-
-
-def _quantize_outcome(x, kind, qcfg) -> QuantizationOutcome:
-    if kind == "mean_sigma":
+def _quantize_outcome(x, qcfg) -> QuantizationOutcome:
+    if isinstance(qcfg, MeanSigmaConfig):
         return quantize_mean_sigma(x, qcfg)
     key = quantize_cdf(x, qcfg)
     return QuantizationOutcome(
@@ -406,7 +430,6 @@ class KeyGenResult:
 def key_generation_trial(
     x_a,
     x_b,
-    quantizer_kind: str,
     quantizer_cfg,
     code: LinearBlockCode,
     out_len: int,
@@ -422,8 +445,8 @@ def key_generation_trial(
     """
     result = KeyGenResult()
     try:
-        outcome_a = _quantize_outcome(x_a, quantizer_kind, quantizer_cfg)
-        outcome_b = _quantize_outcome(x_b, quantizer_kind, quantizer_cfg)
+        outcome_a = _quantize_outcome(x_a, quantizer_cfg)
+        outcome_b = _quantize_outcome(x_b, quantizer_cfg)
     except PhysecError as exc:
         result.error = f"quantization: {exc}"
         return result
@@ -443,14 +466,17 @@ def key_generation_trial(
     k_b = BitKey(bits_b.bits[:usable])
     leaked = syndrome_bits_leaked(code, n_blocks)
     sk = sketch(k_a, code, sketch_seed)
+
+    def finish(key: BitKey) -> BitKey:
+        return amplify(key, leaked, out_len, salt)
+
     try:
-        result.alice_key = amplify(k_a, leaked, out_len, salt)
+        result.alice_key = finish(k_a)
     except PhysecError as exc:
         result.error = f"amplify: {exc}"
         return result
     try:
-        k_b_rec = recover(k_b, sk, code)
-        result.bob_key = amplify(k_b_rec, leaked, out_len, salt)
+        result.bob_key = finish(recover(k_b, sk, code))
         result.agreed = result.bob_key == result.alice_key
     except PhysecError as exc:
         result.reconcile_failed = True
@@ -458,39 +484,18 @@ def key_generation_trial(
 
     if x_e is not None:
         result.eve_kdr, result.eve_key = _eve_distillation(
-            x_e,
-            quantizer_kind,
-            quantizer_cfg,
-            outcome_a,
-            common,
-            bits_a,
-            usable,
-            sk,
-            code,
-            leaked,
-            out_len,
-            salt,
+            x_e, quantizer_cfg, outcome_a, common, sk, code, finish
         )
     return result
 
 
-def _eve_distillation(
-    x_e,
-    quantizer_kind,
-    quantizer_cfg,
-    outcome_a,
-    common,
-    bits_a,
-    usable,
-    sk,
-    code,
-    leaked,
-    out_len,
-    salt,
-):
-    """Eve's best effort: same quantizer, public kept lists, public sketch."""
+def _eve_distillation(x_e, quantizer_cfg, outcome_a, common, sk, code, finish):
+    """Eve's best effort: same quantizer, public kept lists, public sketch.
+
+    finish amplifies a key the way Alice's key was amplified.
+    """
     try:
-        outcome_e = _quantize_outcome(x_e, quantizer_kind, quantizer_cfg)
+        outcome_e = _quantize_outcome(x_e, quantizer_cfg)
     except PhysecError:
         return math.nan, None
     common_e = np.intersect1d(common, outcome_e.kept_indices)
@@ -509,25 +514,21 @@ def _eve_distillation(
         src = pos.get(int(idx))
         if src is not None:
             eve_grid[row] = eve_source[src]
-    eve_key = None
-    if usable:
-        k_e = BitKey(eve_bits[:usable])
+    k_e = BitKey(eve_bits[: sk.s.size])
+    try:
+        return eve_kdr, finish(recover(k_e, sk, code))
+    except PhysecError:
         try:
-            k_e_rec = recover(k_e, sk, code)
-            eve_key = amplify(k_e_rec, leaked, out_len, salt)
+            return eve_kdr, finish(k_e)
         except PhysecError:
-            try:
-                eve_key = amplify(k_e, leaked, out_len, salt)
-            except PhysecError:
-                eve_key = None
-    return eve_kdr, eve_key
+            return eve_kdr, None
 
 
 def _ber_trial(
     alice_key: BitKey,
     bob_key: BitKey | None,
     eve_key: BitKey | None,
-    raw_point: dict,
+    point: SweepPoint,
     ber_seed: int,
 ) -> tuple[float, float]:
     """BER of Bob's and Eve's receivers, each decrypting with its own key.
@@ -536,21 +537,16 @@ def _ber_trial(
     transmission (AWGN at the configured Eb/N0). A receiver without a key
     (failed reconciliation, no eavesdropper data) yields NaN.
     """
-    ple = raw_point["ple"]
-    ber_bits = ple["ber_bits"]
-    if ber_bits == 0:
+    if point.ber_bits == 0:
         return math.nan, math.nan
-    cfg = _ofdm_cfg(ple)
-    phase_cfg = _phase_cfg(ple)
-    schemes = ple["schemes"]
-    snr_db = ebn0_db_to_snr_db(ple["ebn0_db"], cfg.mapping)
-    alice = PleCodec(cfg, schemes, KeystreamSeed(alice_key), phase_cfg)
-    receivers = {}
-    if bob_key is not None:
-        receivers["bob"] = PleCodec(cfg, schemes, KeystreamSeed(bob_key), phase_cfg)
-    if eve_key is not None:
-        receivers["eve"] = PleCodec(cfg, schemes, KeystreamSeed(eve_key), phase_cfg)
-    n_frames = -(-ber_bits // cfg.payload_bits)
+    cfg = point.ofdm
+    receivers = {
+        name: PleCodec(cfg, point.schemes, KeystreamSeed(key), point.phase)
+        for name, key in (("alice", alice_key), ("bob", bob_key), ("eve", eve_key))
+        if key is not None
+    }
+    alice = receivers.pop("alice")
+    n_frames = -(-point.ber_bits // cfg.payload_bits)
     rng = np.random.default_rng(ber_seed)
     payloads = np.empty((n_frames, cfg.payload_bits), dtype=np.uint8)
     noise_seeds = []
@@ -563,7 +559,7 @@ def _ber_trial(
     rx = np.empty_like(tx)
     for row, (samples, seed) in enumerate(zip(tx, noise_seeds)):
         frame = SymbolFrame(samples, DOMAIN_TIME, cfg, has_cp=True)
-        rx[row] = awgn_link(frame, snr_db, seed).data
+        rx[row] = awgn_link(frame, point.snr_db, seed).data
     total = n_frames * cfg.payload_bits
     ber = {
         name: int(np.count_nonzero(codec.decrypt_batch(rx, frame_indices) != payloads))
@@ -573,61 +569,37 @@ def _ber_trial(
     return ber.get("bob", math.nan), ber.get("eve", math.nan)
 
 
-def run_single_trial(raw_point: dict, sweep_index: int, trial_index: int) -> dict:
+def run_single_trial(point: SweepPoint, sweep_index: int, trial_index: int) -> dict:
     """One Monte-Carlo trial; returns metric values plus an optional error."""
-    seed_seq = np.random.SeedSequence(
-        (raw_point["master_seed"], sweep_index, trial_index)
-    )
+    seed_seq = np.random.SeedSequence((point.master_seed, sweep_index, trial_index))
     state = seed_seq.generate_state(16)
-    channel_seed = int(state[0])
-    loss_seed = int(state[1])
-    sketch_seed = int(state[2])
-    ber_seed = int(state[3])
+    channel_seed, loss_seed, sketch_seed, ber_seed = map(int, state[:4])
     salt = state[8:16].tobytes()
 
     metrics = {name: math.nan for name in METRIC_NAMES}
-    ple = raw_point["ple"]
-    metrics["key_to_data_ratio"] = key_to_data_ratio(
-        ple["schemes"], _ofdm_cfg(ple), _phase_cfg(ple)
-    )
+    metrics["key_to_data_ratio"] = point.key_to_data_ratio
 
-    quantizer_kind, quantizer_cfg = _quantizer_cfg(raw_point["quantizer"])
-    code = code_by_id(raw_point["code_id"])
-    out_len = raw_point["amplify_out_len"]
-
-    if raw_point["trace_file"] is not None:
-        x_a, x_b = load_trace_csv(raw_point["trace_file"])
+    if point.trace_file is not None:
+        x_a, x_b = point.trace
         x_e = None
         n_probes = max(len(x_a), 1)
     else:
-        params = _channel_params(raw_point, rng_seed=channel_seed)
+        params = replace(point.channel, rng_seed=channel_seed)
         trace = generate_trace(params)
-        loss = LossModel(
-            loss_probability=raw_point["loss"]["loss_probability"],
-            rng_seed=loss_seed,
-        )
-        alice_rec, bob_rec = apply_loss(trace, loss)
+        alice_rec, bob_rec = apply_loss(trace, replace(point.loss, rng_seed=loss_seed))
         x_a, x_b = align_timestamps(alice_rec, bob_rec, params.sampling_delay)
         base = paired_base_times(alice_rec, bob_rec, params.sampling_delay)
         x_e = trace.x_e[base.astype(np.intp)]
         n_probes = params.n_probes
 
     result = key_generation_trial(
-        x_a,
-        x_b,
-        quantizer_kind,
-        quantizer_cfg,
-        code,
-        out_len,
-        sketch_seed,
-        salt,
-        x_e=x_e,
+        x_a, x_b, point.quantizer, point.code, point.out_len, sketch_seed, salt, x_e=x_e
     )
     metrics["kdr"] = result.kdr
     metrics["eve_kdr"] = result.eve_kdr
     metrics["reconcile_failure_rate"] = float(result.reconcile_failed)
     metrics["key_agreement_rate"] = float(result.agreed)
-    metrics["key_generation_rate"] = out_len * float(result.agreed) / n_probes
+    metrics["key_generation_rate"] = point.out_len * float(result.agreed) / n_probes
     if result.alice_key is not None:
         try:
             metrics["monobit_pass_rate"] = float(
@@ -640,23 +612,11 @@ def run_single_trial(raw_point: dict, sweep_index: int, trial_index: int) -> dic
             metrics["runs_pass_rate"] = float(runs.passed)
         try:
             metrics["bob_ber"], metrics["eve_ber"] = _ber_trial(
-                result.alice_key,
-                result.bob_key,
-                result.eve_key,
-                raw_point,
-                ber_seed,
+                result.alice_key, result.bob_key, result.eve_key, point, ber_seed
             )
         except PhysecError as exc:
             result.error = result.error or f"ple: {exc}"
     return {"metrics": metrics, "error": result.error}
-
-
-def _trial_worker(payload) -> tuple[int, int, dict]:
-    raw_json, sweep_index, trial_index = payload
-    raw_point = json.loads(raw_json)
-    return sweep_index, trial_index, run_single_trial(
-        raw_point, sweep_index, trial_index
-    )
 
 
 @dataclass
@@ -671,14 +631,7 @@ class MetricsReport:
     results: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "sweep_parameter": self.sweep_parameter,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "results": self.results,
-        }
+        return asdict(self)
 
 
 def _aggregate(values: list[float]) -> dict:
@@ -697,31 +650,28 @@ def _aggregate(values: list[float]) -> dict:
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> MetricsReport:
     """Execute every (sweep value, trial) cell and aggregate per sweep value.
 
-    Rates are means of per-trial indicator variables and always land in
-    [0, 1]; numeric metrics carry a standard error when at least two trials
-    produced a value. Per-trial module errors are tallied per sweep point.
+    Each sweep point is resolved once, and a trace file is read once per
+    point; the trials share what that built. Rates are means of per-trial
+    indicator variables and always land in [0, 1]; numeric metrics carry a
+    standard error when at least two trials produced a value. Per-trial
+    module errors are tallied per sweep point.
     """
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")
     raw = config.raw
-    points = [
-        _apply_sweep(raw, config.sweep_parameter, value)
-        for value in config.sweep_values
-    ]
-    tasks = [
-        (canonical_json_bytes(point).decode(), sweep_index, trial_index)
-        for sweep_index, point in enumerate(points)
-        for trial_index in range(config.trials)
-    ]
-    cells: dict[tuple[int, int], dict] = {}
+    trials = config.trials
+    points = []
+    for value in config.sweep_values:
+        point = _resolve_point(_apply_sweep(raw, config.sweep_parameter, value))
+        if point.trace_file is not None:
+            point = replace(point, trace=load_trace_csv(point.trace_file))
+        points.append(point)
+    tasks = [(p, s, t) for s, p in enumerate(points) for t in range(trials)]
     if jobs == 1:
-        for payload in tasks:
-            sweep_index, trial_index, outcome = _trial_worker(payload)
-            cells[(sweep_index, trial_index)] = outcome
+        outcomes = [run_single_trial(*task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for sweep_index, trial_index, outcome in pool.map(_trial_worker, tasks):
-                cells[(sweep_index, trial_index)] = outcome
+            outcomes = list(pool.map(run_single_trial, *zip(*tasks)))
 
     report = MetricsReport(
         scenario=config.scenario,
@@ -731,19 +681,16 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> MetricsReport:
         seed=config.master_seed,
     )
     for sweep_index, value in enumerate(config.sweep_values):
-        outcomes = [cells[(sweep_index, t)] for t in range(config.trials)]
+        point_outcomes = outcomes[sweep_index * trials : (sweep_index + 1) * trials]
         metrics = {
-            name: _aggregate([o["metrics"][name] for o in outcomes])
+            name: _aggregate([o["metrics"][name] for o in point_outcomes])
             for name in METRIC_NAMES
         }
-        errors: dict[str, int] = {}
-        for o in outcomes:
-            if o["error"]:
-                errors[o["error"]] = errors.get(o["error"], 0) + 1
+        errors = Counter(o["error"] for o in point_outcomes if o["error"])
         report.results.append(
             {
                 "sweep_value": value,
-                "trials": config.trials,
+                "trials": trials,
                 "metrics": metrics,
                 "errors": dict(sorted(errors.items())),
             }
@@ -797,7 +744,7 @@ def read_trace_records(path: str):
 
     Format: header ``timestamp_a,rss_a,timestamp_b,rss_b``; each row is one
     probing round; an empty timestamp/value pair marks a lost probe on that
-    side.
+    side. Each side's timestamps must increase strictly from row to row.
     """
     alice: list[ProbeRecord] = []
     bob: list[ProbeRecord] = []
@@ -826,15 +773,16 @@ def read_trace_records(path: str):
                 if t_cell == "":
                     continue
                 try:
-                    records.append(ProbeRecord(float(t_cell), float(v_cell)))
+                    record = ProbeRecord(float(t_cell), float(v_cell))
                 except ValueError:
                     raise ParameterError(
                         f"{path}:{row_no}: non-numeric {side} cell"
                     ) from None
-    for name, records in (("alice", alice), ("bob", bob)):
-        stamps = [r.timestamp for r in records]
-        if len(set(stamps)) != len(stamps):
-            raise ParameterError(f"{path}: duplicate {name} timestamps")
+                last = records[-1].timestamp if records else -math.inf
+                if record.timestamp <= last:
+                    kind = "duplicate" if record.timestamp == last else "decreasing"
+                    raise ParameterError(f"{path}:{row_no}: {kind} {side} timestamp")
+                records.append(record)
     return alice, bob
 
 

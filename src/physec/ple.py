@@ -475,35 +475,6 @@ class PleCodec:
         return self.decrypt_batch(with_cp.data[None], [frame_index], channel_gain)[0]
 
 
-def encrypt_frame(
-    plain_bits,
-    schemes,
-    seed: KeystreamSeed,
-    cfg: OfdmConfig,
-    frame_index: int = 0,
-    phase_cfg: PhaseEncryptConfig | None = None,
-    interleave_threshold: float = DEFAULT_INTERLEAVE_THRESHOLD,
-) -> SymbolFrame:
-    """One-shot frame encryption; see PleCodec for the stage order."""
-    codec = PleCodec(cfg, schemes, seed, phase_cfg, interleave_threshold)
-    return codec.encrypt(plain_bits, frame_index)
-
-
-def decrypt_frame(
-    frame: SymbolFrame,
-    schemes,
-    seed: KeystreamSeed,
-    cfg: OfdmConfig,
-    frame_index: int = 0,
-    phase_cfg: PhaseEncryptConfig | None = None,
-    interleave_threshold: float = DEFAULT_INTERLEAVE_THRESHOLD,
-    channel_gain: complex = 1.0,
-) -> np.ndarray:
-    """One-shot inverse of encrypt_frame."""
-    codec = PleCodec(cfg, schemes, seed, phase_cfg, interleave_threshold)
-    return codec.decrypt(frame, frame_index, channel_gain=channel_gain)
-
-
 def key_to_data_ratio(
     schemes,
     cfg: OfdmConfig,

@@ -57,13 +57,6 @@ def apply_loss(trace: ChannelTrace, loss: LossModel):
     return alice, bob
 
 
-def records_from_trace(trace: ChannelTrace):
-    """Lossless record lists for a trace (convenience for no-loss pipelines)."""
-    alice = [ProbeRecord(float(t), float(v)) for t, v in zip(trace.t_a, trace.x_a)]
-    bob = [ProbeRecord(float(t), float(v)) for t, v in zip(trace.t_b, trace.x_b)]
-    return alice, bob
-
-
 def paired_base_times(alice_records, bob_records, tau: float) -> np.ndarray:
     """Bob-side timestamps of the rounds both parties retained.
 

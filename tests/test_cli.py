@@ -139,3 +139,22 @@ def test_trace_stats(tmp_path, capsys):
 def test_trace_stats_missing_file(tmp_path, capsys):
     assert main(["trace-stats", str(tmp_path / "none.csv")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_malformed_trace_exit_1(tmp_path, capsys):
+    trace = tmp_path / "bad.csv"
+    trace.write_text("timestamp_a,rss_a,timestamp_b,rss_b\n1.0,-51.0,0.0,x\n")
+    path = tmp_path / "exp.json"
+    path.write_text(
+        json.dumps({"trace_file": str(trace), "ple": {"ber_bits": 0},
+                    "sweep": {"parameter": "trials", "values": [1]}, "trials": 1})
+    )
+    assert main(["run", str(path)]) == 1
+    assert "bad.csv:2: non-numeric b cell" in capsys.readouterr().err
+
+
+def test_trace_stats_malformed_trace_exit_1(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(TRACE + "5.0,-50.0,2.5,-49.0\n")
+    assert main(["trace-stats", str(path)]) == 1
+    assert "decreasing b timestamp" in capsys.readouterr().err

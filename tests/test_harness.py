@@ -10,6 +10,7 @@ from physec.channel import ChannelParams, generate_trace
 from physec.errors import ConfigError, ParameterError
 from physec.harness import (
     _ber_trial,
+    _resolve_point,
     CSV_COLUMNS,
     METRIC_NAMES,
     canonical_json_bytes,
@@ -222,6 +223,17 @@ def test_trace_structural_errors(tmp_path):
         read_trace_records(str(path))
 
 
+def test_trace_decreasing_timestamp_cited(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(
+        "timestamp_a,rss_a,timestamp_b,rss_b\n"
+        "2.0,-50.0,1.0,-49.0\n"
+        "3.0,-51.0,0.5,-48.0\n"
+    )
+    with pytest.raises(ParameterError, match=":3: decreasing b timestamp"):
+        read_trace_records(str(path))
+
+
 def test_high_snr_always_agrees():
     cfg = config_from_dict(
         _fast_cfg(channel={"n_probes": 600, "snr_db": 60.0}, trials=10)
@@ -389,22 +401,23 @@ def test_ber_trial_matches_per_frame_link(ebn0_db):
     ple = {"schemes": list(SCHEME_ORDER), "ber_bits": 1000}
     raw = config_from_dict(_fast_cfg(ple=ple)).raw
     raw["ple"]["ebn0_db"] = ebn0_db  # +inf: a noiseless link, not expressible in JSON
-    bob_ber, eve_ber = _ber_trial(alice, alice, eve, raw, ber_seed=31)
+    point = _resolve_point(raw)
+    bob_ber, eve_ber = _ber_trial(alice, alice, eve, point, ber_seed=31)
     assert (bob_ber, eve_ber) == _per_frame_ber((alice, alice, eve), raw, 31)
     if ebn0_db == math.inf:
         assert bob_ber == 0.0
     assert 0.4 < eve_ber < 0.6
-    assert all(math.isnan(ber) for ber in _ber_trial(alice, None, None, raw, 31))
+    assert all(math.isnan(ber) for ber in _ber_trial(alice, None, None, point, 31))
 
 
 def test_run_single_trial_shape():
-    raw = config_from_dict(_fast_cfg()).raw
-    out = run_single_trial(raw, 0, 0)
+    point = _resolve_point(config_from_dict(_fast_cfg()).raw)
+    out = run_single_trial(point, 0, 0)
     assert set(out) == {"metrics", "error"}
     assert set(out["metrics"]) == set(METRIC_NAMES)
-    again = run_single_trial(raw, 0, 0)
+    again = run_single_trial(point, 0, 0)
     assert out == again
-    other = run_single_trial(raw, 0, 1)
+    other = run_single_trial(point, 0, 1)
     assert out != other
 
 

@@ -21,8 +21,6 @@ from physec.ple import (
     SCHEME_ORDER,
     PhaseEncryptConfig,
     PleCodec,
-    decrypt_frame,
-    encrypt_frame,
     insert_dummy,
     key_to_data_ratio,
     partial_deinterleave,
@@ -273,18 +271,6 @@ def test_codec_roundtrip_with_perturbation_stack():
     for f in range(5):
         bits = rng.integers(0, 2, size=96, dtype=np.uint8)
         assert np.array_equal(codec.decrypt(codec.encrypt(bits, f), f), bits)
-
-
-def test_one_shot_helpers_match_codec():
-    cfg = wifi_like_config()
-    seed = _seed(21)
-    bits = np.random.default_rng(22).integers(0, 2, size=96, dtype=np.uint8)
-    frame = encrypt_frame(bits, ("xor", "phase"), seed, cfg, frame_index=2)
-    codec = PleCodec(cfg, ("xor", "phase"), seed)
-    assert np.array_equal(frame.data, codec.encrypt(bits, 2).data)
-    assert np.array_equal(
-        decrypt_frame(frame, ("xor", "phase"), seed, cfg, frame_index=2), bits
-    )
 
 
 def test_keystream_discipline_across_frames():

@@ -11,7 +11,6 @@ from physec.probing import (
     align_timestamps,
     apply_loss,
     paired_base_times,
-    records_from_trace,
 )
 
 
@@ -69,7 +68,8 @@ def test_align_example():
 
 def test_align_lossless_identity():
     tr = generate_trace(ChannelParams(sampling_delay=1.0, n_probes=64, rng_seed=5))
-    alice, bob = records_from_trace(tr)
+    alice = _records(tr.t_a, tr.x_a)
+    bob = _records(tr.t_b, tr.x_b)
     x_a, x_b = align_timestamps(alice, bob, 1.0)
     assert np.array_equal(x_a, tr.x_a)
     assert np.array_equal(x_b, tr.x_b)
