@@ -18,9 +18,9 @@ trace = generate_trace(params)
 print(f"probing: {params.n_probes} rounds at {params.snr_db:g} dB, tau = "
       f"{params.sampling_delay:g}")
 
-alice_rec, bob_rec = apply_loss(trace, LossModel(loss_probability=0.1, rng_seed=67))
-x_a, x_b = align_timestamps(alice_rec, bob_rec, params.sampling_delay)
-print(f"loss + alignment: alice kept {len(alice_rec)}, bob kept {len(bob_rec)}, "
+alice, bob = apply_loss(trace, LossModel(loss_probability=0.1, rng_seed=67))
+x_a, x_b, _ = align_timestamps(alice, bob, params.sampling_delay)
+print(f"loss + alignment: alice kept {len(alice)}, bob kept {len(bob)}, "
       f"{x_a.size} usable pairs")
 
 cfg = MeanSigmaConfig(alpha=0.5)

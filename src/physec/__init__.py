@@ -56,7 +56,6 @@ from .harness import (
     emit_report,
     load_config,
     load_trace_csv,
-    read_trace_records,
     run_experiment,
     validate_config,
 )
@@ -77,7 +76,14 @@ from .ple import (
     SCHEME_ORDER,
     key_to_data_ratio,
 )
-from .probing import LossModel, ProbeRecord, align_timestamps, apply_loss
+from .probing import (
+    LossModel,
+    ProbeSide,
+    align_timestamps,
+    apply_loss,
+    read_trace,
+    read_trace_records,
+)
 from .quantize import (
     CdfConfig,
     MeanSigmaConfig,
@@ -128,7 +134,6 @@ __all__ = [
     "emit_report",
     "load_config",
     "load_trace_csv",
-    "read_trace_records",
     "run_experiment",
     "validate_config",
     "KeystreamSeed",
@@ -148,9 +153,11 @@ __all__ = [
     "SCHEME_ORDER",
     "key_to_data_ratio",
     "LossModel",
-    "ProbeRecord",
+    "ProbeSide",
     "align_timestamps",
     "apply_loss",
+    "read_trace",
+    "read_trace_records",
     "CdfConfig",
     "MeanSigmaConfig",
     "QuantizationOutcome",

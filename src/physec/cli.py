@@ -25,15 +25,13 @@ from .channel import pearson_correlation
 from .distill import recover, sketch
 from .errors import ConfigError, DecodeFailure, DegenerateInputError, PhysecError
 from .harness import (
-    _infer_tau,
     emit_report,
     load_config,
-    read_trace_records,
     report_csv_text,
     report_json_bytes,
     run_experiment,
 )
-from .probing import align_timestamps
+from .probing import align_timestamps, read_trace
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -136,9 +134,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_trace_stats(args) -> int:
     try:
-        alice, bob = read_trace_records(args.trace)
-        tau = _infer_tau(args.trace)
-        x_a, x_b = align_timestamps(alice, bob, tau)
+        alice, bob, tau = read_trace(args.trace)
+        x_a, x_b, _ = align_timestamps(alice, bob, tau)
     except PhysecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -53,10 +53,11 @@ from .ple import (
 )
 from .probing import (
     LossModel,
-    ProbeRecord,
     align_timestamps,
     apply_loss,
-    paired_base_times,
+    match_sorted,
+    paired_base_times,  # bound only for the benchmark's trace plan
+    read_trace,
 )
 from .quantize import (
     CdfConfig,
@@ -312,15 +313,32 @@ def _apply_sweep(raw: dict, parameter: str, value) -> dict:
     return cfg
 
 
+def _non_finite(node, path: str = ""):
+    """Paths of the infinite and NaN numbers in node, which JSON cannot hold."""
+    if isinstance(node, float) and not math.isfinite(node):
+        yield path
+    elif isinstance(node, dict):
+        for key, sub in node.items():
+            yield from _non_finite(sub, f"{path}.{key}" if path else str(key))
+    elif isinstance(node, list):
+        for i, sub in enumerate(node):
+            yield from _non_finite(sub, f"{path}[{i}]")
+
+
 def validate_config(raw) -> list[str]:
     """Schema check; returns every violation found, empty when valid.
 
-    The merged config and each of its sweep points are resolved the way
-    run_experiment resolves them, and whatever that raises is collected.
+    The config must be expressible as JSON, so Infinity and NaN are
+    rejected wherever they appear. The merged config and each of its sweep
+    points are resolved the way run_experiment resolves them, and whatever
+    that raises is collected.
     """
     if not isinstance(raw, dict):
         return ["config root must be a JSON object"]
-    out: list[str] = []
+    out = [
+        f"{path} must be finite: JSON has no Infinity or NaN"
+        for path in _non_finite(raw)
+    ]
     cfg = _complete(raw, _SCHEMA, out, hidden=False)
     out += [v for v in _violations(cfg) if v not in out]
     if any(v.startswith("sweep") for v in out):
@@ -504,17 +522,13 @@ def _eve_distillation(x_e, quantizer_cfg, outcome_a, common, sk, code, finish):
         alice_at_e, _ = intersect_kept_indices(outcome_a, common_e)
         eve_at_e, _ = intersect_kept_indices(outcome_e, common_e)
         eve_kdr = bit_fraction_differing(alice_at_e.bits, eve_at_e.bits)
-    # align Eve's bits to the legit common index list, zero-filling her drops
+    # align Eve's bits to the legit common index list, zero-filling her drops;
+    # both quantizers keep indices in input order, so hers are sorted
     bps = outcome_e.bits_per_sample
-    eve_bits = np.zeros(common.size * bps, dtype=np.uint8)
-    eve_grid = eve_bits.reshape(common.size, bps)
-    pos = {int(idx): i for i, idx in enumerate(outcome_e.kept_indices)}
-    eve_source = outcome_e.bits.bits.reshape(-1, bps)
-    for row, idx in enumerate(common):
-        src = pos.get(int(idx))
-        if src is not None:
-            eve_grid[row] = eve_source[src]
-    k_e = BitKey(eve_bits[: sk.s.size])
+    eve_grid = np.zeros((common.size, bps), dtype=np.uint8)
+    src, row = match_sorted(outcome_e.kept_indices, common)
+    eve_grid[row] = outcome_e.bits.bits.reshape(-1, bps)[src]
+    k_e = BitKey(eve_grid.ravel()[: sk.s.size])
     try:
         return eve_kdr, finish(recover(k_e, sk, code))
     except PhysecError:
@@ -586,10 +600,9 @@ def run_single_trial(point: SweepPoint, sweep_index: int, trial_index: int) -> d
     else:
         params = replace(point.channel, rng_seed=channel_seed)
         trace = generate_trace(params)
-        alice_rec, bob_rec = apply_loss(trace, replace(point.loss, rng_seed=loss_seed))
-        x_a, x_b = align_timestamps(alice_rec, bob_rec, params.sampling_delay)
-        base = paired_base_times(alice_rec, bob_rec, params.sampling_delay)
-        x_e = trace.x_e[base.astype(np.intp)]
+        alice, bob = apply_loss(trace, replace(point.loss, rng_seed=loss_seed))
+        x_a, x_b, rows = align_timestamps(alice, bob, params.sampling_delay)
+        x_e = trace.x_e[rows]
         n_probes = params.n_probes
 
     result = key_generation_trial(
@@ -650,8 +663,8 @@ def _aggregate(values: list[float]) -> dict:
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> MetricsReport:
     """Execute every (sweep value, trial) cell and aggregate per sweep value.
 
-    Each sweep point is resolved once, and a trace file is read once per
-    point; the trials share what that built. Rates are means of per-trial
+    Each sweep point is resolved once, and each trace file is read once per
+    run; the trials share what that built. Rates are means of per-trial
     indicator variables and always land in [0, 1]; numeric metrics carry a
     standard error when at least two trials produced a value. Per-trial
     module errors are tallied per sweep point.
@@ -660,11 +673,14 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> MetricsReport:
         raise ParameterError("jobs must be >= 1")
     raw = config.raw
     trials = config.trials
-    points = []
+    points, traces = [], {}
     for value in config.sweep_values:
         point = _resolve_point(_apply_sweep(raw, config.sweep_parameter, value))
-        if point.trace_file is not None:
-            point = replace(point, trace=load_trace_csv(point.trace_file))
+        path = point.trace_file
+        if path is not None:
+            if path not in traces:
+                traces[path] = load_trace_csv(path)
+            point = replace(point, trace=traces[path])
         points.append(point)
     tasks = [(p, s, t) for s, p in enumerate(points) for t in range(trials)]
     if jobs == 1:
@@ -736,74 +752,10 @@ def emit_report(report: MetricsReport, fmt: str, path: str) -> None:
         fh.write(data)
 
 
-TRACE_HEADER = ("timestamp_a", "rss_a", "timestamp_b", "rss_b")
-
-
-def read_trace_records(path: str):
-    """Parse a trace file into per-side ProbeRecord lists (no alignment).
-
-    Format: header ``timestamp_a,rss_a,timestamp_b,rss_b``; each row is one
-    probing round; an empty timestamp/value pair marks a lost probe on that
-    side. Each side's timestamps must increase strictly from row to row.
-    """
-    alice: list[ProbeRecord] = []
-    bob: list[ProbeRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParameterError(f"{path}: empty trace file") from None
-        if tuple(h.strip() for h in header) != TRACE_HEADER:
-            raise ParameterError(
-                f"{path}: header must be {','.join(TRACE_HEADER)}"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ParameterError(f"{path}:{row_no}: expected 4 cells")
-            cells = [c.strip() for c in row]
-            for side, (t_cell, v_cell), records in (
-                ("a", (cells[0], cells[1]), alice),
-                ("b", (cells[2], cells[3]), bob),
-            ):
-                if (t_cell == "") != (v_cell == ""):
-                    raise ParameterError(
-                        f"{path}:{row_no}: half-empty {side} probe"
-                    )
-                if t_cell == "":
-                    continue
-                try:
-                    record = ProbeRecord(float(t_cell), float(v_cell))
-                except ValueError:
-                    raise ParameterError(
-                        f"{path}:{row_no}: non-numeric {side} cell"
-                    ) from None
-                last = records[-1].timestamp if records else -math.inf
-                if record.timestamp <= last:
-                    kind = "duplicate" if record.timestamp == last else "decreasing"
-                    raise ParameterError(f"{path}:{row_no}: {kind} {side} timestamp")
-                records.append(record)
-    return alice, bob
-
-
 def load_trace_csv(path: str, tau: float | None = None):
     """Read a measured probing trace and align it.
 
     When tau is not given it is inferred from the first complete row.
     Returns the aligned measurement pair (x_a, x_b).
     """
-    alice, bob = read_trace_records(path)
-    if tau is None:
-        tau = _infer_tau(path)
-    return align_timestamps(alice, bob, tau)
-
-
-def _infer_tau(path: str) -> float:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            cells = [c.strip() for c in row]
-            if len(cells) == 4 and all(cells):
-                return float(cells[0]) - float(cells[2])
-    raise ParameterError(f"{path}: no complete row to infer tau from")
+    return align_timestamps(*read_trace(path, tau))[:2]

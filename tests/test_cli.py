@@ -136,6 +136,37 @@ def test_trace_stats(tmp_path, capsys):
     assert "corr(rss_a, rss_b):" in out
 
 
+def test_trace_stats_output_is_stable(tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    path.write_text(TRACE.replace("2.0,-48.0,1.0,-47.5", "2.0,-48.0,,"))
+    assert main(["trace-stats", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "probes kept: alice 4, bob 3\n"
+        "inferred tau: 1\n"
+        "aligned pairs: 3\n"
+        "rss_a: mean -51.2, std 1.212, range [-52.5, -50.1]\n"
+        "rss_b: mean -50.77, std 1.124, range [-52, -49.8]\n"
+        "corr(rss_a, rss_b): 0.9980\n"
+    )
+
+
+def test_trace_stats_without_a_complete_row_exit_1(tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    path.write_text("timestamp_a,rss_a,timestamp_b,rss_b\n1.0,-51.0,,\n,,0.5,-50.0\n")
+    assert main(["trace-stats", str(path)]) == 1
+    assert "no complete row to infer tau from" in capsys.readouterr().err
+
+
+def test_run_infinity_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "exp.json"
+    path.write_text('{"ple": {"ebn0_db": Infinity}}')
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: ple.ebn0_db must be finite" in err
+    assert "Traceback" not in err
+    assert main(["validate", str(path)]) == 1
+
+
 def test_trace_stats_missing_file(tmp_path, capsys):
     assert main(["trace-stats", str(tmp_path / "none.csv")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -111,7 +111,7 @@ def test_shipped_configs_validate(path):
         assert validate_config(json.load(fh)) == []
 
 
-def test_trace_file_read_once_per_sweep_point(tmp_path, monkeypatch):
+def test_trace_file_read_once_per_run(tmp_path, monkeypatch):
     path = tmp_path / "trace.csv"
     path.write_text(TRACE)
     calls = []
@@ -132,5 +132,26 @@ def test_trace_file_read_once_per_sweep_point(tmp_path, monkeypatch):
         }
     )
     report = run_experiment(cfg)
-    assert calls == [str(path)] * 2
+    assert calls == [str(path)]
     assert [entry["trials"] for entry in report.results] == [3, 3]
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"ple": {"ebn0_db": Infinity}}', "ple.ebn0_db"),
+        ('{"channel": {"snr_db": -Infinity}}', "channel.snr_db"),
+        (
+            '{"sweep": {"parameter": "ple.ebn0_db", "values": [4.0, Infinity]}}',
+            "sweep.values[1]",
+        ),
+        ('{"quantizer": {"alpha": NaN}}', "quantizer.alpha"),
+    ],
+    ids=["infinity", "minus-infinity", "sweep-value", "nan"],
+)
+def test_non_finite_json_number_is_a_named_violation(text, field):
+    raw = json.loads(text)
+    out = validate_config(raw)
+    assert f"{field} must be finite: JSON has no Infinity or NaN" in out, out
+    with pytest.raises(ConfigError):
+        config_from_dict(raw)

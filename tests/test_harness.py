@@ -1,15 +1,20 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from physec.bits import STAGE_AMPLIFIED, BitKey
+from physec.bits import STAGE_AMPLIFIED, BitKey, bit_fraction_differing
+from physec.blockcode import code_by_id
 from physec.channel import ChannelParams, generate_trace
-from physec.errors import ConfigError, ParameterError
+from physec.distill import amplify, recover, sketch, syndrome_bits_leaked
+from physec.errors import ConfigError, ParameterError, PhysecError
 from physec.harness import (
     _ber_trial,
+    _eve_distillation,
+    _quantize_outcome,
     _resolve_point,
     CSV_COLUMNS,
     METRIC_NAMES,
@@ -18,7 +23,6 @@ from physec.harness import (
     emit_report,
     load_config,
     load_trace_csv,
-    read_trace_records,
     report_csv_text,
     report_json_bytes,
     run_experiment,
@@ -28,6 +32,10 @@ from physec.harness import (
 from physec.keystream import KeystreamSeed
 from physec.ofdm import awgn_link, ebn0_db_to_snr_db, wifi_like_config
 from physec.ple import SCHEME_ORDER, PleCodec
+from physec.probing import read_trace_records
+from physec.quantize import CdfConfig, MeanSigmaConfig, intersect_kept_indices
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 GOOD_TRACE = """timestamp_a,rss_a,timestamp_b,rss_b
 1.0,-51.0,0.0,-50.5
@@ -459,3 +467,95 @@ def test_jobs_validation():
     cfg = config_from_dict(_fast_cfg(trials=1))
     with pytest.raises(ParameterError):
         run_experiment(cfg, jobs=0)
+
+
+def _loop_eve_distillation(x_e, quantizer_cfg, outcome_a, common, sk, code, finish):
+    """Eve's distillation as written with a per-index dict loop: the reference
+    for the vectorised alignment in _eve_distillation."""
+    try:
+        outcome_e = _quantize_outcome(x_e, quantizer_cfg)
+    except PhysecError:
+        return math.nan, None
+    common_e = np.intersect1d(common, outcome_e.kept_indices)
+    eve_kdr = math.nan
+    if common_e.size:
+        alice_at_e, _ = intersect_kept_indices(outcome_a, common_e)
+        eve_at_e, _ = intersect_kept_indices(outcome_e, common_e)
+        eve_kdr = bit_fraction_differing(alice_at_e.bits, eve_at_e.bits)
+    bps = outcome_e.bits_per_sample
+    eve_bits = np.zeros(common.size * bps, dtype=np.uint8)
+    eve_grid = eve_bits.reshape(common.size, bps)
+    pos = {int(idx): i for i, idx in enumerate(outcome_e.kept_indices)}
+    eve_source = outcome_e.bits.bits.reshape(-1, bps)
+    for row, idx in enumerate(common):
+        src = pos.get(int(idx))
+        if src is not None:
+            eve_grid[row] = eve_source[src]
+    k_e = BitKey(eve_bits[: sk.s.size])
+    try:
+        return eve_kdr, finish(recover(k_e, sk, code))
+    except PhysecError:
+        try:
+            return eve_kdr, finish(k_e)
+        except PhysecError:
+            return eve_kdr, None
+
+
+@pytest.mark.parametrize(
+    "quantizer, code_id",
+    [
+        (MeanSigmaConfig(0.5), "hamming74"),
+        (MeanSigmaConfig(0.8), "rep41"),
+        (CdfConfig(2), "hamming74"),
+        (CdfConfig(2), "rep41"),
+    ],
+    ids=["1bit-hamming74", "1bit-rep41", "2bit-hamming74", "2bit-rep41"],
+)
+def test_eve_alignment_matches_loop_reference(quantizer, code_id):
+    code = code_by_id(code_id)
+    dropped = keys = 0
+    for seed in range(8):
+        params = ChannelParams(
+            temporal_correlation=0.9, eve_correlation=0.3, n_probes=600, rng_seed=seed
+        )
+        trace = generate_trace(params)
+        x_a, x_b, x_e = trace.x_a, trace.x_b, trace.x_e
+        outcome_a = _quantize_outcome(x_a, quantizer)
+        outcome_b = _quantize_outcome(x_b, quantizer)
+        bits_a, common = intersect_kept_indices(outcome_a, outcome_b.kept_indices)
+        usable = len(bits_a) // code.n_code * code.n_code
+        sk = sketch(BitKey(bits_a.bits[:usable]), code, seed)
+        n_blocks = usable // code.n_code
+        leaked = syndrome_bits_leaked(code, n_blocks)
+
+        def finish(key):
+            return amplify(key, leaked, 16, b"salt")
+
+        args = (x_e, quantizer, outcome_a, common, sk, code, finish)
+        got_kdr, got_key = _eve_distillation(*args)
+        want_kdr, want_key = _loop_eve_distillation(*args)
+        assert got_key == want_key
+        keys += got_key is not None
+        assert got_kdr == want_kdr or math.isnan(got_kdr) and math.isnan(want_kdr)
+        eve_kept = _quantize_outcome(x_e, quantizer).kept_indices
+        dropped += np.setdiff1d(common, eve_kept).size
+    assert keys > 0
+    # the guard band makes Eve drop indices that Alice and Bob kept
+    assert (dropped > 0) == isinstance(quantizer, MeanSigmaConfig)
+
+
+# report SHA-256s of perfbench/configs/keygen.json, computed before the
+# probing layer moved to arrays
+KEYGEN_REPORT_SHA256 = {
+    12: "4ef07c1bdc4e7f538e10a12b30fbd026ed1b36568f885b9f53b1febee89665b0",
+    13: "708187aa3267a2af46cf0ef437102d57a1fb07e08b6ddd8bbb88d1e7b2e907a4",
+}
+
+
+@pytest.mark.parametrize("master_seed", sorted(KEYGEN_REPORT_SHA256))
+def test_keygen_report_golden_hash(master_seed):
+    path = os.path.join(ROOT, "perfbench", "configs", "keygen.json")
+    with open(path, encoding="utf-8") as fh:
+        cfg = config_from_dict(json.load(fh), master_seed=master_seed)
+    data = report_json_bytes(run_experiment(cfg))
+    assert hashlib.sha256(data).hexdigest() == KEYGEN_REPORT_SHA256[master_seed]
