@@ -549,17 +549,23 @@ def _ber_trial(
 
     Alice encrypts with her final key; both receivers see the same noisy
     transmission (AWGN at the configured Eb/N0). A receiver without a key
-    (failed reconciliation, no eavesdropper data) yields NaN.
+    (failed reconciliation, no eavesdropper data) yields NaN. A receiver
+    whose key equals Alice's decrypts with her codec, which keeps the key
+    material it derived to encrypt.
     """
     if point.ber_bits == 0:
         return math.nan, math.nan
     cfg = point.ofdm
+
+    def codec(key):
+        return PleCodec(cfg, point.schemes, KeystreamSeed(key), point.phase)
+
+    alice = codec(alice_key)
     receivers = {
-        name: PleCodec(cfg, point.schemes, KeystreamSeed(key), point.phase)
-        for name, key in (("alice", alice_key), ("bob", bob_key), ("eve", eve_key))
+        name: alice if key == alice_key else codec(key)
+        for name, key in (("bob", bob_key), ("eve", eve_key))
         if key is not None
     }
-    alice = receivers.pop("alice")
     n_frames = -(-point.ber_bits // cfg.payload_bits)
     rng = np.random.default_rng(ber_seed)
     payloads = np.empty((n_frames, cfg.payload_bits), dtype=np.uint8)

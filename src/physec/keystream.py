@@ -7,6 +7,7 @@ raises KeystreamExhausted rather than silently reusing bits.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -44,14 +45,14 @@ def keystream(seed: KeystreamSeed, n_bits: int, block_offset: int = 0) -> np.nda
         raise ParameterError("n_bits must be >= 0")
     if n_bits == 0:
         return np.zeros(0, dtype=np.uint8)
-    key_bytes = pack_bits(seed.key.bits)
-    n_blocks = -(-n_bits // BLOCK_BITS)
+    key_state = hashlib.sha256(pack_bits(seed.key.bits))
+    first = seed.nonce + block_offset
     chunks = []
-    for i in range(n_blocks):
-        counter = (seed.nonce + block_offset + i) % (1 << 64)
-        chunks.append(hashlib.sha256(key_bytes + counter.to_bytes(8, "big")).digest())
-    bits = np.unpackbits(np.frombuffer(b"".join(chunks), dtype=np.uint8))
-    return bits[:n_bits].astype(np.uint8)
+    for i in range(-(-n_bits // BLOCK_BITS)):
+        block = key_state.copy()
+        block.update(((first + i) % (1 << 64)).to_bytes(8, "big"))
+        chunks.append(block.digest())
+    return np.unpackbits(np.frombuffer(b"".join(chunks), dtype=np.uint8), count=n_bits)
 
 
 def xor_encrypt(plain, ks) -> np.ndarray:
@@ -63,56 +64,6 @@ def xor_encrypt(plain, ks) -> np.ndarray:
     return p ^ k[: p.size]
 
 
-class BitReader:
-    """Sequential reader over a keystream slice with exhaustion checking.
-
-    The slice is packed once into a Python integer, MSB first, so a word of
-    any width is one shift and mask rather than a loop over its bits.
-    """
-
-    def __init__(self, bits):
-        self._bits = np.asarray(bits, dtype=np.uint8)
-        packed = np.packbits(self._bits)
-        self._word = int.from_bytes(packed.tobytes(), "big")
-        self._width = 8 * packed.size
-        self._size = self._bits.size
-        self._pos = 0
-
-    @property
-    def consumed(self) -> int:
-        return self._pos
-
-    def _exhausted(self, count: int) -> KeystreamExhausted:
-        return KeystreamExhausted(f"needed {count} bits, {self._size - self._pos} left")
-
-    def read_word(self, width: int) -> int:
-        """Next `width` bits as a big-endian integer."""
-        end = self._pos + width
-        if end > self._size:
-            raise self._exhausted(width)
-        self._pos = end
-        return (self._word >> (self._width - end)) & ((1 << width) - 1)
-
-    def read_bits(self, count: int) -> np.ndarray:
-        start = self._pos
-        if start + count > self._size:
-            raise self._exhausted(count)
-        self._pos = start + count
-        return self._bits[start : self._pos]
-
-    def draw_uniform(self, m: int) -> int:
-        """Unbiased draw from {0, .., m-1} by rejection sampling."""
-        if m < 1:
-            raise ParameterError("m must be >= 1")
-        if m == 1:
-            return 0
-        width = (m - 1).bit_length()
-        while True:
-            value = self.read_word(width)
-            if value < m:
-                return value
-
-
 def keyed_permutation(n: int, ks) -> np.ndarray:
     """Fisher-Yates shuffle of 0..n-1 driven by keystream bits.
 
@@ -121,11 +72,7 @@ def keyed_permutation(n: int, ks) -> np.ndarray:
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    reader = BitReader(ks)
-    perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = reader.draw_uniform(i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
+    perm = _keyed_swaps(list(range(n)), ks, _swap_plan(n, n - 1, True))
     return np.array(perm, dtype=np.intp)
 
 
@@ -134,11 +81,49 @@ def keyed_subset(pool, count: int, ks) -> np.ndarray:
     arr = np.asarray(pool, dtype=np.intp).tolist()
     if not 0 <= count <= len(arr):
         raise ParameterError("count must be in [0, pool size]")
-    reader = BitReader(ks)
-    for i in range(count):
-        j = i + reader.draw_uniform(len(arr) - i)
-        arr[i], arr[j] = arr[j], arr[i]
+    _keyed_swaps(arr, ks, _swap_plan(len(arr), count, False))
     return np.array(arr[:count], dtype=np.intp)
+
+
+@functools.lru_cache(maxsize=64)
+def _swap_plan(size: int, count: int, from_back: bool) -> tuple:
+    """The draws of `count` Fisher-Yates steps over `size` items.
+
+    Step k draws uniformly from m = size - k choices with width-bit words
+    (mask = 2^width - 1). From the back, it swaps slot m - 1 with the draw;
+    from the front, slot k with k + draw. Each step is
+    (slot, low, m, width, mask), and the swap partner is low + draw.
+    """
+    plan = []
+    for k in range(count):
+        m = size - k
+        width = (m - 1).bit_length()
+        slot, low = (m - 1, 0) if from_back else (k, k)
+        plan.append((slot, low, m, width, (1 << width) - 1))
+    return tuple(plan)
+
+
+def _keyed_swaps(items: list, ks, plan) -> list:
+    """Run a swap plan on items in place, each draw rejection-sampled from ks.
+
+    ks is read MSB first as one integer. A draw that runs past its end
+    raises KeystreamExhausted with the bits it needed and the bits left.
+    """
+    bits = np.asarray(ks, dtype=np.uint8)
+    packed = np.packbits(bits)
+    left = bits.size
+    word = int.from_bytes(packed.tobytes(), "big") >> (8 * packed.size - left)
+    for slot, low, m, width, mask in plan:
+        while True:
+            left -= width
+            if left < 0:
+                raise KeystreamExhausted(f"needed {width} bits, {left + width} left")
+            draw = (word >> left) & mask
+            if draw < m:
+                break
+        draw += low
+        items[slot], items[draw] = items[draw], items[slot]
+    return items
 
 
 def invert_permutation(perm) -> np.ndarray:

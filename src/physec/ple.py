@@ -360,26 +360,61 @@ class PleCodec:
             offset += -(-self._budgets[s] // BLOCK_BITS)
         self._blocks_per_frame = offset
         self._data_idx = np.asarray(cfg.data_carriers, dtype=np.intp)
+        self._kept = None
 
     def key_to_data_ratio(self) -> float:
         """Keystream bits budgeted per frame over plaintext bits per frame."""
         return sum(self._budgets.values()) / self.cfg.payload_bits
 
-    def _regions(self, frame_indices) -> np.ndarray:
-        """Each frame's keystream region, one row per frame, one call each."""
+    def _material(self, frame_indices) -> tuple:
+        """Key material of a frame-index batch: (regions, kept perms).
+
+        The codec keeps the material of the last batch it derived, read-only
+        and keyed by the indices' bytes, so decrypting the batch it has just
+        encrypted derives nothing again. Scramble permutations join the kept
+        dict when first used (_kept_perm), in the order the chain needs them.
+        """
         idx = np.asarray(frame_indices)
         if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
             raise ParameterError("frame indices must be a 1-D integer array")
         if np.any(idx < 0):
             raise ParameterError("frame_index must be >= 0")
+        key = (idx.dtype.str, idx.tobytes())
+        if self._kept is None or self._kept[0] != key:
+            regions = self._regions(idx)
+            regions.flags.writeable = False
+            self._kept = (key, regions, {})
+        return self._kept[1:]
+
+    def _kept_perm(self, scheme: str, regions: np.ndarray, perms: dict) -> np.ndarray:
+        """scheme's permutations for the batch, derived once and kept in perms."""
+        if scheme not in perms:
+            perm = self._perm(scheme, regions)
+            perm.flags.writeable = False
+            perms[scheme] = perm
+        return perms[scheme]
+
+    def _regions(self, idx: np.ndarray) -> np.ndarray:
+        """Each frame's keystream region, one row per frame.
+
+        A run of consecutive frame indices is one stretch of keystream
+        blocks, so each run is one keystream call cut into rows.
+        """
         n_bits = self._blocks_per_frame * BLOCK_BITS
-        out = np.empty((idx.size, n_bits), dtype=np.uint8)
-        if n_bits:
-            for row, frame_index in zip(out, idx.tolist()):
-                row[:] = keystream(
-                    self.seed, n_bits, block_offset=frame_index * self._blocks_per_frame
-                )
-        return out
+        if not (n_bits and idx.size):
+            return np.zeros((idx.size, n_bits), dtype=np.uint8)
+        frames = idx.tolist()
+        runs = (k for k in range(1, len(frames)) if frames[k] != frames[k - 1] + 1)
+        cuts = [0, *runs, len(frames)]
+        rows = [
+            keystream(
+                self.seed,
+                (stop - start) * n_bits,
+                block_offset=frames[start] * self._blocks_per_frame,
+            ).reshape(stop - start, n_bits)
+            for start, stop in zip(cuts, cuts[1:])
+        ]
+        return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
     def _scheme_bits(self, scheme: str, regions: np.ndarray) -> np.ndarray:
         """One scheme's keystream bits per frame, sliced from the regions."""
@@ -395,7 +430,7 @@ class PleCodec:
     def encrypt_batch(self, plain_bits, frame_indices) -> np.ndarray:
         """Encrypt F frames: bits[F, payload_bits] -> samples[F, n_fft + cp_len]."""
         cfg = self.cfg
-        regions = self._regions(frame_indices)
+        regions, perms = self._material(frame_indices)
         n_frames = regions.shape[0]
         bits = np.asarray(plain_bits, dtype=np.uint8)
         if bits.shape != (n_frames, cfg.payload_bits):
@@ -420,10 +455,10 @@ class PleCodec:
         if SCHEME_DUMMY in self.schemes:
             _fill_dummies(grid, self._scheme_bits(SCHEME_DUMMY, regions), cfg)
         if SCHEME_SCRAMBLE_FREQ in self.schemes:
-            grid = _permute(grid, self._perm(SCHEME_SCRAMBLE_FREQ, regions))
+            grid = _permute(grid, self._kept_perm(SCHEME_SCRAMBLE_FREQ, regions, perms))
         core = np.fft.ifft(grid, axis=1, norm="ortho")
         if SCHEME_SCRAMBLE_TIME in self.schemes:
-            core = _permute(core, self._perm(SCHEME_SCRAMBLE_TIME, regions))
+            core = _permute(core, self._kept_perm(SCHEME_SCRAMBLE_TIME, regions, perms))
         return np.concatenate([core[:, cfg.n_fft - cfg.cp_len :], core], axis=1)
 
     def decrypt_batch(
@@ -435,7 +470,7 @@ class PleCodec:
         out per subcarrier as in ofdm_demodulate.
         """
         cfg = self.cfg
-        regions = self._regions(frame_indices)
+        regions, perms = self._material(frame_indices)
         n_frames = regions.shape[0]
         rx = np.asarray(samples, dtype=complex)
         if rx.shape != (n_frames, cfg.n_fft + cfg.cp_len):
@@ -445,11 +480,11 @@ class PleCodec:
             )
         core = rx[:, cfg.cp_len :]
         if SCHEME_SCRAMBLE_TIME in self.schemes:
-            perm = self._perm(SCHEME_SCRAMBLE_TIME, regions)
+            perm = self._kept_perm(SCHEME_SCRAMBLE_TIME, regions, perms)
             core = _permute(core, perm, inverse=True)
         grid = demodulate_samples(core, channel_gain)
         if SCHEME_SCRAMBLE_FREQ in self.schemes:
-            perm = self._perm(SCHEME_SCRAMBLE_FREQ, regions)
+            perm = self._kept_perm(SCHEME_SCRAMBLE_FREQ, regions, perms)
             grid = _permute(grid, perm, inverse=True)
         symbols = grid[:, self._data_idx].ravel()
         if SCHEME_INTERLEAVE in self.schemes:

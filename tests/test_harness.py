@@ -410,11 +410,23 @@ def test_ber_trial_matches_per_frame_link(ebn0_db):
     raw = config_from_dict(_fast_cfg(ple=ple)).raw
     raw["ple"]["ebn0_db"] = ebn0_db  # +inf: a noiseless link, not expressible in JSON
     point = _resolve_point(raw)
-    bob_ber, eve_ber = _ber_trial(alice, alice, eve, point, ber_seed=31)
-    assert (bob_ber, eve_ber) == _per_frame_ber((alice, alice, eve), raw, 31)
-    if ebn0_db == math.inf:
-        assert bob_ber == 0.0
-    assert 0.4 < eve_ber < 0.6
+    copy = BitKey(alice.bits.copy(), STAGE_AMPLIFIED)
+    off = alice.bits.copy()
+    off[17] ^= 1
+    # (bob, eve): Alice's own key, an equal copy of it, or one bit off it
+    for bob, eve_key in (
+        (alice, eve),
+        (copy, eve),
+        (alice, copy),
+        (BitKey(off, STAGE_AMPLIFIED), eve),
+    ):
+        bers = _ber_trial(alice, bob, eve_key, point, ber_seed=31)
+        assert bers == _per_frame_ber((alice, bob, eve_key), raw, 31)
+        for key, ber in zip((bob, eve_key), bers):
+            if key != alice:
+                assert 0.4 < ber < 0.6
+            elif ebn0_db == math.inf:
+                assert ber == 0.0
     assert all(math.isnan(ber) for ber in _ber_trial(alice, None, None, point, 31))
 
 
@@ -552,10 +564,28 @@ KEYGEN_REPORT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("master_seed", sorted(KEYGEN_REPORT_SHA256))
-def test_keygen_report_golden_hash(master_seed):
-    path = os.path.join(ROOT, "perfbench", "configs", "keygen.json")
+# report SHA-256s of perfbench/configs/ple_link.json, computed before the
+# keyed draws moved into one kernel and receivers began sharing key material
+PLE_LINK_REPORT_SHA256 = {
+    12: "aa05e3a91a8dbf1b061276bb5238cb2f123772fdd24ae1e65d7ba58ece2d62b1",
+    13: "acabf7acbb2d4ab8989ca2ecacdbdd201680ba46bd14108d0b244646e91b1230",
+}
+
+
+def _report_sha256(config_name, master_seed):
+    path = os.path.join(ROOT, "perfbench", "configs", config_name)
     with open(path, encoding="utf-8") as fh:
         cfg = config_from_dict(json.load(fh), master_seed=master_seed)
-    data = report_json_bytes(run_experiment(cfg))
-    assert hashlib.sha256(data).hexdigest() == KEYGEN_REPORT_SHA256[master_seed]
+    return hashlib.sha256(report_json_bytes(run_experiment(cfg))).hexdigest()
+
+
+@pytest.mark.parametrize("master_seed", sorted(KEYGEN_REPORT_SHA256))
+def test_keygen_report_golden_hash(master_seed):
+    digest = _report_sha256("keygen.json", master_seed)
+    assert digest == KEYGEN_REPORT_SHA256[master_seed]
+
+
+@pytest.mark.parametrize("master_seed", sorted(PLE_LINK_REPORT_SHA256))
+def test_ple_link_report_golden_hash(master_seed):
+    digest = _report_sha256("ple_link.json", master_seed)
+    assert digest == PLE_LINK_REPORT_SHA256[master_seed]

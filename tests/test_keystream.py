@@ -1,3 +1,4 @@
+import functools
 import hashlib
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from physec.bits import STAGE_AMPLIFIED, STAGE_QUANTIZED, BitKey
 from physec.errors import KeystreamExhausted, ParameterError
 from physec.keystream import (
-    BitReader,
     KeystreamSeed,
     invert_permutation,
     keyed_permutation,
@@ -16,6 +16,78 @@ from physec.keystream import (
     subset_allocation_bits,
     xor_encrypt,
 )
+
+
+# A sequential reader of keystream words: the reference that the draw
+# kernel behind keyed_permutation and keyed_subset must match.
+class BitReader:
+    """Sequential reader over a keystream slice with exhaustion checking.
+
+    The slice is packed once into a Python integer, MSB first, so a word of
+    any width is one shift and mask rather than a loop over its bits.
+    """
+
+    def __init__(self, bits):
+        self._bits = np.asarray(bits, dtype=np.uint8)
+        packed = np.packbits(self._bits)
+        self._word = int.from_bytes(packed.tobytes(), "big")
+        self._width = 8 * packed.size
+        self._size = self._bits.size
+        self._pos = 0
+
+    @property
+    def consumed(self) -> int:
+        return self._pos
+
+    def _exhausted(self, count: int) -> KeystreamExhausted:
+        return KeystreamExhausted(f"needed {count} bits, {self._size - self._pos} left")
+
+    def read_word(self, width: int) -> int:
+        """Next `width` bits as a big-endian integer."""
+        end = self._pos + width
+        if end > self._size:
+            raise self._exhausted(width)
+        self._pos = end
+        return (self._word >> (self._width - end)) & ((1 << width) - 1)
+
+    def read_bits(self, count: int) -> np.ndarray:
+        start = self._pos
+        if start + count > self._size:
+            raise self._exhausted(count)
+        self._pos = start + count
+        return self._bits[start : self._pos]
+
+    def draw_uniform(self, m: int) -> int:
+        """Unbiased draw from {0, .., m-1} by rejection sampling."""
+        if m < 1:
+            raise ParameterError("m must be >= 1")
+        if m == 1:
+            return 0
+        width = (m - 1).bit_length()
+        while True:
+            value = self.read_word(width)
+            if value < m:
+                return value
+
+
+def _loop_permutation(n, ks):
+    """keyed_permutation as a draw loop over the reference reader."""
+    reader = BitReader(ks)
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = reader.draw_uniform(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return np.array(perm, dtype=np.intp)
+
+
+def _loop_subset(pool, count, ks):
+    """keyed_subset as a draw loop over the reference reader."""
+    arr = np.asarray(pool, dtype=np.intp).tolist()
+    reader = BitReader(ks)
+    for i in range(count):
+        j = i + reader.draw_uniform(len(arr) - i)
+        arr[i], arr[j] = arr[j], arr[i]
+    return np.array(arr[:count], dtype=np.intp)
 
 
 def _seed(seed_int=0, nonce=0, n=128):
@@ -239,3 +311,43 @@ def test_keyed_primitives_golden_hash():
         digest.update(perm.astype(np.int64).tobytes())
         digest.update(sub.astype(np.int64).tobytes())
     assert digest.hexdigest() == GOLDEN_KEYED_SHA256
+
+
+def _outcome(draw, ks):
+    """The draw's result as a list, or the text of its KeystreamExhausted."""
+    try:
+        return draw(ks).tolist()
+    except KeystreamExhausted as exc:
+        return f"exhausted: {exc}"
+
+
+@pytest.mark.parametrize(
+    "size, count",
+    [(1, None), (2, None), (3, None), (5, None), (16, None), (64, None),
+     (48, 4), (5, 5), (1, 1)],
+)
+def test_draw_kernel_matches_reference_reader(size, count):
+    # count None: keyed_permutation(size); else keyed_subset of a size pool
+    if count is None:
+        budget = permutation_allocation_bits(size)
+        kernel = functools.partial(keyed_permutation, size)
+        reference = functools.partial(_loop_permutation, size)
+    else:
+        pool = np.arange(100, 100 + size)
+        budget = subset_allocation_bits(size, count)
+        kernel = functools.partial(keyed_subset, pool, count)
+        reference = functools.partial(_loop_subset, pool, count)
+    rng = np.random.default_rng(size * 100 + (count or 0))
+    random = [rng.integers(0, 2, budget, dtype=np.uint8) for _ in range(20)]
+    # mostly ones: draws land at or above m and are rejected again and again
+    heavy = [(rng.random(budget) < 0.9).astype(np.uint8) for _ in range(20)]
+    short = [ks[:cut] for ks in (random[0], heavy[0]) for cut in range(budget + 1)]
+    outcomes = []
+    for ks in random + heavy + short:
+        outcome = _outcome(kernel, ks)
+        assert outcome == _outcome(reference, ks)
+        outcomes.append(outcome)
+    exhausted = sum(isinstance(o, str) for o in outcomes)
+    assert exhausted < len(outcomes)
+    # a draw needs bits exactly when some step has more than one choice
+    assert (exhausted > 0) == (budget > 0)
