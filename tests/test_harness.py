@@ -572,6 +572,19 @@ PLE_LINK_REPORT_SHA256 = {
 }
 
 
+# report SHA-256 of demos/configs/snr_sweep.json at its own master seed (1);
+# its PLE stack (xor, phase, scramble_freq) runs through the batch codec
+SNR_SWEEP_REPORT_SHA256 = (
+    "9dc789be1618d6972904503b32f0b271821e252ea0aff7cbdcc851771b62fa3a"
+)
+
+
+def test_snr_sweep_demo_report_golden_hash():
+    cfg = load_config(os.path.join(ROOT, "demos", "configs", "snr_sweep.json"))
+    digest = hashlib.sha256(report_json_bytes(run_experiment(cfg))).hexdigest()
+    assert digest == SNR_SWEEP_REPORT_SHA256
+
+
 def _report_sha256(config_name, master_seed):
     path = os.path.join(ROOT, "perfbench", "configs", config_name)
     with open(path, encoding="utf-8") as fh:
