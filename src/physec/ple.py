@@ -1,15 +1,21 @@
 """Keyed physical-layer encryption stages and their composition.
 
-Six independently toggleable schemes share one hash-counter keystream:
+Six independently toggleable schemes share one hash-counter keystream. Each
+stage function works on a batch of F frames, one row per frame, keyed by
+that row's keystream bits; PleCodec calls them in this order:
 
-* xor: bit-level stream cipher on the payload.
-* phase: per-symbol rotation by keyed angles (2 pi v / 2^q), optionally with
-  a keyed bounded perturbation the receiver subtracts exactly.
-* partial_interleave: swap Re/Im on data carriers whose phase exceeds a
-  public threshold.
-* dummy: fill keyed decoy carriers with keyed constellation symbols.
-* scramble_freq / scramble_time: keyed index permutations of the subcarrier
-  grid and of the post-IFFT sample block.
+* xor (keystream.xor_encrypt): bit-level stream cipher on the payload.
+* phase (phase_encrypt / phase_decrypt): per-symbol rotation by keyed
+  angles (2 pi v / 2^q), optionally with a keyed bounded perturbation the
+  receiver subtracts exactly; flattened symbols.
+* partial_interleave (partial_interleave / partial_deinterleave): swap
+  Re/Im of the data symbols[F, n_data] whose phase exceeds a public
+  threshold.
+* dummy (insert_dummy): fill keyed decoy carriers of grids[F, n_fft], in
+  place, with keyed constellation symbols; ks[F, budget].
+* scramble_freq / scramble_time (scramble_* / unscramble_*): keyed index
+  permutations perm[F, n_fft] of the subcarrier grid[F, n_fft] and of the
+  prefix-free post-IFFT samples core[F, n_fft].
 
 Each enabled scheme owns a fixed region of keystream blocks per frame, so
 budgets are deterministic, frames never reuse keystream, and the receiver
@@ -35,14 +41,12 @@ from .keystream import (
     xor_encrypt,
 )
 from .ofdm import (
-    DOMAIN_FREQ,
     DOMAIN_TIME,
     OfdmConfig,
     SymbolFrame,
     attach_cp,
     demodulate_samples,
     ofdm_demodulate,  # noqa: F401  (perfbench traces it under this module)
-    strip_cp,
 )
 
 SCHEME_XOR = "xor"
@@ -152,41 +156,31 @@ def _swap_re_im(values: np.ndarray) -> np.ndarray:
     return values.imag + 1j * values.real
 
 
-def _interleave(values: np.ndarray, threshold: float, inverse: bool) -> np.ndarray:
-    """Swap Re/Im of the values the selection rule picks, elementwise.
-
-    Forward, a value is swapped when its own phase exceeds the threshold;
-    inverse, when its candidate pre-swap value (Re/Im swapped back) does.
-    """
-    swapped = _swap_re_im(values)
-    sel = _principal_angle(swapped if inverse else values) > threshold
-    return np.where(sel, swapped, values)
-
-
-def _interleave_frame(frame: SymbolFrame, threshold: float, inverse: bool):
-    frame.require(DOMAIN_FREQ)
+def _check_threshold(threshold: float) -> float:
     if not -math.pi <= threshold <= math.pi:
-        raise ParameterError("threshold must be in [-pi, pi]")
-    grid = frame.data.copy()
-    idx = np.asarray(frame.cfg.data_carriers, dtype=np.intp)
-    grid[idx] = _interleave(grid[idx], threshold, inverse)
-    return SymbolFrame(grid, DOMAIN_FREQ, frame.cfg)
+        raise ParameterError("interleave threshold must be in [-pi, pi]")
+    return float(threshold)
 
 
-def partial_interleave(frame: SymbolFrame, threshold: float) -> SymbolFrame:
-    """Swap Re/Im on data carriers whose phase exceeds the threshold.
+def partial_interleave(symbols, threshold: float) -> np.ndarray:
+    """Swap Re/Im of each data symbol whose phase exceeds the threshold.
 
-    Phases are principal values in (-pi, pi], so threshold = pi selects
-    nothing and threshold = -pi selects everything. Key-independent by
-    design; its protection comes from stacking under the keyed stages.
+    symbols are the data symbols of a batch, one row per frame
+    ([F, n_data]); the rule is elementwise and public. Phases are principal
+    values in (-pi, pi], so threshold = pi selects nothing and threshold =
+    -pi selects everything. The codec runs this stage before insert_dummy,
+    so decoys are never interleaved. Key-independent by design; its
+    protection comes from stacking under the keyed stages.
     """
-    return _interleave_frame(frame, threshold, inverse=False)
+    values = np.asarray(symbols, dtype=complex)
+    sel = _principal_angle(values) > _check_threshold(threshold)
+    return np.where(sel, _swap_re_im(values), values)
 
 
-def partial_deinterleave(frame: SymbolFrame, threshold: float) -> SymbolFrame:
+def partial_deinterleave(symbols, threshold: float) -> np.ndarray:
     """Undo partial_interleave by re-testing the selection rule.
 
-    A carrier is unswapped iff its candidate pre-swap value (Re/Im swapped
+    A symbol is unswapped iff its candidate pre-swap value (Re/Im swapped
     back) satisfies the selection rule. This reconstructs the transmitter's
     selection exactly when the symbol values occurring at this stage form a
     set closed under Re/Im swap inside the selection region; that holds for
@@ -195,30 +189,26 @@ def partial_deinterleave(frame: SymbolFrame, threshold: float) -> SymbolFrame:
     noisy, imperfectly equalized link) selections can be misjudged; this
     stage is only guaranteed on noiseless or perfectly equalized links.
     """
-    return _interleave_frame(frame, threshold, inverse=True)
+    values = np.asarray(symbols, dtype=complex)
+    swapped = _swap_re_im(values)
+    sel = _principal_angle(swapped) > _check_threshold(threshold)
+    return np.where(sel, swapped, values)
 
 
-def insert_dummy(frame: SymbolFrame, ks) -> SymbolFrame:
-    """Fill keyed decoy slots with keyed constellation symbols.
+def insert_dummy(grids: np.ndarray, ks, cfg: OfdmConfig) -> None:
+    """Fill keyed decoy slots of grids[F, n_fft] in place, row f keyed by ks[f].
 
+    Per row of ks[F, budget], the first count * bits_per_symbol bits map to
+    the decoy values and the next subset_allocation_bits pick their slots.
     Decoy values are uniform constellation draws (marginally identical to
-    data symbols) and land on a keyed per-symbol choice of
+    data symbols) and land on a keyed per-frame choice of
     len(cfg.dummy_carriers) slots from the idle-carrier pool, so an
     observer without the key cannot tell decoys from idle carriers. Data
     carriers are never touched; an empty dummy set is a no-op.
     """
-    frame.require(DOMAIN_FREQ)
-    grid = frame.data.copy()[None]
-    _fill_dummies(grid, np.asarray(ks, dtype=np.uint8)[None], frame.cfg)
-    return SymbolFrame(grid[0], DOMAIN_FREQ, frame.cfg)
-
-
-def _fill_dummies(grids: np.ndarray, ks: np.ndarray, cfg: OfdmConfig) -> None:
-    """insert_dummy in place on grids[F, n_fft], row f keyed by ks[f].
-
-    Per row, the first count * bits_per_symbol bits map to the decoy
-    values and the next subset_allocation_bits pick their slots.
-    """
+    ks = np.asarray(ks, dtype=np.uint8)
+    if ks.ndim != 2 or ks.shape[0] != len(grids):
+        raise ParameterError(f"need one keystream row per grid row, got {ks.shape}")
     count = len(cfg.dummy_carriers)
     if count == 0:
         return
@@ -233,59 +223,50 @@ def _fill_dummies(grids: np.ndarray, ks: np.ndarray, cfg: OfdmConfig) -> None:
     np.put_along_axis(grids, slots, values.reshape(-1, count), axis=1)
 
 
-def _permute(data: np.ndarray, perm: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Permute along the last axis: output i = input perm[i], one perm per row.
+def _permute(data: np.ndarray, perm, inverse: bool = False) -> np.ndarray:
+    """Permute data[F, n] along the last axis, one perm row per data row:
+    output i = input perm[i]; inverse undoes it (output perm[i] = input i).
 
-    inverse undoes it: output perm[i] = input i.
+    perm is checked once for the whole batch: each row must sort to 0..n-1.
     """
+    p = np.asarray(perm, dtype=np.intp)
+    n = data.shape[-1]
+    if p.shape != data.shape or not (np.sort(p, axis=-1) == np.arange(n)).all():
+        raise ParameterError(f"not a permutation of 0..{n - 1} per row")
     if not inverse:
-        return np.take_along_axis(data, perm, axis=-1)
+        return np.take_along_axis(data, p, axis=-1)
     out = np.empty_like(data)
-    np.put_along_axis(out, perm, data, axis=-1)
+    np.put_along_axis(out, p, data, axis=-1)
     return out
 
 
-def scramble_freq(frame: SymbolFrame, perm) -> SymbolFrame:
-    """Permute subcarriers: output carrier i holds input carrier perm[i]."""
-    frame.require(DOMAIN_FREQ)
-    p = _check_perm(perm, frame.cfg.n_fft)
-    return SymbolFrame(_permute(frame.data, p), DOMAIN_FREQ, frame.cfg)
+def scramble_freq(grid: np.ndarray, perm) -> np.ndarray:
+    """Permute each frame's subcarriers: out[f, i] = grid[f, perm[f, i]].
 
-
-def unscramble_freq(frame: SymbolFrame, perm) -> SymbolFrame:
-    frame.require(DOMAIN_FREQ)
-    p = _check_perm(perm, frame.cfg.n_fft)
-    return SymbolFrame(_permute(frame.data, p, inverse=True), DOMAIN_FREQ, frame.cfg)
-
-
-def scramble_time(frame: SymbolFrame, perm) -> SymbolFrame:
-    """Permute the n_fft post-IFFT samples: output i = input perm[i].
-
-    The permutation covers only the IFFT block. Handed a frame that already
-    carries a prefix, the core is permuted and the prefix refreshed from the
-    permuted tail so it stays a true cyclic extension.
+    grid and perm are [F, n_fft]. The stage runs after insert_dummy, so
+    data and decoy carriers are mixed alike.
     """
-    return _permute_time(frame, perm, inverse=False)
+    return _permute(grid, perm)
 
 
-def unscramble_time(frame: SymbolFrame, perm) -> SymbolFrame:
-    return _permute_time(frame, perm, inverse=True)
+def unscramble_freq(grid: np.ndarray, perm) -> np.ndarray:
+    """Invert scramble_freq: out[f, perm[f, i]] = grid[f, i]."""
+    return _permute(grid, perm, inverse=True)
 
 
-def _permute_time(frame: SymbolFrame, perm, inverse: bool) -> SymbolFrame:
-    frame.require(DOMAIN_TIME)
-    p = _check_perm(perm, frame.cfg.n_fft)
-    had_cp = frame.has_cp
-    core = strip_cp(frame) if had_cp else frame
-    permuted = SymbolFrame(_permute(core.data, p, inverse), DOMAIN_TIME, frame.cfg)
-    return attach_cp(permuted) if had_cp else permuted
+def scramble_time(core: np.ndarray, perm) -> np.ndarray:
+    """Permute each frame's post-IFFT samples: out[f, i] = core[f, perm[f, i]].
+
+    core and perm are [F, n_fft]: the permutation covers only the IFFT
+    block. The codec attaches the cyclic prefix after this stage, so the
+    prefix is a true cyclic extension of the permuted block.
+    """
+    return _permute(core, perm)
 
 
-def _check_perm(perm, n: int) -> np.ndarray:
-    p = np.asarray(perm, dtype=np.intp)
-    if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
-        raise ParameterError(f"not a permutation of 0..{n - 1}")
-    return p
+def unscramble_time(core: np.ndarray, perm) -> np.ndarray:
+    """Invert scramble_time on prefix-free samples core[F, n_fft]."""
+    return _permute(core, perm, inverse=True)
 
 
 def scheme_budget_bits(
@@ -329,8 +310,8 @@ class PleCodec:
     keystream positions.
 
     The codec works on batches of frames: encrypt_batch and decrypt_batch
-    take one row per frame plus each row's frame index. encrypt and decrypt
-    are the same path for a batch of one SymbolFrame.
+    take one row per frame plus each row's frame index, and run each
+    enabled stage function once per batch.
     """
 
     def __init__(
@@ -345,9 +326,7 @@ class PleCodec:
         self.schemes = _ordered_schemes(schemes)
         self.seed = seed
         self.phase_cfg = phase_cfg or PhaseEncryptConfig()
-        if not -math.pi <= interleave_threshold <= math.pi:
-            raise ParameterError("interleave threshold must be in [-pi, pi]")
-        self.interleave_threshold = float(interleave_threshold)
+        self.interleave_threshold = _check_threshold(interleave_threshold)
         if SCHEME_PHASE in self.schemes:
             self.phase_cfg.check_mapping(cfg.mapping)
         self._budgets = {
@@ -361,10 +340,6 @@ class PleCodec:
         self._blocks_per_frame = offset
         self._data_idx = np.asarray(cfg.data_carriers, dtype=np.intp)
         self._kept = None
-
-    def key_to_data_ratio(self) -> float:
-        """Keystream bits budgeted per frame over plaintext bits per frame."""
-        return sum(self._budgets.values()) / self.cfg.payload_bits
 
     def _material(self, frame_indices) -> tuple:
         """Key material of a frame-index batch: (regions, kept perms).
@@ -448,17 +423,20 @@ class PleCodec:
         if SCHEME_PHASE in self.schemes:
             ks = self._scheme_bits(SCHEME_PHASE, regions).ravel()
             symbols = phase_encrypt(symbols, ks, self.phase_cfg)
+        symbols = symbols.reshape(n_frames, cfg.n_data)
         if SCHEME_INTERLEAVE in self.schemes:
-            symbols = _interleave(symbols, self.interleave_threshold, inverse=False)
+            symbols = partial_interleave(symbols, self.interleave_threshold)
         grid = np.zeros((n_frames, cfg.n_fft), dtype=complex)
-        grid[:, self._data_idx] = symbols.reshape(n_frames, cfg.n_data)
+        grid[:, self._data_idx] = symbols
         if SCHEME_DUMMY in self.schemes:
-            _fill_dummies(grid, self._scheme_bits(SCHEME_DUMMY, regions), cfg)
+            insert_dummy(grid, self._scheme_bits(SCHEME_DUMMY, regions), cfg)
         if SCHEME_SCRAMBLE_FREQ in self.schemes:
-            grid = _permute(grid, self._kept_perm(SCHEME_SCRAMBLE_FREQ, regions, perms))
+            perm = self._kept_perm(SCHEME_SCRAMBLE_FREQ, regions, perms)
+            grid = scramble_freq(grid, perm)
         core = np.fft.ifft(grid, axis=1, norm="ortho")
         if SCHEME_SCRAMBLE_TIME in self.schemes:
-            core = _permute(core, self._kept_perm(SCHEME_SCRAMBLE_TIME, regions, perms))
+            perm = self._kept_perm(SCHEME_SCRAMBLE_TIME, regions, perms)
+            core = scramble_time(core, perm)
         return np.concatenate([core[:, cfg.n_fft - cfg.cp_len :], core], axis=1)
 
     def decrypt_batch(
@@ -481,14 +459,15 @@ class PleCodec:
         core = rx[:, cfg.cp_len :]
         if SCHEME_SCRAMBLE_TIME in self.schemes:
             perm = self._kept_perm(SCHEME_SCRAMBLE_TIME, regions, perms)
-            core = _permute(core, perm, inverse=True)
+            core = unscramble_time(core, perm)
         grid = demodulate_samples(core, channel_gain)
         if SCHEME_SCRAMBLE_FREQ in self.schemes:
             perm = self._kept_perm(SCHEME_SCRAMBLE_FREQ, regions, perms)
-            grid = _permute(grid, perm, inverse=True)
-        symbols = grid[:, self._data_idx].ravel()
+            grid = unscramble_freq(grid, perm)
+        symbols = grid[:, self._data_idx]
         if SCHEME_INTERLEAVE in self.schemes:
-            symbols = _interleave(symbols, self.interleave_threshold, inverse=True)
+            symbols = partial_deinterleave(symbols, self.interleave_threshold)
+        symbols = symbols.ravel()
         if SCHEME_PHASE in self.schemes:
             ks = self._scheme_bits(SCHEME_PHASE, regions).ravel()
             symbols = phase_decrypt(symbols, ks, self.phase_cfg)
@@ -498,6 +477,8 @@ class PleCodec:
         return bits.reshape(n_frames, cfg.payload_bits)
 
     def encrypt(self, plain_bits, frame_index: int = 0) -> SymbolFrame:
+        """encrypt_batch for one frame, returned as a time-domain SymbolFrame
+        with its cyclic prefix."""
         bits = np.asarray(plain_bits, dtype=np.uint8)
         samples = self.encrypt_batch(bits[None], [frame_index])[0]
         return SymbolFrame(samples, DOMAIN_TIME, self.cfg, has_cp=True)
@@ -505,6 +486,8 @@ class PleCodec:
     def decrypt(
         self, frame: SymbolFrame, frame_index: int = 0, channel_gain: complex = 1.0
     ) -> np.ndarray:
+        """decrypt_batch for one time-domain SymbolFrame, with or without
+        its cyclic prefix."""
         frame.require(DOMAIN_TIME)
         with_cp = frame if frame.has_cp else attach_cp(frame)
         return self.decrypt_batch(with_cp.data[None], [frame_index], channel_gain)[0]

@@ -8,12 +8,12 @@ from physec.errors import KeystreamExhausted, ParameterError
 from physec.keystream import KeystreamSeed, keystream
 from physec.modulation import QAM16, QPSK, map_symbols, min_decision_distance
 from physec.ofdm import (
-    DOMAIN_FREQ,
     OfdmConfig,
-    SymbolFrame,
     awgn_link,
+    demodulate_samples,
     ebn0_db_to_snr_db,
     frame_from_symbols,
+    ofdm_modulate,
     wifi_like_config,
 )
 from physec.ple import (
@@ -44,9 +44,6 @@ def _seed(seed_int, n=128):
 def _qpsk_symbols(n, seed=0):
     rng = np.random.default_rng(seed)
     return map_symbols(rng.integers(0, 2, size=2 * n, dtype=np.uint8), QPSK)
-
-
-TWO_CARRIER = OfdmConfig(n_fft=2, cp_len=0, data_carriers=(0, 1))
 
 
 def test_phase_zero_keystream_is_identity():
@@ -106,18 +103,16 @@ def test_phase_config_validation():
 
 
 def test_interleave_threshold_extremes():
-    grid = np.array([1.0 + 0j, 0 + 1j])
-    frame = SymbolFrame(grid, DOMAIN_FREQ, TWO_CARRIER)
+    values = np.array([[1.0 + 0j, 0 + 1j]])
     # pi: nothing exceeds the threshold
-    assert np.array_equal(partial_interleave(frame, math.pi).data, grid)
+    assert np.array_equal(partial_interleave(values, math.pi), values)
     # -pi: everything does
-    assert np.allclose(partial_interleave(frame, -math.pi).data, [1j, 1.0])
+    assert np.allclose(partial_interleave(values, -math.pi), [[1j, 1.0]])
 
 
 def test_interleave_frozen_example():
-    frame = SymbolFrame(np.array([1.0 + 0j, 0 + 1j]), DOMAIN_FREQ, TWO_CARRIER)
-    out = partial_interleave(frame, math.pi / 4)
-    assert np.allclose(out.data, [1.0, 1.0])
+    out = partial_interleave(np.array([[1.0 + 0j, 0 + 1j]]), math.pi / 4)
+    assert np.allclose(out, [[1.0, 1.0]])
 
 
 def test_interleave_roundtrip_on_alphabets():
@@ -129,69 +124,85 @@ def test_interleave_roundtrip_on_alphabets():
             sym = map_symbols(bits, mapping)
             if trial % 2:
                 sym = sym * 1j  # quarter-turn rotated alphabet stays invertible
-            frame = frame_from_symbols(sym, cfg)
-            fwd = partial_interleave(frame, DEFAULT_INTERLEAVE_THRESHOLD)
+            rows = sym.reshape(1, cfg.n_data)
+            fwd = partial_interleave(rows, DEFAULT_INTERLEAVE_THRESHOLD)
             back = partial_deinterleave(fwd, DEFAULT_INTERLEAVE_THRESHOLD)
-            assert np.allclose(back.data, frame.data)
-            assert np.sum(np.abs(fwd.data) ** 2) == pytest.approx(
-                np.sum(np.abs(frame.data) ** 2)
-            )
+            assert np.allclose(back, rows)
+            assert np.sum(np.abs(fwd) ** 2) == pytest.approx(np.sum(np.abs(rows) ** 2))
 
 
 def test_interleave_leaves_non_data_carriers():
+    # decoys go in after the interleave stage, whose keystream region is 0
+    # blocks, so adding it to a dummy stack leaves every idle carrier alone
     cfg = wifi_like_config()
-    grid = np.zeros(64, dtype=complex)
-    grid[7] = -1 - 1j  # decoy slot, angle below any sane threshold
-    frame = SymbolFrame(grid, DOMAIN_FREQ, cfg)
-    out = partial_interleave(frame, -math.pi)
-    assert out.data[7] == -1 - 1j
+    frames = np.arange(8)
+    bits = np.random.default_rng(30).integers(0, 2, (8, 96), dtype=np.uint8)
+    with_interleave, dummy_only = (
+        demodulate_samples(
+            PleCodec(cfg, stack, _seed(31), interleave_threshold=-math.pi)
+            .encrypt_batch(bits, frames)[:, cfg.cp_len :]
+        )
+        for stack in (("partial_interleave", "dummy"), ("dummy",))
+    )
+    idle, data = list(cfg.idle_carriers), list(cfg.data_carriers)
+    assert np.allclose(with_interleave[:, idle], dummy_only[:, idle], atol=1e-12)
+    # threshold -pi swaps every data symbol ...
+    assert not np.allclose(with_interleave[:, data], dummy_only[:, data])
+    # ... and would move decoys off the Re = Im diagonal, which do occur
+    decoys = dummy_only[:, idle][np.abs(dummy_only[:, idle]) > 0.5]
+    assert decoys.size == 4 * frames.size
+    assert np.any(np.abs(decoys.real - decoys.imag) > 0.5)
 
 
 def test_interleave_threshold_validation():
-    frame = SymbolFrame(np.zeros(2, dtype=complex), DOMAIN_FREQ, TWO_CARRIER)
+    values = np.zeros((1, 2), dtype=complex)
     with pytest.raises(ParameterError):
-        partial_interleave(frame, 3.5)
+        partial_interleave(values, 3.5)
     with pytest.raises(ParameterError):
-        partial_deinterleave(frame, -3.5)
+        partial_deinterleave(values, -3.5)
 
 
 def test_dummy_noop_without_slots():
     cfg = OfdmConfig(n_fft=64, cp_len=16, data_carriers=tuple(range(1, 49)))
-    frame = frame_from_symbols(_qpsk_symbols(48, seed=8), cfg)
-    out = insert_dummy(frame, np.zeros(0, dtype=np.uint8))
-    assert np.array_equal(out.data, frame.data)
+    before = frame_from_symbols(_qpsk_symbols(48, seed=8), cfg).data
+    grid = before[None].copy()
+    insert_dummy(grid, np.zeros((1, 0), dtype=np.uint8), cfg)
+    assert np.array_equal(grid[0], before)
 
 
 def test_dummy_fills_keyed_slots_only():
     cfg = wifi_like_config()
     seed = _seed(9)
     budget = scheme_budget_bits("dummy", cfg, PhaseEncryptConfig())
-    frame = frame_from_symbols(_qpsk_symbols(48, seed=10), cfg)
-    out = insert_dummy(frame, keystream(seed, budget))
+    before = frame_from_symbols(_qpsk_symbols(48, seed=10), cfg).data
+    grid = before[None].copy()
+    insert_dummy(grid, keystream(seed, budget)[None], cfg)
+    out = grid[0]
     data_idx = list(cfg.data_carriers)
-    assert np.array_equal(out.data[data_idx], frame.data[data_idx])
-    touched = np.flatnonzero(out.data != frame.data)
+    assert np.array_equal(out[data_idx], before[data_idx])
+    touched = np.flatnonzero(out != before)
     assert len(touched) == 4
     assert set(touched.tolist()) <= set(cfg.idle_carriers)
+    with pytest.raises(ParameterError):
+        insert_dummy(grid, keystream(seed, budget), cfg)
+    with pytest.raises(ParameterError):
+        insert_dummy(grid, keystream(seed, 2 * budget).reshape(2, budget), cfg)
 
 
 def test_dummy_values_uniform_over_constellation():
     cfg = wifi_like_config()
     seed = _seed(11)
     budget = scheme_budget_bits("dummy", cfg, PhaseEncryptConfig())
-    empty = SymbolFrame(np.zeros(64, dtype=complex), DOMAIN_FREQ, cfg)
     pts = map_symbols(
         np.array([0, 0, 0, 1, 1, 0, 1, 1], dtype=np.uint8), QPSK
     )
-    counts = np.zeros(4)
     n_frames = 5000
     blob = keystream(seed, budget * n_frames)
-    for f in range(n_frames):
-        out = insert_dummy(empty, blob[f * budget : (f + 1) * budget])
-        values = out.data[out.data != 0]
-        assert values.size == 4
-        for v in values:
-            counts[int(np.argmin(np.abs(pts - v)))] += 1
+    grids = np.zeros((n_frames, 64), dtype=complex)
+    insert_dummy(grids, blob.reshape(n_frames, budget), cfg)
+    assert np.all(np.count_nonzero(grids, axis=1) == 4)
+    values = grids[grids != 0]
+    counts = np.bincount(np.argmin(np.abs(values[:, None] - pts), axis=1), minlength=4)
     total = counts.sum()
     expected = total / 4
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -200,37 +211,62 @@ def test_dummy_values_uniform_over_constellation():
 
 def test_scramble_freq_semantics_and_roundtrip():
     rng = np.random.default_rng(12)
-    frame = frame_from_symbols(_qpsk_symbols(48, seed=13), wifi_like_config())
-    perm = rng.permutation(64)
-    out = scramble_freq(frame, perm)
-    assert np.array_equal(out.data, frame.data[perm])
+    cfg = wifi_like_config()
+    grid = np.stack(
+        [frame_from_symbols(_qpsk_symbols(48, seed=s), cfg).data for s in (13, 113)]
+    )
+    perm = np.stack([rng.permutation(64), rng.permutation(64)])
+    out = scramble_freq(grid, perm)
+    assert np.array_equal(out, [row[p] for row, p in zip(grid, perm)])
     back = unscramble_freq(out, perm)
-    assert np.array_equal(back.data, frame.data)
-    assert np.sum(np.abs(out.data) ** 2) == np.sum(np.abs(frame.data) ** 2)
+    assert np.array_equal(back, grid)
+    assert np.array_equal(
+        np.sum(np.abs(out) ** 2, axis=1), np.sum(np.abs(grid) ** 2, axis=1)
+    )
 
 
 def test_scramble_time_refreshes_prefix():
-    from physec.ofdm import ofdm_modulate
-
     rng = np.random.default_rng(14)
     frame = ofdm_modulate(
         frame_from_symbols(_qpsk_symbols(48, seed=15), wifi_like_config())
     )
-    perm = rng.permutation(64)
-    out = scramble_time(frame, perm)
-    core = frame.data[16:]
-    assert np.array_equal(out.data[16:], core[perm])
-    assert np.array_equal(out.data[:16], core[perm][-16:])
-    back = unscramble_time(out, perm)
-    assert np.allclose(back.data, frame.data)
+    core = frame.data[None, 16:]
+    perm = rng.permutation(64)[None]
+    out = scramble_time(core, perm)
+    assert np.array_equal(out[0], core[0][perm[0]])
+    assert np.array_equal(unscramble_time(out, perm), core)
+    # the codec attaches the prefix after time scrambling, from the
+    # permuted block, so it stays a true cyclic extension
+    cfg = wifi_like_config()
+    frames = np.arange(5)
+    bits = np.random.default_rng(32).integers(0, 2, (5, 96), dtype=np.uint8)
+    plain = PleCodec(cfg, (), _seed(33)).encrypt_batch(bits, frames)
+    codec = PleCodec(cfg, ("scramble_time",), _seed(33))
+    samples = codec.encrypt_batch(bits, frames)
+    time_perm = codec._perm("scramble_time", codec._material(frames)[0])
+    assert np.array_equal(
+        samples[:, cfg.cp_len :], scramble_time(plain[:, cfg.cp_len :], time_perm)
+    )
+    full = PleCodec(cfg, SCHEME_ORDER, _seed(33)).encrypt_batch(bits, frames)
+    for tx in (samples, full):
+        assert np.array_equal(tx[:, : cfg.cp_len], tx[:, -cfg.cp_len :])
 
 
 def test_scramble_rejects_non_permutation():
-    frame = frame_from_symbols(_qpsk_symbols(48, seed=16), wifi_like_config())
+    grid = frame_from_symbols(_qpsk_symbols(48, seed=16), wifi_like_config()).data[None]
     with pytest.raises(ParameterError):
-        scramble_freq(frame, np.zeros(64, dtype=np.intp))
+        scramble_freq(grid, np.zeros((1, 64), dtype=np.intp))
     with pytest.raises(ParameterError):
-        scramble_freq(frame, np.arange(63))
+        scramble_freq(grid, np.arange(63)[None])
+    # the check covers every row of a batch
+    grids = np.repeat(grid, 3, axis=0)
+    perms = np.tile(np.arange(64), (3, 1))
+    assert np.array_equal(unscramble_time(grids, perms), grids)
+    perms[1, 0] = 1
+    with pytest.raises(ParameterError):
+        unscramble_time(grids, perms)
+    with pytest.raises(ParameterError):
+        scramble_freq(grids, np.arange(64))
 
 
 def test_budgets_and_ratio_examples():

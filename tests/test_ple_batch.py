@@ -133,6 +133,48 @@ def test_material_derived_once_per_batch_and_once_per_frame_run(monkeypatch):
     assert calls == [(100 * region_bits, 0)]
 
 
+STAGES = (
+    "partial_interleave",
+    "partial_deinterleave",
+    "insert_dummy",
+    "scramble_freq",
+    "unscramble_freq",
+    "scramble_time",
+    "unscramble_time",
+)
+
+
+def _counting(name, stage, calls):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return stage(*args, **kwargs)
+
+    return wrapper
+
+
+def test_codec_runs_each_public_stage_once_per_batch(monkeypatch):
+    # patched at the module name, as the benchmark's trace plan patches them
+    calls = []
+    for name in STAGES:
+        monkeypatch.setattr(ple, name, _counting(name, getattr(ple, name), calls))
+    cfg = wifi_like_config()
+    codec = _fresh_codec(cfg)
+    frames = np.array([2, 3, 7])
+    bits = _payloads(cfg, frames.size, 14)
+    samples = codec.encrypt_batch(bits, frames)
+    encrypt_calls = list(calls)
+    calls.clear()
+    assert np.array_equal(codec.decrypt_batch(samples, frames), bits)
+    assert encrypt_calls == [
+        "partial_interleave",
+        "insert_dummy",
+        "scramble_freq",
+        "scramble_time",
+    ]
+    assert calls == ["unscramble_time", "unscramble_freq", "partial_deinterleave"]
+    assert sorted(encrypt_calls + calls) == sorted(STAGES)
+
+
 def test_batch_validation():
     cfg = wifi_like_config()
     codec = PleCodec(cfg, SCHEME_ORDER, _seed(1))
@@ -193,7 +235,5 @@ def test_key_to_data_ratio_refuses_duplicates():
     with pytest.raises(ParameterError):
         key_to_data_ratio(["phase", "dummy", "phase"], cfg)
     assert key_to_data_ratio(["phase", "xor"], cfg) == pytest.approx(2.0)
-    codec = PleCodec(cfg, ["scramble_time", "dummy", "xor"], _seed(8))
-    assert key_to_data_ratio(["scramble_time", "dummy", "xor"], cfg) == (
-        codec.key_to_data_ratio()
-    )
+    # (1284 permutation + 72 dummy + 96 xor bits) / 96 payload bits
+    assert key_to_data_ratio(["scramble_time", "dummy", "xor"], cfg) == 15.125
