@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -199,3 +200,31 @@ def test_eve_correlation_from_distance():
         eve_correlation_from_distance(-1.0, 0.125)
     with pytest.raises(ParameterError):
         eve_correlation_from_distance(1.0, 0.0)
+
+
+# SHA-256 of generate_trace's x_a, x_b, x_e and t_a as little-endian float64,
+# computed while scipy was still imported at the top of channel.py. At tau = 1
+# both fading draws run through the constant-spacing IIR filter; at tau = 0.3
+# Bob's and Alice's union of sample times alternates 0.3 / 0.7 apart, so the
+# legitimate process runs through the per-step loop.
+TRACE_SHA256 = {
+    1.0: "5a10ed09ed0a5bee8f5b10d57988107c582e405c5074f690be178ed30dcd8f99",
+    0.3: "f0cb32d6e5b45795f7405d33656adae0c8341e1eb5e8f4d7692faa760c255c96",
+}
+
+
+@pytest.mark.parametrize("tau", sorted(TRACE_SHA256))
+def test_trace_golden_hash(tau):
+    tr = generate_trace(
+        ChannelParams(
+            temporal_correlation=0.9,
+            sampling_delay=tau,
+            eve_correlation=0.3,
+            n_probes=4096,
+            rng_seed=5,
+        )
+    )
+    digest = hashlib.sha256()
+    for arr in (tr.x_a, tr.x_b, tr.x_e, tr.t_a):
+        digest.update(np.asarray(arr, dtype="<f8").tobytes())
+    assert digest.hexdigest() == TRACE_SHA256[tau]
