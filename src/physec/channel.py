@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.special import j0
 
 from .errors import DegenerateInputError, ParameterError
 
@@ -78,6 +76,20 @@ class ChannelTrace:
     params: ChannelParams
 
 
+def load_filter():
+    """Import and return scipy.signal.lfilter, which runs the fading
+    recursion when probes are evenly spaced.
+
+    scipy.signal takes ~1 s to import and processes that only read configs
+    or traces never simulate, so it is imported at first use. A parent
+    about to fork workers that simulate calls this first, so that they
+    inherit the module rather than each importing it.
+    """
+    from scipy.signal import lfilter
+
+    return lfilter
+
+
 def _gauss_markov_at(times: np.ndarray, rho: float, rng) -> np.ndarray:
     """Sample a zero-mean unit-variance stationary Gauss-Markov process.
 
@@ -98,7 +110,7 @@ def _gauss_markov_at(times: np.ndarray, rho: float, rng) -> np.ndarray:
         drive = np.empty(n)
         drive[0] = z[0]
         drive[1:] = sigma * z[1:]
-        return lfilter([1.0], [1.0, -phi[0]], drive)
+        return load_filter()([1.0], [1.0, -phi[0]], drive)
     out = np.empty(n)
     out[0] = z[0]
     for i in range(1, n):
@@ -179,4 +191,6 @@ def eve_correlation_from_distance(distance: float, wavelength: float) -> float:
     """
     if distance < 0 or wavelength <= 0:
         raise ParameterError("need distance >= 0 and wavelength > 0")
+    from scipy.special import j0
+
     return float(j0(2.0 * math.pi * distance / wavelength))

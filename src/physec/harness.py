@@ -18,14 +18,13 @@ import hashlib
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .bits import BitKey, bit_fraction_differing
 from .blockcode import LinearBlockCode, code_by_id
-from .channel import ChannelParams, generate_trace
+from .channel import ChannelParams, generate_trace, load_filter
 from .distill import (
     amplify,
     monobit_test,
@@ -692,6 +691,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> MetricsReport:
     if jobs == 1:
         outcomes = [run_single_trial(*task) for task in tasks]
     else:
+        # imported here: the pool machinery costs ~35 ms that serial runs
+        # and config or trace tools would otherwise pay at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        if any(point.trace_file is None for point in points):
+            load_filter()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(run_single_trial, *zip(*tasks)))
 
