@@ -82,6 +82,16 @@ def test_run_to_file(config_path, tmp_path, capsys):
     assert json.loads(target.read_text())["scenario"] == "cli-test"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_run_stdout_equals_out_file(config_path, tmp_path, capsys, fmt):
+    assert main(["run", config_path, "--format", fmt]) == 0
+    stdout = capsys.readouterr().out
+    target = tmp_path / f"report.{fmt}"
+    assert main(["run", config_path, "--format", fmt, "--out", str(target)]) == 0
+    capsys.readouterr()
+    assert target.read_bytes() == stdout.encode()
+
+
 def test_run_out_dir_env(config_path, tmp_path, monkeypatch, capsys):
     out_dir = tmp_path / "reports"
     out_dir.mkdir()

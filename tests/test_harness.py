@@ -475,6 +475,14 @@ def test_json_report_reloads(tmp_path):
         emit_report(report, "yaml", str(out))
 
 
+def test_emit_report_unknown_format_leaves_no_file(tmp_path):
+    report = run_experiment(config_from_dict(_fast_cfg(trials=1)))
+    out = tmp_path / "report.xml"
+    with pytest.raises(ParameterError):
+        emit_report(report, "xml", str(out))
+    assert not out.exists()
+
+
 def test_jobs_validation():
     cfg = config_from_dict(_fast_cfg(trials=1))
     with pytest.raises(ParameterError):

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -245,6 +246,21 @@ def test_allocation_validation():
         subset_allocation_bits(4, 5)
     assert permutation_allocation_bits(1) == 0
     assert subset_allocation_bits(4, 0) == 0
+
+
+def test_allocation_bits_equal_closed_form_sums():
+    # step k of a Fisher-Yates run over m = size - k choices reads
+    # ceil(log2 m) bits per attempt; the budget is four attempts a step
+    def width(m):
+        return math.ceil(math.log2(m)) if m > 1 else 0
+
+    for n in range(1, 65):
+        want = 4 * sum(width(n - k) for k in range(n - 1))
+        assert permutation_allocation_bits(n) == want, n
+    for pool in range(65):
+        for count in range(pool + 1):
+            want = 4 * sum(width(pool - k) for k in range(count))
+            assert subset_allocation_bits(pool, count) == want, (pool, count)
 
 
 def _bitwise_words(bits, widths):

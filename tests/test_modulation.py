@@ -20,6 +20,34 @@ def test_qpsk_example():
     assert sym[0] == pytest.approx((1 + 1j) / math.sqrt(2))
 
 
+def _loop_constellation(mapping):
+    """Points built label by label, the reference the table must equal."""
+    if mapping == QPSK:
+        pts = np.empty(4, dtype=complex)
+        for b0 in (0, 1):
+            for b1 in (0, 1):
+                pts[(b0 << 1) | b1] = ((1 - 2 * b0) + 1j * (1 - 2 * b1)) / math.sqrt(2)
+        return pts
+    levels = {0b00: -3.0, 0b01: -1.0, 0b11: 1.0, 0b10: 3.0}
+    pts = np.empty(16, dtype=complex)
+    for word in range(16):
+        pts[word] = (levels[word >> 2] + 1j * levels[word & 0b11]) / math.sqrt(10)
+    return pts
+
+
+@pytest.mark.parametrize("mapping", [QPSK, QAM16])
+def test_constellation_bytes_equal_loop_reference(mapping):
+    want = _loop_constellation(mapping)
+    pts = constellation(mapping)
+    assert pts.tobytes() == want.tobytes()
+    # the caller owns what it gets back
+    pts[:] = 0
+    assert constellation(mapping).tobytes() == want.tobytes()
+    bps = bits_per_symbol(mapping)
+    labels = ((np.arange(1 << bps)[:, None] >> np.arange(bps - 1, -1, -1)) & 1).ravel()
+    assert map_symbols(labels, mapping).tobytes() == want.tobytes()
+
+
 def test_qpsk_unit_modulus():
     pts = constellation(QPSK)
     assert pts.size == 4

@@ -133,6 +133,24 @@ def test_material_derived_once_per_batch_and_once_per_frame_run(monkeypatch):
     assert calls == [(100 * region_bits, 0)]
 
 
+def test_each_scramble_permutation_derived_once_per_batch(monkeypatch):
+    calls = []
+    perm = PleCodec._perm
+
+    def counting_perm(self, scheme, regions):
+        calls.append(scheme)
+        return perm(self, scheme, regions)
+
+    monkeypatch.setattr(PleCodec, "_perm", counting_perm)
+    cfg = wifi_like_config()
+    codec = _fresh_codec(cfg)
+    frames = np.array([5, 6, 1])
+    bits = _payloads(cfg, frames.size, 15)
+    samples = codec.encrypt_batch(bits, frames)
+    assert np.array_equal(codec.decrypt_batch(samples, frames), bits)
+    assert sorted(calls) == ["scramble_freq", "scramble_time"]
+
+
 STAGES = (
     "partial_interleave",
     "partial_deinterleave",
