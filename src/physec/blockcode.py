@@ -82,6 +82,8 @@ class LinearBlockCode:
     def decode_batch(self, words: np.ndarray) -> np.ndarray:
         """Decode (m, n_code) rows at once; any failed row raises."""
         w = np.asarray(words, dtype=np.uint8) & 1
+        if w.ndim != 2 or w.shape[1] != self.n_code:
+            raise ParameterError(f"words must have shape (m, {self.n_code})")
         weights = 1 << np.arange(self.n_code - self.k_code - 1, -1, -1)
         syn = (w @ self._h_t % 2) @ weights
         patterns = self._syndrome_table[syn]

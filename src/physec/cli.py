@@ -24,13 +24,7 @@ from .blockcode import hamming74, repetition41
 from .channel import pearson_correlation
 from .distill import recover, sketch
 from .errors import ConfigError, DecodeFailure, DegenerateInputError, PhysecError
-from .harness import (
-    emit_report,
-    load_config,
-    report_csv_text,
-    report_json_bytes,
-    run_experiment,
-)
+from .harness import emit_report, load_config, report_bytes, run_experiment
 from .probing import align_timestamps, read_trace
 
 
@@ -98,10 +92,7 @@ def _cmd_run(args) -> int:
         report = run_experiment(config, jobs=_resolve_jobs(args.jobs))
         path = _resolve_out(args.out, config.scenario, args.format)
         if path is None:
-            if args.format == "json":
-                sys.stdout.write(report_json_bytes(report).decode())
-            else:
-                sys.stdout.write(report_csv_text(report))
+            sys.stdout.write(report_bytes(report, args.format).decode())
         else:
             emit_report(report, args.format, path)
             print(f"wrote {path}")

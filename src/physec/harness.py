@@ -751,14 +751,18 @@ def report_csv_text(report: MetricsReport) -> str:
     return buf.getvalue()
 
 
-def emit_report(report: MetricsReport, fmt: str, path: str) -> None:
-    """Write the report as json or csv; identical inputs give identical bytes."""
+def report_bytes(report: MetricsReport, fmt: str) -> bytes:
+    """The report as json or csv; identical inputs give identical bytes."""
     if fmt == "json":
-        data = report_json_bytes(report)
-    elif fmt == "csv":
-        data = report_csv_text(report).encode()
-    else:
-        raise ParameterError(f"unknown report format {fmt!r}")
+        return report_json_bytes(report)
+    if fmt == "csv":
+        return report_csv_text(report).encode()
+    raise ParameterError(f"unknown report format {fmt!r}")
+
+
+def emit_report(report: MetricsReport, fmt: str, path: str) -> None:
+    """Write report_bytes to path; an unknown format leaves no file."""
+    data = report_bytes(report, fmt)
     with open(path, "wb") as fh:
         fh.write(data)
 

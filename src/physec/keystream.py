@@ -126,29 +126,24 @@ def _keyed_swaps(items: list, ks, plan) -> list:
     return items
 
 
-def invert_permutation(perm) -> np.ndarray:
-    p = np.asarray(perm, dtype=np.intp)
-    inv = np.empty_like(p)
-    inv[p] = np.arange(p.size, dtype=np.intp)
-    return inv
-
-
 def permutation_allocation_bits(n: int) -> int:
     """Deterministic keystream budget for keyed_permutation(n).
 
-    Four times the no-rejection need; a Fisher-Yates draw from m choices
-    accepts with probability > 1/2 per attempt, so overrunning a 4x
-    allocation has negligible probability.
+    Four times the summed draw widths of its swap plan (the no-rejection
+    need); a Fisher-Yates draw from m choices accepts with probability
+    > 1/2 per attempt, so overrunning a 4x allocation is negligible.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    return 4 * int(sum((m - 1).bit_length() for m in range(2, n + 1)))
+    return _plan_budget(_swap_plan(n, n - 1, True))
 
 
 def subset_allocation_bits(pool_size: int, count: int) -> int:
-    """Deterministic keystream budget for keyed_subset."""
+    """Deterministic keystream budget for keyed_subset, sized as above."""
     if not 0 <= count <= pool_size:
         raise ParameterError("count must be in [0, pool_size]")
-    return 4 * int(
-        sum((pool_size - i - 1).bit_length() for i in range(count) if pool_size - i > 1)
-    )
+    return _plan_budget(_swap_plan(pool_size, count, False))
+
+
+def _plan_budget(plan) -> int:
+    return 4 * sum(width for _, _, _, width, _ in plan)

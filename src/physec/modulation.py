@@ -3,6 +3,7 @@
 Both mappings have exactly unit average symbol energy so per-subcarrier
 SNR statements stay calibration-free. Labels are Gray: nearest neighbors
 differ in one bit, per axis for 16QAM and around the circle for QPSK.
+Each mapping's points are one read-only table, built once at import.
 """
 from __future__ import annotations
 
@@ -13,36 +14,37 @@ from .errors import ParameterError
 QPSK = "qpsk"
 QAM16 = "16qam"
 
-_QPSK_SCALE = 1.0 / np.sqrt(2.0)
 _QAM16_SCALE = 1.0 / np.sqrt(10.0)
-# per-axis Gray labeling for 16QAM: 2-bit word -> amplitude level
-_QAM16_LEVELS = {0b00: -3.0, 0b01: -1.0, 0b11: 1.0, 0b10: 3.0}
+
+
+def _square(axis: np.ndarray) -> np.ndarray:
+    """Points axis[i] + j axis[q], labeled by the bits of i followed by q."""
+    pts = (axis[:, None] + 1j * axis[None, :]).ravel()
+    pts.flags.writeable = False
+    return pts
+
+
+# QPSK labels each axis by its sign bit, 16QAM by a 2-bit Gray word:
+# 00 -> -3, 01 -> -1, 11 -> 1, 10 -> 3
+_CONSTELLATIONS = {
+    QPSK: _square(np.array([1.0, -1.0]) / np.sqrt(2.0)),
+    QAM16: _square(np.array([-3.0, -1.0, 3.0, 1.0]) * _QAM16_SCALE),
+}
+
+
+def _points(mapping: str) -> np.ndarray:
+    if mapping not in _CONSTELLATIONS:
+        raise ParameterError(f"unknown mapping {mapping!r}")
+    return _CONSTELLATIONS[mapping]
 
 
 def bits_per_symbol(mapping: str) -> int:
-    if mapping == QPSK:
-        return 2
-    if mapping == QAM16:
-        return 4
-    raise ParameterError(f"unknown mapping {mapping!r}")
+    return _points(mapping).size.bit_length() - 1
 
 
 def constellation(mapping: str) -> np.ndarray:
     """Points indexed by the big-endian integer value of the bit label."""
-    if mapping == QPSK:
-        pts = np.empty(4, dtype=complex)
-        for b0 in (0, 1):
-            for b1 in (0, 1):
-                pts[(b0 << 1) | b1] = ((1 - 2 * b0) + 1j * (1 - 2 * b1)) * _QPSK_SCALE
-        return pts
-    if mapping == QAM16:
-        pts = np.empty(16, dtype=complex)
-        for word in range(16):
-            i_lvl = _QAM16_LEVELS[word >> 2]
-            q_lvl = _QAM16_LEVELS[word & 0b11]
-            pts[word] = (i_lvl + 1j * q_lvl) * _QAM16_SCALE
-        return pts
-    raise ParameterError(f"unknown mapping {mapping!r}")
+    return _points(mapping).copy()
 
 
 def map_symbols(bits, mapping: str) -> np.ndarray:
@@ -51,9 +53,8 @@ def map_symbols(bits, mapping: str) -> np.ndarray:
     bps = bits_per_symbol(mapping)
     if arr.ndim != 1 or arr.size % bps != 0:
         raise ParameterError(f"bit count must be a multiple of {bps}")
-    groups = arr.reshape(-1, bps)
-    idx = groups @ (1 << np.arange(bps - 1, -1, -1))
-    return constellation(mapping)[idx]
+    idx = arr.reshape(-1, bps) @ (1 << np.arange(bps - 1, -1, -1))
+    return _points(mapping)[idx]
 
 
 def demap_symbols(symbols, mapping: str) -> np.ndarray:
@@ -75,6 +76,6 @@ def demap_symbols(symbols, mapping: str) -> np.ndarray:
 
 def min_decision_distance(mapping: str) -> float:
     """Smallest distance between two constellation points."""
-    pts = constellation(mapping)
+    pts = _points(mapping)
     d = np.abs(pts[:, None] - pts[None, :])
     return float(d[d > 0].min())

@@ -118,11 +118,6 @@ class SymbolFrame:
                 + f", got {self.domain} (has_cp={self.has_cp})"
             )
 
-    def data_power(self) -> float:
-        """Mean |X|^2 over the data carriers (frequency domain only)."""
-        self.require(DOMAIN_FREQ)
-        return float(np.mean(np.abs(self.data[list(self.cfg.data_carriers)]) ** 2))
-
 
 def frame_from_symbols(symbols, cfg: OfdmConfig) -> SymbolFrame:
     """Place data-carrier symbols into an otherwise empty frequency frame."""

@@ -64,6 +64,7 @@ SCHEME_ORDER = (
     SCHEME_SCRAMBLE_FREQ,
     SCHEME_SCRAMBLE_TIME,
 )
+_SCRAMBLES = (SCHEME_SCRAMBLE_FREQ, SCHEME_SCRAMBLE_TIME)
 
 # bits consumed per symbol for the keyed phase perturbation (8 radius + 8 angle)
 _NOISE_BITS = 16
@@ -284,7 +285,7 @@ def scheme_budget_bits(
         return count * modulation.bits_per_symbol(cfg.mapping) + (
             subset_allocation_bits(len(cfg.idle_carriers), count)
         )
-    if scheme in (SCHEME_SCRAMBLE_FREQ, SCHEME_SCRAMBLE_TIME):
+    if scheme in _SCRAMBLES:
         return permutation_allocation_bits(cfg.n_fft)
     raise ParameterError(f"unknown scheme {scheme!r}")
 
@@ -342,12 +343,12 @@ class PleCodec:
         self._kept = None
 
     def _material(self, frame_indices) -> tuple:
-        """Key material of a frame-index batch: (regions, kept perms).
+        """Key material of a frame-index batch: (regions, perms).
 
-        The codec keeps the material of the last batch it derived, read-only
-        and keyed by the indices' bytes, so decrypting the batch it has just
-        encrypted derives nothing again. Scramble permutations join the kept
-        dict when first used (_kept_perm), in the order the chain needs them.
+        perms maps each enabled scramble scheme to its permutations. Both are
+        derived together and read-only; the codec keeps the last batch's,
+        keyed by the indices' bytes, so decrypting the batch it has just
+        encrypted derives nothing again.
         """
         idx = np.asarray(frame_indices)
         if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
@@ -357,17 +358,11 @@ class PleCodec:
         key = (idx.dtype.str, idx.tobytes())
         if self._kept is None or self._kept[0] != key:
             regions = self._regions(idx)
-            regions.flags.writeable = False
-            self._kept = (key, regions, {})
+            perms = {s: self._perm(s, regions) for s in self.schemes if s in _SCRAMBLES}
+            for material in (regions, *perms.values()):
+                material.flags.writeable = False
+            self._kept = (key, regions, perms)
         return self._kept[1:]
-
-    def _kept_perm(self, scheme: str, regions: np.ndarray, perms: dict) -> np.ndarray:
-        """scheme's permutations for the batch, derived once and kept in perms."""
-        if scheme not in perms:
-            perm = self._perm(scheme, regions)
-            perm.flags.writeable = False
-            perms[scheme] = perm
-        return perms[scheme]
 
     def _regions(self, idx: np.ndarray) -> np.ndarray:
         """Each frame's keystream region, one row per frame.
@@ -431,12 +426,10 @@ class PleCodec:
         if SCHEME_DUMMY in self.schemes:
             insert_dummy(grid, self._scheme_bits(SCHEME_DUMMY, regions), cfg)
         if SCHEME_SCRAMBLE_FREQ in self.schemes:
-            perm = self._kept_perm(SCHEME_SCRAMBLE_FREQ, regions, perms)
-            grid = scramble_freq(grid, perm)
+            grid = scramble_freq(grid, perms[SCHEME_SCRAMBLE_FREQ])
         core = np.fft.ifft(grid, axis=1, norm="ortho")
         if SCHEME_SCRAMBLE_TIME in self.schemes:
-            perm = self._kept_perm(SCHEME_SCRAMBLE_TIME, regions, perms)
-            core = scramble_time(core, perm)
+            core = scramble_time(core, perms[SCHEME_SCRAMBLE_TIME])
         return np.concatenate([core[:, cfg.n_fft - cfg.cp_len :], core], axis=1)
 
     def decrypt_batch(
@@ -458,12 +451,10 @@ class PleCodec:
             )
         core = rx[:, cfg.cp_len :]
         if SCHEME_SCRAMBLE_TIME in self.schemes:
-            perm = self._kept_perm(SCHEME_SCRAMBLE_TIME, regions, perms)
-            core = unscramble_time(core, perm)
+            core = unscramble_time(core, perms[SCHEME_SCRAMBLE_TIME])
         grid = demodulate_samples(core, channel_gain)
         if SCHEME_SCRAMBLE_FREQ in self.schemes:
-            perm = self._kept_perm(SCHEME_SCRAMBLE_FREQ, regions, perms)
-            grid = unscramble_freq(grid, perm)
+            grid = unscramble_freq(grid, perms[SCHEME_SCRAMBLE_FREQ])
         symbols = grid[:, self._data_idx]
         if SCHEME_INTERLEAVE in self.schemes:
             symbols = partial_deinterleave(symbols, self.interleave_threshold)

@@ -145,10 +145,6 @@ def intersect_kept_indices(outcome: QuantizationOutcome, other_kept):
     """
     other = np.asarray(other_kept, dtype=np.intp)
     mask = np.isin(outcome.kept_indices, other)
-    common = outcome.kept_indices[mask]
-    bps = outcome.bits_per_sample
-    if bps == 1:
-        bits = outcome.bits.bits[mask]
-    else:
-        bits = outcome.bits.bits.reshape(-1, bps)[mask].ravel()
-    return BitKey(bits, STAGE_QUANTIZED), common
+    # compress, not a boolean index: it skips numpy's slow 2-D mask path
+    bits = outcome.bits.bits.reshape(-1, outcome.bits_per_sample).compress(mask, 0)
+    return BitKey(bits.ravel(), STAGE_QUANTIZED), outcome.kept_indices[mask]

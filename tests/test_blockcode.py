@@ -115,6 +115,12 @@ def test_decode_batch_reports_failing_block():
         code.decode_batch(words)
 
 
+@pytest.mark.parametrize("shape", [(2, 6), (7,), (2, 8)])
+def test_decode_batch_rejects_wrong_shapes(shape):
+    with pytest.raises(ParameterError, match=r"shape \(m, 7\)"):
+        hamming74().decode_batch(np.zeros(shape, dtype=np.uint8))
+
+
 def test_code_by_id():
     assert code_by_id("hamming74").code_id == "hamming74"
     assert code_by_id("rep41").code_id == "rep41"

@@ -9,7 +9,6 @@ from physec.bits import STAGE_AMPLIFIED, STAGE_QUANTIZED, BitKey
 from physec.errors import KeystreamExhausted, ParameterError
 from physec.keystream import (
     KeystreamSeed,
-    invert_permutation,
     keyed_permutation,
     keyed_subset,
     keystream,
@@ -187,8 +186,6 @@ def test_permutation_basics():
     ks = keystream(_seed(8), permutation_allocation_bits(64))
     perm = keyed_permutation(64, ks)
     assert sorted(perm) == list(range(64))
-    assert np.array_equal(perm[invert_permutation(perm)], np.arange(64))
-    assert np.array_equal(invert_permutation(perm)[perm], np.arange(64))
 
 
 def test_permutation_uniform_n4():
