@@ -8,8 +8,8 @@ from physec import ple
 from physec.bits import STAGE_AMPLIFIED, BitKey
 from physec.errors import ParameterError
 from physec.keystream import BLOCK_BITS, KeystreamSeed
-from physec.modulation import QAM16, QPSK
-from physec.ofdm import strip_cp, wifi_like_config
+from physec.modulation import QAM16, QPSK, map_symbols
+from physec.ofdm import frame_from_symbols, ofdm_modulate, strip_cp, wifi_like_config
 from physec.ple import SCHEME_ORDER, PleCodec, key_to_data_ratio
 
 SUBSETS = [
@@ -75,6 +75,30 @@ def test_six_scheme_ciphertext_golden_hash(mapping):
     samples = codec.encrypt_batch(bits, frames)
     digest = hashlib.sha256(samples.astype("<c16").tobytes()).hexdigest()
     assert digest == CIPHERTEXT_SHA256[mapping]
+
+
+# SHA-256 of the plain modem, a codec with no schemes: encrypt_batch of
+# frames 0..11 (payload default_rng(8)), computed while the frequency-domain
+# SymbolFrame chain (frame_from_symbols -> ofdm_modulate) still existed and
+# gave the same bytes
+PLAIN_SHA256 = {
+    QPSK: "f27e942c49d31fa6d1198750fe94cd2fb6b9ad957e8532108b08d16458ea2e38",
+    QAM16: "aa1facc827e633f921f2f613f7685734b6079e4e893217327639f349d09cc671",
+}
+
+
+@pytest.mark.parametrize("mapping", [QPSK, QAM16])
+def test_plain_codec_golden_hash(mapping):
+    cfg = wifi_like_config(mapping)
+    bits = _payloads(cfg, 12, 8)
+    samples = PleCodec(cfg, (), _seed(2027)).encrypt_batch(bits, np.arange(12))
+    chain = [
+        ofdm_modulate(frame_from_symbols(map_symbols(row, mapping), cfg)).data
+        for row in bits
+    ]
+    assert np.array_equal(samples, chain)
+    digest = hashlib.sha256(samples.astype("<c16").tobytes()).hexdigest()
+    assert digest == PLAIN_SHA256[mapping]
 
 
 def _fresh_codec(cfg, seed=9):
