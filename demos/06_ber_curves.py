@@ -11,22 +11,15 @@ import numpy as np
 
 from physec.bits import BitKey
 from physec.keystream import KeystreamSeed
-from physec.modulation import QPSK, demap_symbols, map_symbols
-from physec.ofdm import (
-    awgn_link,
-    ebn0_db_to_snr_db,
-    extract_data,
-    frame_from_symbols,
-    ofdm_demodulate,
-    ofdm_modulate,
-    wifi_like_config,
-)
+from physec.modulation import QPSK
+from physec.ofdm import awgn_link, ebn0_db_to_snr_db, wifi_like_config
 from physec.ple import SCHEME_ORDER, PleCodec
 
 cfg = wifi_like_config()
 rng = np.random.default_rng(13)
 seed = KeystreamSeed(BitKey(rng.integers(0, 2, size=128, dtype=np.uint8),
                             "amplified"))
+plain_codec = PleCodec(cfg, (), seed)  # no schemes: the bare modem
 phase_codec = PleCodec(cfg, ("phase",), seed)
 full_codec = PleCodec(cfg, SCHEME_ORDER, seed)
 
@@ -40,10 +33,8 @@ def run_point(ebn0_db):
         bits = rng.integers(0, 2, size=cfg.payload_bits, dtype=np.uint8)
         noise_seed = int(rng.integers(1 << 62))
 
-        tx = ofdm_modulate(frame_from_symbols(map_symbols(bits, QPSK), cfg))
-        rx = awgn_link(tx, snr_db, noise_seed)
-        got = demap_symbols(extract_data(ofdm_demodulate(rx)), QPSK)
-        errs["plain"] += int(np.sum(got != bits))
+        rx = awgn_link(plain_codec.encrypt(bits, f), snr_db, noise_seed)
+        errs["plain"] += int(np.sum(plain_codec.decrypt(rx, f) != bits))
 
         rx = awgn_link(phase_codec.encrypt(bits, f), snr_db, noise_seed)
         errs["phase"] += int(np.sum(phase_codec.decrypt(rx, f) != bits))

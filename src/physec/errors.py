@@ -36,7 +36,7 @@ class KeystreamExhausted(ParameterError):
 
 
 class DomainStateError(PhysecError):
-    """A frame or key was used in the wrong processing stage or domain."""
+    """A key was used in a processing stage it has already left."""
 
 
 class ConfigError(PhysecError):

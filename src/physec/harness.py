@@ -36,7 +36,6 @@ from .distill import (
 from .errors import ConfigError, ParameterError, PhysecError
 from .keystream import KeystreamSeed
 from .ofdm import (
-    DOMAIN_TIME,
     OfdmConfig,
     SymbolFrame,
     awgn_link,
@@ -501,32 +500,31 @@ def key_generation_trial(
 
     if x_e is not None:
         result.eve_kdr, result.eve_key = _eve_distillation(
-            x_e, quantizer_cfg, outcome_a, common, sk, code, finish
+            x_e, quantizer_cfg, bits_a, common, sk, code, finish
         )
     return result
 
 
-def _eve_distillation(x_e, quantizer_cfg, outcome_a, common, sk, code, finish):
+def _eve_distillation(x_e, quantizer_cfg, bits_a, common, sk, code, finish):
     """Eve's best effort: same quantizer, public kept lists, public sketch.
 
-    finish amplifies a key the way Alice's key was amplified.
+    bits_a holds Alice's bits at the common indices. finish amplifies a key
+    the way Alice's key was amplified.
     """
     try:
         outcome_e = _quantize_outcome(x_e, quantizer_cfg)
     except PhysecError:
         return math.nan, None
-    common_e = np.intersect1d(common, outcome_e.kept_indices)
-    eve_kdr = math.nan
-    if common_e.size:
-        alice_at_e, _ = intersect_kept_indices(outcome_a, common_e)
-        eve_at_e, _ = intersect_kept_indices(outcome_e, common_e)
-        eve_kdr = bit_fraction_differing(alice_at_e.bits, eve_at_e.bits)
     # align Eve's bits to the legit common index list, zero-filling her drops;
     # both quantizers keep indices in input order, so hers are sorted
     bps = outcome_e.bits_per_sample
     eve_grid = np.zeros((common.size, bps), dtype=np.uint8)
     src, row = match_sorted(outcome_e.kept_indices, common)
     eve_grid[row] = outcome_e.bits.bits.reshape(-1, bps)[src]
+    eve_kdr = math.nan
+    if row.size:
+        alice_grid = bits_a.bits.reshape(-1, bps)
+        eve_kdr = bit_fraction_differing(alice_grid[row].ravel(), eve_grid[row].ravel())
     k_e = BitKey(eve_grid.ravel()[: sk.s.size])
     try:
         return eve_kdr, finish(recover(k_e, sk, code))
@@ -577,7 +575,7 @@ def _ber_trial(
     # each frame gets awgn_link's noise draw from that frame's own seed
     rx = np.empty_like(tx)
     for row, (samples, seed) in enumerate(zip(tx, noise_seeds)):
-        frame = SymbolFrame(samples, DOMAIN_TIME, cfg, has_cp=True)
+        frame = SymbolFrame(samples, cfg, has_cp=True)
         rx[row] = awgn_link(frame, point.snr_db, seed).data
     total = n_frames * cfg.payload_bits
     ber = {

@@ -1,5 +1,8 @@
 """OFDM framing: subcarrier layout, unitary (I)FFT modem, channel links.
 
+The modem works on arrays with one OFDM symbol per row: ofdm_modulate and
+ofdm_demodulate are the DFT pair along the last axis, and attach_cp adds
+the cyclic prefix. SymbolFrame is the time-domain frame the links carry.
 The DFT pair is unitary (norm="ortho"), so scrambling stages and the modem
 itself preserve energy exactly and per-subcarrier noise variance equals the
 injected per-sample variance.
@@ -12,10 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from . import modulation
-from .errors import DomainStateError, ParameterError
-
-DOMAIN_FREQ = "freq"
-DOMAIN_TIME = "time"
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -87,88 +87,44 @@ def wifi_like_config(mapping: str = modulation.QPSK) -> OfdmConfig:
 
 @dataclass(frozen=True)
 class SymbolFrame:
-    """One OFDM symbol with its domain tag and carrier occupancy map."""
+    """One time-domain OFDM symbol on the link, with or without its prefix."""
 
     data: np.ndarray
-    domain: str
     cfg: OfdmConfig
     has_cp: bool = False
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=complex)
         object.__setattr__(self, "data", arr)
-        if self.domain not in (DOMAIN_FREQ, DOMAIN_TIME):
-            raise ParameterError(f"unknown domain {self.domain!r}")
-        expect = self.cfg.n_fft
-        if self.domain == DOMAIN_FREQ:
-            if self.has_cp:
-                raise DomainStateError("frequency-domain frames carry no prefix")
-        elif self.has_cp:
-            expect += self.cfg.cp_len
+        expect = self.cfg.n_fft + (self.cfg.cp_len if self.has_cp else 0)
         if arr.shape != (expect,):
-            raise ParameterError(
-                f"{self.domain} frame must have shape ({expect},), got {arr.shape}"
-            )
-
-    def require(self, domain: str, has_cp: bool | None = None) -> None:
-        if self.domain != domain or (has_cp is not None and self.has_cp != has_cp):
-            raise DomainStateError(
-                f"expected a {domain} frame"
-                + ("" if has_cp is None else f" with has_cp={has_cp}")
-                + f", got {self.domain} (has_cp={self.has_cp})"
-            )
+            raise ParameterError(f"frame must have shape ({expect},), got {arr.shape}")
 
 
-def frame_from_symbols(symbols, cfg: OfdmConfig) -> SymbolFrame:
-    """Place data-carrier symbols into an otherwise empty frequency frame."""
-    sym = np.asarray(symbols, dtype=complex)
-    if sym.shape != (cfg.n_data,):
-        raise ParameterError(f"expected {cfg.n_data} symbols, got {sym.shape}")
-    grid = np.zeros(cfg.n_fft, dtype=complex)
-    grid[list(cfg.data_carriers)] = sym
-    return SymbolFrame(grid, DOMAIN_FREQ, cfg)
+def ofdm_modulate(grid) -> np.ndarray:
+    """Unitary inverse DFT along the last axis: subcarrier grid[..., n_fft]
+    -> prefix-free samples core[..., n_fft], one OFDM symbol per row."""
+    return np.fft.ifft(grid, axis=-1, norm="ortho")
 
 
-def extract_data(frame: SymbolFrame) -> np.ndarray:
-    """Data-carrier symbols of a frequency frame (decoys simply ignored)."""
-    frame.require(DOMAIN_FREQ)
-    return frame.data[list(frame.cfg.data_carriers)].copy()
+def attach_cp(core, cp_len: int) -> np.ndarray:
+    """Prefix each row of core[..., n] with a copy of its last cp_len samples.
+
+    A cp_len of 0 adds nothing; x[..., cp_len:] takes the prefix off again.
+    """
+    core = np.asarray(core)
+    n = core.shape[-1]
+    if not 0 <= cp_len < n:
+        raise ParameterError(f"cp_len must be in [0, {n})")
+    return np.concatenate([core[..., n - cp_len :], core], axis=-1)
 
 
-def attach_cp(frame: SymbolFrame) -> SymbolFrame:
-    frame.require(DOMAIN_TIME, has_cp=False)
-    cp = frame.data[frame.cfg.n_fft - frame.cfg.cp_len :]
-    return replace(frame, data=np.concatenate([cp, frame.data]), has_cp=True)
-
-
-def strip_cp(frame: SymbolFrame) -> SymbolFrame:
-    frame.require(DOMAIN_TIME, has_cp=True)
-    return replace(frame, data=frame.data[frame.cfg.cp_len :].copy(), has_cp=False)
-
-
-def ofdm_modulate(frame: SymbolFrame) -> SymbolFrame:
-    """Frequency frame -> time frame: unitary inverse DFT, then prefix."""
-    frame.require(DOMAIN_FREQ)
-    core = np.fft.ifft(frame.data, norm="ortho")
-    return attach_cp(SymbolFrame(core, DOMAIN_TIME, frame.cfg))
-
-
-def ofdm_demodulate(frame: SymbolFrame, channel_gain: complex = 1.0) -> SymbolFrame:
-    """Time frame -> frequency frame: drop prefix, unitary DFT, equalize.
+def ofdm_demodulate(core, channel_gain: complex = 1.0) -> np.ndarray:
+    """Unitary DFT along the last axis: prefix-free samples core[..., n_fft]
+    -> equalized grid[..., n_fft], one OFDM symbol per row.
 
     channel_gain is the known one-tap flat-fading coefficient; the receiver
     divides it out per subcarrier.
-    """
-    core = strip_cp(frame) if frame.has_cp else frame
-    core.require(DOMAIN_TIME, has_cp=False)
-    grid = demodulate_samples(core.data, channel_gain)
-    return SymbolFrame(grid, DOMAIN_FREQ, frame.cfg)
-
-
-def demodulate_samples(core, channel_gain: complex = 1.0) -> np.ndarray:
-    """Prefix-free time samples -> equalized grid, along the last axis.
-
-    The array form of ofdm_demodulate, one OFDM symbol per row.
     """
     if channel_gain == 0:
         raise ParameterError("channel gain must be nonzero")

@@ -20,6 +20,10 @@ that row's keystream bits; PleCodec calls them in this order:
 Each enabled scheme owns a fixed region of keystream blocks per frame, so
 budgets are deterministic, frames never reuse keystream, and the receiver
 can derive any stage's bits independently of the others.
+
+The codec runs ofdm's array modem (ofdm_modulate, attach_cp,
+ofdm_demodulate) between the stages; PleCodec(cfg, (), seed), with no
+schemes, is the plain modem.
 """
 from __future__ import annotations
 
@@ -40,14 +44,7 @@ from .keystream import (
     subset_allocation_bits,
     xor_encrypt,
 )
-from .ofdm import (
-    DOMAIN_TIME,
-    OfdmConfig,
-    SymbolFrame,
-    attach_cp,
-    demodulate_samples,
-    ofdm_demodulate,  # noqa: F401  (perfbench traces it under this module)
-)
+from .ofdm import OfdmConfig, SymbolFrame, attach_cp, ofdm_demodulate, ofdm_modulate
 
 SCHEME_XOR = "xor"
 SCHEME_PHASE = "phase"
@@ -196,6 +193,13 @@ def partial_deinterleave(symbols, threshold: float) -> np.ndarray:
     return np.where(sel, swapped, values)
 
 
+def _dummy_bits(cfg: OfdmConfig) -> tuple[int, int]:
+    """The dummy stage's bits per frame: (decoy value bits, value + slot bits)."""
+    count = len(cfg.dummy_carriers)
+    values = count * modulation.bits_per_symbol(cfg.mapping)
+    return values, values + subset_allocation_bits(len(cfg.idle_carriers), count)
+
+
 def insert_dummy(grids: np.ndarray, ks, cfg: OfdmConfig) -> None:
     """Fill keyed decoy slots of grids[F, n_fft] in place, row f keyed by ks[f].
 
@@ -214,8 +218,7 @@ def insert_dummy(grids: np.ndarray, ks, cfg: OfdmConfig) -> None:
     if count == 0:
         return
     idle = cfg.idle_carriers
-    n_value_bits = count * modulation.bits_per_symbol(cfg.mapping)
-    need = n_value_bits + subset_allocation_bits(len(idle), count)
+    n_value_bits, need = _dummy_bits(cfg)
     if ks.shape[1] < need:
         raise KeystreamExhausted(f"dummy stage needs {need} bits, got {ks.shape[1]}")
     values = modulation.map_symbols(ks[:, :n_value_bits].ravel(), cfg.mapping)
@@ -281,10 +284,7 @@ def scheme_budget_bits(
     if scheme == SCHEME_INTERLEAVE:
         return 0
     if scheme == SCHEME_DUMMY:
-        count = len(cfg.dummy_carriers)
-        return count * modulation.bits_per_symbol(cfg.mapping) + (
-            subset_allocation_bits(len(cfg.idle_carriers), count)
-        )
+        return _dummy_bits(cfg)[1]
     if scheme in _SCRAMBLES:
         return permutation_allocation_bits(cfg.n_fft)
     raise ParameterError(f"unknown scheme {scheme!r}")
@@ -306,9 +306,9 @@ class PleCodec:
 
     Encryption order: xor on bits, constellation mapping, phase, partial
     interleave (data carriers), dummy insertion, frequency scrambling,
-    unitary IFFT, time scrambling, cyclic prefix. Decryption inverts the
-    chain. frame_index advances the keystream so no two frames share
-    keystream positions.
+    unitary IFFT (ofdm_modulate), time scrambling, cyclic prefix
+    (attach_cp). Decryption inverts the chain. frame_index advances the
+    keystream so no two frames share keystream positions.
 
     The codec works on batches of frames: encrypt_batch and decrypt_batch
     take one row per frame plus each row's frame index, and run each
@@ -427,10 +427,10 @@ class PleCodec:
             insert_dummy(grid, self._scheme_bits(SCHEME_DUMMY, regions), cfg)
         if SCHEME_SCRAMBLE_FREQ in self.schemes:
             grid = scramble_freq(grid, perms[SCHEME_SCRAMBLE_FREQ])
-        core = np.fft.ifft(grid, axis=1, norm="ortho")
+        core = ofdm_modulate(grid)
         if SCHEME_SCRAMBLE_TIME in self.schemes:
             core = scramble_time(core, perms[SCHEME_SCRAMBLE_TIME])
-        return np.concatenate([core[:, cfg.n_fft - cfg.cp_len :], core], axis=1)
+        return attach_cp(core, cfg.cp_len)
 
     def decrypt_batch(
         self, samples, frame_indices, channel_gain: complex = 1.0
@@ -438,7 +438,7 @@ class PleCodec:
         """Invert encrypt_batch: samples[F, n_fft + cp_len] -> bits[F, payload_bits].
 
         channel_gain is the known one-tap flat-fading coefficient, divided
-        out per subcarrier as in ofdm_demodulate.
+        out per subcarrier by ofdm_demodulate.
         """
         cfg = self.cfg
         regions, perms = self._material(frame_indices)
@@ -452,7 +452,7 @@ class PleCodec:
         core = rx[:, cfg.cp_len :]
         if SCHEME_SCRAMBLE_TIME in self.schemes:
             core = unscramble_time(core, perms[SCHEME_SCRAMBLE_TIME])
-        grid = demodulate_samples(core, channel_gain)
+        grid = ofdm_demodulate(core, channel_gain)
         if SCHEME_SCRAMBLE_FREQ in self.schemes:
             grid = unscramble_freq(grid, perms[SCHEME_SCRAMBLE_FREQ])
         symbols = grid[:, self._data_idx]
@@ -472,16 +472,15 @@ class PleCodec:
         with its cyclic prefix."""
         bits = np.asarray(plain_bits, dtype=np.uint8)
         samples = self.encrypt_batch(bits[None], [frame_index])[0]
-        return SymbolFrame(samples, DOMAIN_TIME, self.cfg, has_cp=True)
+        return SymbolFrame(samples, self.cfg, has_cp=True)
 
     def decrypt(
         self, frame: SymbolFrame, frame_index: int = 0, channel_gain: complex = 1.0
     ) -> np.ndarray:
         """decrypt_batch for one time-domain SymbolFrame, with or without
         its cyclic prefix."""
-        frame.require(DOMAIN_TIME)
-        with_cp = frame if frame.has_cp else attach_cp(frame)
-        return self.decrypt_batch(with_cp.data[None], [frame_index], channel_gain)[0]
+        samples = frame.data if frame.has_cp else attach_cp(frame.data, self.cfg.cp_len)
+        return self.decrypt_batch(samples[None], [frame_index], channel_gain)[0]
 
 
 def key_to_data_ratio(

@@ -90,14 +90,16 @@ def quantize_mean_sigma(x, cfg: MeanSigmaConfig) -> QuantizationOutcome:
     return QuantizationOutcome(BitKey(bits, STAGE_QUANTIZED), kept)
 
 
-def gray_code(j: int, ql: int) -> np.ndarray:
-    """QL-bit reflected Gray code of interval index j, MSB first."""
+def gray_code(j, ql: int) -> np.ndarray:
+    """QL-bit reflected Gray code of interval index j, MSB first; for an
+    array j, one code per entry along a new last axis."""
     if not 1 <= ql <= 8:
         raise ParameterError("ql must be in 1..8")
-    if not 0 <= j < (1 << ql):
-        raise ParameterError(f"index {j} outside [0, 2^{ql})")
+    j = np.asarray(j)
+    if np.any((j < 0) | (j >= 1 << ql)):
+        raise ParameterError(f"index outside [0, 2^{ql})")
     g = j ^ (j >> 1)
-    return ((g >> np.arange(ql - 1, -1, -1)) & 1).astype(np.uint8)
+    return ((g[..., None] >> np.arange(ql - 1, -1, -1)) & 1).astype(np.uint8)
 
 
 def _cdf_thresholds(arr: np.ndarray, ql: int) -> np.ndarray:
@@ -130,10 +132,7 @@ def quantize_cdf(x, cfg: CdfConfig) -> BitKey:
         raise ParameterError(f"need a 1-D vector of at least {1 << ql} samples")
     thresholds = _cdf_thresholds(arr, ql)
     idx = np.searchsorted(thresholds, arr, side="right")
-    g = idx ^ (idx >> 1)
-    shifts = np.arange(ql - 1, -1, -1)
-    bits = ((g[:, None] >> shifts) & 1).astype(np.uint8).ravel()
-    return BitKey(bits, STAGE_QUANTIZED)
+    return BitKey(gray_code(idx, ql).ravel(), STAGE_QUANTIZED)
 
 
 def intersect_kept_indices(outcome: QuantizationOutcome, other_kept):

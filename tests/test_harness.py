@@ -552,7 +552,7 @@ def test_eve_alignment_matches_loop_reference(quantizer, code_id):
             return amplify(key, leaked, 16, b"salt")
 
         args = (x_e, quantizer, outcome_a, common, sk, code, finish)
-        got_kdr, got_key = _eve_distillation(*args)
+        got_kdr, got_key = _eve_distillation(x_e, quantizer, bits_a, *args[3:])
         want_kdr, want_key = _loop_eve_distillation(*args)
         assert got_key == want_key
         keys += got_key is not None

@@ -4,15 +4,18 @@ scipy.signal and scipy.special take ~1.1 s to import, and the process pool
 ~35 ms. Importing physec, loading or validating a config and reading a trace
 use neither, so they must stay unloaded until a channel is simulated or a
 pool runs. Each case runs in its own interpreter, because the test process
-has long since imported everything.
+has long since imported everything. The last test checks that physec's
+__all__ lists every public name the package binds, once.
 """
 import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
+import physec
 from physec.channel import ChannelParams, generate_trace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -133,3 +136,15 @@ def test_pool_run_matches_serial_and_loads_filter_in_parent_only_to_simulate(
     out = _run(POOL, json.dumps(replayed))
     assert out["same"]
     assert out["scipy"] == []
+
+
+def test_public_api_lists_each_bound_name_once():
+    names = physec.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(physec, name)] == []
+    bound = {
+        name
+        for name, value in vars(physec).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(bound - set(names)) == []

@@ -1,30 +1,32 @@
 import numpy as np
 import pytest
 
-from physec.errors import DomainStateError, ParameterError
+from physec.bits import STAGE_AMPLIFIED, BitKey
+from physec.errors import ParameterError
+from physec.keystream import KeystreamSeed
 from physec.modulation import QAM16, QPSK, map_symbols
 from physec.ofdm import (
-    DOMAIN_FREQ,
-    DOMAIN_TIME,
     OfdmConfig,
     SymbolFrame,
     attach_cp,
     awgn_link,
     ebn0_db_to_snr_db,
-    extract_data,
     flat_fading_link,
-    frame_from_symbols,
     ofdm_demodulate,
     ofdm_modulate,
-    strip_cp,
     wifi_like_config,
 )
+from physec.ple import PleCodec
 
 
 def _random_frame(cfg, seed=0):
+    """Payload bits, their subcarrier grid and the time-domain link frame."""
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=cfg.payload_bits, dtype=np.uint8)
-    return bits, frame_from_symbols(map_symbols(bits, cfg.mapping), cfg)
+    grid = np.zeros(cfg.n_fft, dtype=complex)
+    grid[list(cfg.data_carriers)] = map_symbols(bits, cfg.mapping)
+    samples = attach_cp(ofdm_modulate(grid), cfg.cp_len)
+    return bits, grid, SymbolFrame(samples, cfg, has_cp=True)
 
 
 def test_wifi_layout():
@@ -45,55 +47,63 @@ def test_wifi_layout():
 def test_modem_roundtrip():
     for mapping in (QPSK, QAM16):
         cfg = wifi_like_config(mapping)
-        bits, frame = _random_frame(cfg, seed=1)
-        time = ofdm_modulate(frame)
-        assert time.domain == DOMAIN_TIME and time.has_cp
-        assert time.data.size == 80
-        back = ofdm_demodulate(time)
-        assert np.allclose(back.data, frame.data, atol=1e-10)
-        assert np.allclose(extract_data(back), map_symbols(bits, mapping), atol=1e-10)
+        bits, grid, frame = _random_frame(cfg, seed=1)
+        assert frame.data.size == 80
+        back = ofdm_demodulate(frame.data[cfg.cp_len :])
+        assert np.allclose(back, grid, atol=1e-10)
+        data = list(cfg.data_carriers)
+        assert np.allclose(back[data], map_symbols(bits, mapping), atol=1e-10)
+
+
+def test_modem_rows_are_frames():
+    cfg = wifi_like_config()
+    grids = np.stack([_random_frame(cfg, seed=s)[1] for s in (20, 21, 22)])
+    core = ofdm_modulate(grids)
+    assert np.array_equal(core, [ofdm_modulate(g) for g in grids])
+    samples = attach_cp(core, cfg.cp_len)
+    assert np.array_equal(samples, [attach_cp(c, cfg.cp_len) for c in core])
+    back = ofdm_demodulate(core, channel_gain=0.5j)
+    assert np.array_equal(back, [ofdm_demodulate(c, channel_gain=0.5j) for c in core])
 
 
 def test_cyclic_prefix_is_tail_copy():
     cfg = wifi_like_config()
-    _, frame = _random_frame(cfg, seed=2)
-    core = ofdm_modulate(frame)  # has CP already
-    assert np.array_equal(core.data[:16], core.data[-16:])
-    stripped = strip_cp(core)
-    assert stripped.data.size == 64
-    assert np.array_equal(attach_cp(stripped).data, core.data)
+    _, grid, frame = _random_frame(cfg, seed=2)
+    core = ofdm_modulate(grid)
+    assert np.array_equal(frame.data[:16], frame.data[-16:])
+    assert np.array_equal(frame.data[16:], core)
+    assert np.array_equal(attach_cp(core, 0), core)
+    for cp_len in (-1, 64):
+        with pytest.raises(ParameterError):
+            attach_cp(core, cp_len)
 
 
 def test_impulse_bin_gives_flat_time_signal():
-    cfg = wifi_like_config()
     grid = np.zeros(64, dtype=complex)
     grid[0] = 1.0
-    time = ofdm_modulate(SymbolFrame(grid, DOMAIN_FREQ, cfg))
-    core = strip_cp(time)
-    assert np.allclose(core.data, 1.0 / 8.0)
+    assert np.allclose(ofdm_modulate(grid), 1.0 / 8.0)
 
 
 def test_modem_preserves_energy():
     cfg = wifi_like_config()
-    _, frame = _random_frame(cfg, seed=3)
-    core = strip_cp(ofdm_modulate(frame))
-    assert np.sum(np.abs(core.data) ** 2) == pytest.approx(
-        np.sum(np.abs(frame.data) ** 2), abs=1e-12
+    _, grid, _ = _random_frame(cfg, seed=3)
+    core = ofdm_modulate(grid)
+    assert np.sum(np.abs(core) ** 2) == pytest.approx(
+        np.sum(np.abs(grid) ** 2), abs=1e-12
     )
 
 
 def test_awgn_infinite_snr_identity():
     cfg = wifi_like_config()
-    _, frame = _random_frame(cfg, seed=4)
-    time = ofdm_modulate(frame)
-    out = awgn_link(time, np.inf, rng_seed=0)
-    assert np.array_equal(out.data, time.data)
+    _, _, frame = _random_frame(cfg, seed=4)
+    out = awgn_link(frame, np.inf, rng_seed=0)
+    assert np.array_equal(out.data, frame.data)
 
 
 def test_awgn_noise_power_calibrated():
     n = 1 << 17
     cfg = OfdmConfig(n_fft=n, cp_len=0, data_carriers=(1,))
-    silent = SymbolFrame(np.zeros(n, dtype=complex), DOMAIN_TIME, cfg)
+    silent = SymbolFrame(np.zeros(n, dtype=complex), cfg)
     for snr_db in (0.0, 10.0):
         out = awgn_link(silent, snr_db, rng_seed=5)
         power = float(np.mean(np.abs(out.data) ** 2))
@@ -102,35 +112,33 @@ def test_awgn_noise_power_calibrated():
 
 def test_awgn_deterministic():
     cfg = wifi_like_config()
-    _, frame = _random_frame(cfg, seed=6)
-    time = ofdm_modulate(frame)
-    a = awgn_link(time, 10.0, rng_seed=7)
-    b = awgn_link(time, 10.0, rng_seed=7)
-    c = awgn_link(time, 10.0, rng_seed=8)
+    _, _, frame = _random_frame(cfg, seed=6)
+    a = awgn_link(frame, 10.0, rng_seed=7)
+    b = awgn_link(frame, 10.0, rng_seed=7)
+    c = awgn_link(frame, 10.0, rng_seed=8)
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
 
 
 def test_awgn_rejects_nonsense_snr():
     cfg = wifi_like_config()
-    _, frame = _random_frame(cfg, seed=9)
-    time = ofdm_modulate(frame)
+    _, _, frame = _random_frame(cfg, seed=9)
     with pytest.raises(ParameterError):
-        awgn_link(time, float("nan"), 0)
+        awgn_link(frame, float("nan"), 0)
     with pytest.raises(ParameterError):
-        awgn_link(time, -np.inf, 0)
+        awgn_link(frame, -np.inf, 0)
 
 
 def test_flat_fading_equalized_roundtrip():
     cfg = wifi_like_config()
-    bits, frame = _random_frame(cfg, seed=10)
-    time = ofdm_modulate(frame)
-    faded, gain = flat_fading_link(time, np.inf, rng_seed=11)
+    bits, _, frame = _random_frame(cfg, seed=10)
+    faded, gain = flat_fading_link(frame, np.inf, rng_seed=11)
     assert gain != 0
-    back = ofdm_demodulate(faded, channel_gain=gain)
-    assert np.allclose(extract_data(back), map_symbols(bits, QPSK), atol=1e-10)
+    back = ofdm_demodulate(faded.data[cfg.cp_len :], channel_gain=gain)
+    data = list(cfg.data_carriers)
+    assert np.allclose(back[data], map_symbols(bits, QPSK), atol=1e-10)
     # tap is reproducible per seed
-    _, gain2 = flat_fading_link(time, np.inf, rng_seed=11)
+    _, gain2 = flat_fading_link(frame, np.inf, rng_seed=11)
     assert gain == gain2
 
 
@@ -140,33 +148,27 @@ def test_ebn0_conversion():
 
 
 def test_extract_ignores_decoys():
+    # the plain modem (a codec with no schemes) reads only the data carriers
     cfg = wifi_like_config()
-    bits, frame = _random_frame(cfg, seed=12)
-    grid = frame.data.copy()
-    grid[list(cfg.dummy_carriers)] = 9.0 + 9.0j
-    loaded = SymbolFrame(grid, DOMAIN_FREQ, cfg)
-    assert np.array_equal(extract_data(loaded), extract_data(frame))
-    assert np.mean(np.abs(extract_data(loaded)) ** 2) == pytest.approx(1.0)
+    key = BitKey(np.random.default_rng(12).integers(0, 2, 128, dtype=np.uint8),
+                 STAGE_AMPLIFIED)
+    codec = PleCodec(cfg, (), KeystreamSeed(key))
+    bits, grid, frame = _random_frame(cfg, seed=12)
+    assert np.array_equal(codec.encrypt(bits, 5).data, frame.data)
+    grid[list(cfg.idle_carriers)] = 9.0 + 9.0j
+    loaded = SymbolFrame(attach_cp(ofdm_modulate(grid), cfg.cp_len), cfg, has_cp=True)
+    assert np.array_equal(codec.decrypt(loaded, 5), bits)
+    data = ofdm_demodulate(loaded.data[cfg.cp_len :])[list(cfg.data_carriers)]
+    assert np.mean(np.abs(data) ** 2) == pytest.approx(1.0)
 
 
 def test_frame_and_config_validation():
     cfg = wifi_like_config()
+    for size, has_cp in ((63, False), (80, False), (64, True)):
+        with pytest.raises(ParameterError):
+            SymbolFrame(np.zeros(size, dtype=complex), cfg, has_cp=has_cp)
     with pytest.raises(ParameterError):
-        SymbolFrame(np.zeros(63, dtype=complex), DOMAIN_FREQ, cfg)
-    with pytest.raises(DomainStateError):
-        SymbolFrame(np.zeros(64, dtype=complex), DOMAIN_FREQ, cfg, has_cp=True)
-    with pytest.raises(ParameterError):
-        SymbolFrame(np.zeros(64, dtype=complex), "delay", cfg)
-    freq = SymbolFrame(np.zeros(64, dtype=complex), DOMAIN_FREQ, cfg)
-    with pytest.raises(DomainStateError):
-        strip_cp(freq)
-    with pytest.raises(DomainStateError):
-        ofdm_demodulate(freq)
-    time = SymbolFrame(np.zeros(64, dtype=complex), DOMAIN_TIME, cfg)
-    with pytest.raises(ParameterError):
-        ofdm_demodulate(attach_cp(time), channel_gain=0)
-    with pytest.raises(ParameterError):
-        frame_from_symbols(np.zeros(47, dtype=complex), cfg)
+        ofdm_demodulate(np.zeros(64, dtype=complex), channel_gain=0)
     with pytest.raises(ParameterError):
         OfdmConfig(n_fft=48, cp_len=0, data_carriers=(1,))
     with pytest.raises(ParameterError):

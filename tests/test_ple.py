@@ -10,9 +10,8 @@ from physec.modulation import QAM16, QPSK, map_symbols, min_decision_distance
 from physec.ofdm import (
     OfdmConfig,
     awgn_link,
-    demodulate_samples,
     ebn0_db_to_snr_db,
-    frame_from_symbols,
+    ofdm_demodulate,
     ofdm_modulate,
     wifi_like_config,
 )
@@ -44,6 +43,13 @@ def _seed(seed_int, n=128):
 def _qpsk_symbols(n, seed=0):
     rng = np.random.default_rng(seed)
     return map_symbols(rng.integers(0, 2, size=2 * n, dtype=np.uint8), QPSK)
+
+
+def _qpsk_grid(cfg, seed):
+    """A subcarrier grid with random QPSK symbols on cfg's data carriers."""
+    grid = np.zeros(cfg.n_fft, dtype=complex)
+    grid[list(cfg.data_carriers)] = _qpsk_symbols(cfg.n_data, seed)
+    return grid
 
 
 def test_phase_zero_keystream_is_identity():
@@ -138,7 +144,7 @@ def test_interleave_leaves_non_data_carriers():
     frames = np.arange(8)
     bits = np.random.default_rng(30).integers(0, 2, (8, 96), dtype=np.uint8)
     with_interleave, dummy_only = (
-        demodulate_samples(
+        ofdm_demodulate(
             PleCodec(cfg, stack, _seed(31), interleave_threshold=-math.pi)
             .encrypt_batch(bits, frames)[:, cfg.cp_len :]
         )
@@ -164,7 +170,7 @@ def test_interleave_threshold_validation():
 
 def test_dummy_noop_without_slots():
     cfg = OfdmConfig(n_fft=64, cp_len=16, data_carriers=tuple(range(1, 49)))
-    before = frame_from_symbols(_qpsk_symbols(48, seed=8), cfg).data
+    before = _qpsk_grid(cfg, seed=8)
     grid = before[None].copy()
     insert_dummy(grid, np.zeros((1, 0), dtype=np.uint8), cfg)
     assert np.array_equal(grid[0], before)
@@ -174,7 +180,7 @@ def test_dummy_fills_keyed_slots_only():
     cfg = wifi_like_config()
     seed = _seed(9)
     budget = scheme_budget_bits("dummy", cfg, PhaseEncryptConfig())
-    before = frame_from_symbols(_qpsk_symbols(48, seed=10), cfg).data
+    before = _qpsk_grid(cfg, seed=10)
     grid = before[None].copy()
     insert_dummy(grid, keystream(seed, budget)[None], cfg)
     out = grid[0]
@@ -212,9 +218,7 @@ def test_dummy_values_uniform_over_constellation():
 def test_scramble_freq_semantics_and_roundtrip():
     rng = np.random.default_rng(12)
     cfg = wifi_like_config()
-    grid = np.stack(
-        [frame_from_symbols(_qpsk_symbols(48, seed=s), cfg).data for s in (13, 113)]
-    )
+    grid = np.stack([_qpsk_grid(cfg, seed=s) for s in (13, 113)])
     perm = np.stack([rng.permutation(64), rng.permutation(64)])
     out = scramble_freq(grid, perm)
     assert np.array_equal(out, [row[p] for row, p in zip(grid, perm)])
@@ -227,10 +231,7 @@ def test_scramble_freq_semantics_and_roundtrip():
 
 def test_scramble_time_refreshes_prefix():
     rng = np.random.default_rng(14)
-    frame = ofdm_modulate(
-        frame_from_symbols(_qpsk_symbols(48, seed=15), wifi_like_config())
-    )
-    core = frame.data[None, 16:]
+    core = ofdm_modulate(_qpsk_grid(wifi_like_config(), seed=15))[None]
     perm = rng.permutation(64)[None]
     out = scramble_time(core, perm)
     assert np.array_equal(out[0], core[0][perm[0]])
@@ -253,7 +254,7 @@ def test_scramble_time_refreshes_prefix():
 
 
 def test_scramble_rejects_non_permutation():
-    grid = frame_from_symbols(_qpsk_symbols(48, seed=16), wifi_like_config()).data[None]
+    grid = _qpsk_grid(wifi_like_config(), seed=16)[None]
     with pytest.raises(ParameterError):
         scramble_freq(grid, np.zeros((1, 64), dtype=np.intp))
     with pytest.raises(ParameterError):

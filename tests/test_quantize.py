@@ -82,6 +82,7 @@ def test_gray_code_examples():
 def test_gray_code_adjacency_all_levels():
     for ql in range(1, 9):
         codes = [gray_code(j, ql) for j in range(1 << ql)]
+        assert np.array_equal(gray_code(np.arange(1 << ql), ql), codes)
         for a, b in zip(codes, codes[1:]):
             assert int(np.sum(a != b)) == 1
         # codes are distinct, i.e. a true relabeling
@@ -95,6 +96,8 @@ def test_gray_code_validation():
         gray_code(-1, 2)
     with pytest.raises(ParameterError):
         gray_code(0, 0)
+    with pytest.raises(ParameterError):
+        gray_code(np.array([0, 3, 4]), 2)
 
 
 def test_cdf_example_one_bit():
