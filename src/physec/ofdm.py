@@ -131,14 +131,18 @@ def ofdm_demodulate(core, channel_gain: complex = 1.0) -> np.ndarray:
     return np.fft.fft(core, axis=-1, norm="ortho") / channel_gain
 
 
+def _check_snr(snr_db: float) -> None:
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ParameterError("snr_db must be a real value or +inf")
+
+
 def awgn_link(frame: SymbolFrame, snr_db: float, rng_seed: int) -> SymbolFrame:
     """Add circularly symmetric complex Gaussian noise.
 
     Per-sample noise variance is 10^(-snr_db/10) relative to unit signal
     power; +inf leaves the frame untouched.
     """
-    if np.isnan(snr_db) or snr_db == -np.inf:
-        raise ParameterError("snr_db must be a real value or +inf")
+    _check_snr(snr_db)
     if snr_db == np.inf:
         return frame
     rng = np.random.default_rng(rng_seed)
@@ -146,6 +150,28 @@ def awgn_link(frame: SymbolFrame, snr_db: float, rng_seed: int) -> SymbolFrame:
     n = frame.data.size
     noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (sigma / np.sqrt(2))
     return replace(frame, data=frame.data + noise)
+
+
+def awgn_rows(samples, snr_db: float, seeds) -> np.ndarray:
+    """awgn_link on each row of samples[F, n]: row f gets exactly the noise
+    awgn_link adds with seeds[f], without a SymbolFrame per row.
+
+    A generator's standard_normal(2 n) is its two standard_normal(n) draws
+    in turn, so one call per row gives the real and imaginary parts.
+    """
+    _check_snr(snr_db)
+    x = np.asarray(samples, dtype=complex)
+    if x.ndim != 2 or len(seeds) != x.shape[0]:
+        raise ParameterError(f"need one seed per row of samples, got {x.shape}")
+    if snr_db == np.inf:
+        return x
+    sigma = 10.0 ** (-snr_db / 20.0)
+    n = x.shape[1]
+    noise = np.empty_like(x)
+    for row, seed in zip(noise, seeds):
+        draw = np.random.default_rng(seed).standard_normal(2 * n)
+        row.real, row.imag = draw[:n], draw[n:]
+    return x + noise * (sigma / np.sqrt(2))
 
 
 def flat_fading_link(

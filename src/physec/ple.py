@@ -19,7 +19,8 @@ that row's keystream bits; PleCodec calls them in this order:
 
 Each enabled scheme owns a fixed region of keystream blocks per frame, so
 budgets are deterministic, frames never reuse keystream, and the receiver
-can derive any stage's bits independently of the others.
+can derive any stage's bits independently of the others. The scramble
+regions come last and are hashed only as far as their draws read.
 
 The codec runs ofdm's array modem (ofdm_modulate, attach_cp,
 ofdm_demodulate) between the stages; PleCodec(cfg, (), seed), with no
@@ -36,6 +37,7 @@ from . import modulation
 from .errors import KeystreamExhausted, ParameterError
 from .keystream import (
     BLOCK_BITS,
+    KeystreamRegions,
     KeystreamSeed,
     keyed_permutation,
     keyed_subset,
@@ -222,8 +224,7 @@ def insert_dummy(grids: np.ndarray, ks, cfg: OfdmConfig) -> None:
     if ks.shape[1] < need:
         raise KeystreamExhausted(f"dummy stage needs {need} bits, got {ks.shape[1]}")
     values = modulation.map_symbols(ks[:, :n_value_bits].ravel(), cfg.mapping)
-    slots = [keyed_subset(idle, count, row) for row in ks[:, n_value_bits:need]]
-    slots = np.array(slots, dtype=np.intp).reshape(-1, count)
+    slots = keyed_subset(idle, count, ks[:, n_value_bits:need])
     np.put_along_axis(grids, slots, values.reshape(-1, count), axis=1)
 
 
@@ -339,16 +340,24 @@ class PleCodec:
             self._region_offset[s] = offset
             offset += -(-self._budgets[s] // BLOCK_BITS)
         self._blocks_per_frame = offset
+        # every scheme but the scrambles reads one prefix of its frame's
+        # blocks, the dummy stage's last; decryption skips the dummy's
+        scrambles = [self._region_offset[s] for s in self.schemes if s in _SCRAMBLES]
+        self._eager_blocks = scrambles[0] if scrambles else offset
+        self._decrypt_blocks = self._region_offset.get(SCHEME_DUMMY, self._eager_blocks)
         self._data_idx = np.asarray(cfg.data_carriers, dtype=np.intp)
         self._kept = None
 
-    def _material(self, frame_indices) -> tuple:
+    def _material(self, frame_indices, dummy: bool) -> tuple:
         """Key material of a frame-index batch: (regions, perms).
 
-        perms maps each enabled scramble scheme to its permutations. Both are
-        derived together and read-only; the codec keeps the last batch's,
-        keyed by the indices' bytes, so decrypting the batch it has just
-        encrypted derives nothing again.
+        regions holds each frame's blocks of every enabled scheme but the
+        scrambles, one row per frame, hashed in one keystream call; without
+        dummy it stops before the dummy stage's block, which only encryption
+        reads. perms maps each enabled scramble scheme to its permutations.
+        Both are read-only; the codec keeps the last batch's, keyed by the
+        indices' bytes, so decrypting the batch it has just encrypted
+        derives nothing again.
         """
         idx = np.asarray(frame_indices)
         if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
@@ -356,51 +365,39 @@ class PleCodec:
         if np.any(idx < 0):
             raise ParameterError("frame_index must be >= 0")
         key = (idx.dtype.str, idx.tobytes())
+        starts = [f * self._blocks_per_frame for f in idx.tolist()]
         if self._kept is None or self._kept[0] != key:
-            regions = self._regions(idx)
-            perms = {s: self._perm(s, regions) for s in self.schemes if s in _SCRAMBLES}
-            for material in (regions, *perms.values()):
-                material.flags.writeable = False
+            perms = {s: self._perm(s, starts) for s in self.schemes if s in _SCRAMBLES}
+            for perm in perms.values():
+                perm.flags.writeable = False
+            self._kept = (key, None, perms)
+        _, regions, perms = self._kept
+        n_bits = (self._eager_blocks if dummy else self._decrypt_blocks) * BLOCK_BITS
+        if regions is None or regions.shape[1] < n_bits:
+            regions = keystream(self.seed, n_bits, starts)
+            regions.flags.writeable = False
             self._kept = (key, regions, perms)
-        return self._kept[1:]
-
-    def _regions(self, idx: np.ndarray) -> np.ndarray:
-        """Each frame's keystream region, one row per frame.
-
-        A run of consecutive frame indices is one stretch of keystream
-        blocks, so each run is one keystream call cut into rows.
-        """
-        n_bits = self._blocks_per_frame * BLOCK_BITS
-        if not (n_bits and idx.size):
-            return np.zeros((idx.size, n_bits), dtype=np.uint8)
-        frames = idx.tolist()
-        runs = (k for k in range(1, len(frames)) if frames[k] != frames[k - 1] + 1)
-        cuts = [0, *runs, len(frames)]
-        rows = [
-            keystream(
-                self.seed,
-                (stop - start) * n_bits,
-                block_offset=frames[start] * self._blocks_per_frame,
-            ).reshape(stop - start, n_bits)
-            for start, stop in zip(cuts, cuts[1:])
-        ]
-        return rows[0] if len(rows) == 1 else np.concatenate(rows)
+        return regions, perms
 
     def _scheme_bits(self, scheme: str, regions: np.ndarray) -> np.ndarray:
         """One scheme's keystream bits per frame, sliced from the regions."""
         start = self._region_offset[scheme] * BLOCK_BITS
         return regions[:, start : start + self._budgets[scheme]]
 
-    def _perm(self, scheme: str, regions: np.ndarray) -> np.ndarray:
-        """One scheme's keyed permutation per frame, shape [F, n_fft]."""
-        n = self.cfg.n_fft
-        perms = [keyed_permutation(n, ks) for ks in self._scheme_bits(scheme, regions)]
-        return np.array(perms, dtype=np.intp).reshape(-1, n)
+    def _perm(self, scheme: str, starts: list) -> np.ndarray:
+        """One scheme's keyed permutation per frame, shape [F, n_fft]; starts
+        are the frames' first blocks. Each permutation's region is hashed
+        only as far as its draws read."""
+        first = self._region_offset[scheme]
+        regions = KeystreamRegions(
+            self.seed, self._budgets[scheme], [start + first for start in starts]
+        )
+        return keyed_permutation(self.cfg.n_fft, regions)
 
     def encrypt_batch(self, plain_bits, frame_indices) -> np.ndarray:
         """Encrypt F frames: bits[F, payload_bits] -> samples[F, n_fft + cp_len]."""
         cfg = self.cfg
-        regions, perms = self._material(frame_indices)
+        regions, perms = self._material(frame_indices, dummy=True)
         n_frames = regions.shape[0]
         bits = np.asarray(plain_bits, dtype=np.uint8)
         if bits.shape != (n_frames, cfg.payload_bits):
@@ -441,7 +438,7 @@ class PleCodec:
         out per subcarrier by ofdm_demodulate.
         """
         cfg = self.cfg
-        regions, perms = self._material(frame_indices)
+        regions, perms = self._material(frame_indices, dummy=False)
         n_frames = regions.shape[0]
         rx = np.asarray(samples, dtype=complex)
         if rx.shape != (n_frames, cfg.n_fft + cfg.cp_len):

@@ -1,6 +1,8 @@
 import functools
 import hashlib
+import importlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from physec.bits import STAGE_AMPLIFIED, STAGE_QUANTIZED, BitKey
 from physec.errors import KeystreamExhausted, ParameterError
 from physec.keystream import (
+    BLOCK_BITS,
+    KeystreamRegions,
     KeystreamSeed,
     keyed_permutation,
     keyed_subset,
@@ -16,6 +20,9 @@ from physec.keystream import (
     subset_allocation_bits,
     xor_encrypt,
 )
+
+# the module, which the package's keystream function shadows
+ks_module = importlib.import_module("physec.keystream")
 
 
 # A sequential reader of keystream words: the reference that the draw
@@ -364,3 +371,84 @@ def test_draw_kernel_matches_reference_reader(size, count):
     assert exhausted < len(outcomes)
     # a draw needs bits exactly when some step has more than one choice
     assert (exhausted > 0) == (budget > 0)
+
+
+
+def _eager_rows(draw, seed, n_bits, firsts):
+    """Each row drawn alone from keystream(seed, n_bits, first): the rows,
+    or the first failing row's KeystreamExhausted text and its index."""
+    rows = []
+    for row, first in enumerate(firsts):
+        outcome = _outcome(draw, keystream(seed, n_bits, first))
+        if isinstance(outcome, str):
+            return outcome, row
+        rows.append(outcome)
+    return rows, None
+
+
+# (draw, region bits): 64-point permutations over their six-block budget,
+# whose 6th block holds 4 bits, and longer plans over the same region,
+# whose draws reach its 3rd to 6th blocks and run past its end; the
+# codec's decoy-slot subsets
+PERM_BITS = permutation_allocation_bits(64)
+LAZY_CASES = [
+    (functools.partial(keyed_permutation, 64), PERM_BITS),
+    (functools.partial(keyed_permutation, 100), PERM_BITS),
+    (functools.partial(keyed_permutation, 130), PERM_BITS),
+    (functools.partial(keyed_permutation, 140), PERM_BITS),
+    (functools.partial(keyed_subset, np.arange(16, 64), 4), subset_allocation_bits(48, 4)),
+]
+
+
+def test_lazy_regions_match_eager_keystream_row_by_row(monkeypatch):
+    hashed = []
+    digest = ks_module._block_digest
+
+    def recording_digest(state, block):
+        hashed.append(block % (1 << 64))
+        return digest(state, block)
+
+    monkeypatch.setattr(ks_module, "_block_digest", recording_digest)
+    rng = np.random.default_rng(2027)
+    reached = Counter()  # blocks hashed by a row whose draws succeeded
+    ran_dry = Counter()  # full or cut budget
+    for case in range(1200):
+        draw, n_bits = LAZY_CASES[case % len(LAZY_CASES)]
+        cut = case % 7 == 6
+        if cut:
+            n_bits = int(rng.integers(0, n_bits))
+        # odd nonces, and one in five whose counter wraps past 2^64
+        nonce = (1 << 64) - 3 if case % 5 == 0 else int(rng.integers(1 << 62)) * 2 + 1
+        seed = _seed(int(rng.integers(1 << 31)), nonce=nonce)
+        frames = rng.choice(1000, size=int(rng.integers(1, 5)), replace=False)
+        firsts = (frames * 15 + 3).tolist()
+        want, bad_row = _eager_rows(draw, seed, n_bits, firsts)
+        hashed.clear()
+        got = _outcome(draw, KeystreamRegions(seed, n_bits, firsts))
+        lazy = list(hashed)
+        by_row = [
+            [b for b in lazy if (b - seed.nonce - first) % (1 << 64) < 6]
+            for first in firsts
+        ]
+        assert got == want
+        # the eager batch form: one keystream call, one row per offset
+        assert _outcome(draw, keystream(seed, n_bits, firsts)) == got
+        # each row hashes its own blocks in order, and stops at the first
+        # failing row, which hashed its whole region
+        assert sum(map(len, by_row)) == len(lazy)
+        for first, blocks in zip(firsts, by_row):
+            start = seed.nonce + first
+            assert blocks == [(start + i) % (1 << 64) for i in range(len(blocks))]
+        if bad_row is None:
+            reached.update(len(blocks) for blocks in by_row)
+            continue
+        assert len(by_row[bad_row]) == -(-n_bits // BLOCK_BITS)
+        assert not any(by_row[bad_row + 1 :])
+        # the rows before the failing one draw as they do alone
+        prefix = firsts[:bad_row]
+        assert _outcome(draw, KeystreamRegions(seed, n_bits, prefix)) == (
+            _eager_rows(draw, seed, n_bits, prefix)[0]
+        )
+        ran_dry["cut" if cut else "full"] += 1
+    assert {1, 2, 3, 4, 5, 6} <= set(reached)
+    assert ran_dry["cut"] and ran_dry["full"]

@@ -10,6 +10,7 @@ from physec.ofdm import (
     SymbolFrame,
     attach_cp,
     awgn_link,
+    awgn_rows,
     ebn0_db_to_snr_db,
     flat_fading_link,
     ofdm_demodulate,
@@ -127,6 +128,26 @@ def test_awgn_rejects_nonsense_snr():
         awgn_link(frame, float("nan"), 0)
     with pytest.raises(ParameterError):
         awgn_link(frame, -np.inf, 0)
+
+
+def test_awgn_rows_equal_awgn_link_per_row_seed():
+    cfg = wifi_like_config()
+    frames = [_random_frame(cfg, seed=40 + f)[2] for f in range(6)]
+    samples = np.array([frame.data for frame in frames])
+    seeds = [int(s) for s in np.random.default_rng(41).integers(1 << 62, size=6)]
+    for snr_db in (8.0, -3.0):
+        rows = awgn_rows(samples, snr_db, seeds)
+        want = [awgn_link(f, snr_db, s).data for f, s in zip(frames, seeds)]
+        assert rows.tobytes() == np.array(want).tobytes()
+    assert np.array_equal(awgn_rows(samples, np.inf, seeds), samples)
+    for snr_db in (float("nan"), -np.inf):
+        with pytest.raises(ParameterError) as link_error:
+            awgn_link(frames[0], snr_db, seeds[0])
+        with pytest.raises(ParameterError) as rows_error:
+            awgn_rows(samples, snr_db, seeds)
+        assert str(rows_error.value) == str(link_error.value)
+    with pytest.raises(ParameterError):
+        awgn_rows(samples, 8.0, seeds[:5])
 
 
 def test_flat_fading_equalized_roundtrip():

@@ -244,7 +244,7 @@ def test_scramble_time_refreshes_prefix():
     plain = PleCodec(cfg, (), _seed(33)).encrypt_batch(bits, frames)
     codec = PleCodec(cfg, ("scramble_time",), _seed(33))
     samples = codec.encrypt_batch(bits, frames)
-    time_perm = codec._perm("scramble_time", codec._material(frames)[0])
+    time_perm = codec._material(frames, dummy=True)[1]["scramble_time"]
     assert np.array_equal(
         samples[:, cfg.cp_len :], scramble_time(plain[:, cfg.cp_len :], time_perm)
     )

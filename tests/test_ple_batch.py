@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 
 import numpy as np
@@ -11,6 +12,9 @@ from physec.keystream import BLOCK_BITS, KeystreamSeed
 from physec.modulation import QAM16, QPSK
 from physec.ofdm import SymbolFrame, wifi_like_config
 from physec.ple import SCHEME_ORDER, PleCodec, key_to_data_ratio
+
+# the module, which the package's keystream function shadows
+ks_module = importlib.import_module("physec.keystream")
 
 SUBSETS = [
     tuple(s for i, s in enumerate(SCHEME_ORDER) if (mask >> i) & 1)
@@ -122,43 +126,65 @@ def test_kept_material_never_serves_another_batch():
     assert np.array_equal(codec.decrypt_batch(want, idx), bits_a)
 
 
-def test_material_derived_once_per_batch_and_once_per_frame_run(monkeypatch):
-    calls = []
-    keystream = ple.keystream
+def test_batch_hashes_only_the_keystream_blocks_it_reads(monkeypatch):
+    hashed, calls = [], []
+    digest, keystream = ks_module._block_digest, ple.keystream
+
+    def recording_digest(state, block):
+        hashed.append(block)
+        return digest(state, block)
 
     # positional-only, as the benchmark's trace hook reads the bits as args[1]
     def counting_keystream(seed, n_bits, /, block_offset=0):
-        calls.append((n_bits, block_offset))
+        calls.append((n_bits, list(block_offset)))
         return keystream(seed, n_bits, block_offset)
 
+    monkeypatch.setattr(ks_module, "_block_digest", recording_digest)
     monkeypatch.setattr(ple, "keystream", counting_keystream)
     cfg = wifi_like_config()
     codec = _fresh_codec(cfg)
     blocks = codec._blocks_per_frame
-    region_bits = blocks * BLOCK_BITS
+    dummy = codec._region_offset["dummy"]
+    # xor, phase and dummy take a block each; each scramble budgets six
+    assert (blocks, dummy, codec._region_offset["scramble_freq"]) == (15, 2, 3)
+    frames = np.arange(100)
+    samples = codec.encrypt_batch(_payloads(cfg, 100, 13), frames)
+    # the three eager blocks per frame in one call, and about two blocks
+    # per scramble region
+    assert calls == [(3 * BLOCK_BITS, (frames * blocks).tolist())]
+    assert len(hashed) <= 8 * frames.size
+    eager = [b for b in hashed if b % blocks < 3]
+    assert sorted(eager) == sorted(f * blocks + k for f in frames for k in range(3))
+    # decrypting the batch it has just encrypted hashes nothing more
+    hashed.clear()
+    codec.decrypt_batch(samples, frames)
+    assert hashed == []
+    # a decrypt-only codec hashes no dummy block
+    receiver = _fresh_codec(cfg)
+    receiver.decrypt_batch(samples, frames)
+    assert len(hashed) <= 7 * frames.size
+    assert not any(b % blocks == dummy for b in hashed)
+    # runs, a repeat and a descent: one call, each row from its own frame
+    calls.clear()
+    hashed.clear()
     frames = np.array([3, 4, 5, 9, 9, 0, 1])
     bits = _payloads(cfg, frames.size, 12)
     samples = codec.encrypt_batch(bits, frames)
+    assert calls == [(3 * BLOCK_BITS, (frames * blocks).tolist())]
+    assert {b // blocks for b in hashed} == set(frames.tolist())
+    for row, frame in enumerate(frames):
+        alone = _fresh_codec(cfg).encrypt_batch(bits[row : row + 1], [frame])
+        assert np.array_equal(samples[row : row + 1], alone)
     assert np.array_equal(codec.decrypt_batch(samples, frames), bits)
-    # one call per run of consecutive indices: 3-5, 9, 9, 0-1
-    assert calls == [
-        (3 * region_bits, 3 * blocks),
-        (region_bits, 9 * blocks),
-        (region_bits, 9 * blocks),
-        (2 * region_bits, 0),
-    ]
-    calls.clear()
-    codec.encrypt_batch(_payloads(cfg, 100, 13), np.arange(100))
-    assert calls == [(100 * region_bits, 0)]
 
 
 def test_each_scramble_permutation_derived_once_per_batch(monkeypatch):
     calls = []
     perm = PleCodec._perm
 
-    def counting_perm(self, scheme, regions):
+    def counting_perm(self, scheme, starts):
         calls.append(scheme)
-        return perm(self, scheme, regions)
+        return perm(self, scheme, starts)
 
     monkeypatch.setattr(PleCodec, "_perm", counting_perm)
     cfg = wifi_like_config()
