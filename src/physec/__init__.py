@@ -59,18 +59,11 @@ from .harness import (
     run_experiment,
     validate_config,
 )
-from .keystream import (
-    KeystreamRegions,
-    KeystreamSeed,
-    keyed_permutation,
-    keyed_subset,
-    keystream,
-)
+from .keystream import KeystreamSeed, keyed_permutation, keyed_subset, keystream
 from .ofdm import (
     OfdmConfig,
     SymbolFrame,
     awgn_link,
-    awgn_rows,
     ebn0_db_to_snr_db,
     flat_fading_link,
     ofdm_demodulate,
@@ -143,7 +136,6 @@ __all__ = [
     "load_trace_csv",
     "run_experiment",
     "validate_config",
-    "KeystreamRegions",
     "KeystreamSeed",
     "keyed_permutation",
     "keyed_subset",
@@ -151,7 +143,6 @@ __all__ = [
     "OfdmConfig",
     "SymbolFrame",
     "awgn_link",
-    "awgn_rows",
     "ebn0_db_to_snr_db",
     "flat_fading_link",
     "ofdm_demodulate",

@@ -140,24 +140,22 @@ def awgn_link(frame: SymbolFrame, snr_db: float, rng_seed: int) -> SymbolFrame:
     """Add circularly symmetric complex Gaussian noise.
 
     Per-sample noise variance is 10^(-snr_db/10) relative to unit signal
-    power; +inf leaves the frame untouched.
+    power; +inf leaves the frame untouched. The noise is awgn_rows' for a
+    single row seeded with rng_seed.
     """
     _check_snr(snr_db)
     if snr_db == np.inf:
         return frame
-    rng = np.random.default_rng(rng_seed)
-    sigma = 10.0 ** (-snr_db / 20.0)
-    n = frame.data.size
-    noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (sigma / np.sqrt(2))
-    return replace(frame, data=frame.data + noise)
+    return replace(frame, data=awgn_rows(frame.data[None], snr_db, [rng_seed])[0])
 
 
 def awgn_rows(samples, snr_db: float, seeds) -> np.ndarray:
-    """awgn_link on each row of samples[F, n]: row f gets exactly the noise
-    awgn_link adds with seeds[f], without a SymbolFrame per row.
+    """Add circularly symmetric complex Gaussian noise to each row of
+    samples[F, n], row f from a generator seeded with seeds[f].
 
-    A generator's standard_normal(2 n) is its two standard_normal(n) draws
-    in turn, so one call per row gives the real and imaginary parts.
+    Per-sample noise variance is 10^(-snr_db/10) relative to unit signal
+    power, drawn as n real parts then n imaginary parts (one
+    standard_normal(2 n) call per row); +inf returns the samples unchanged.
     """
     _check_snr(snr_db)
     x = np.asarray(samples, dtype=complex)

@@ -135,10 +135,17 @@ def test_awgn_rows_equal_awgn_link_per_row_seed():
     frames = [_random_frame(cfg, seed=40 + f)[2] for f in range(6)]
     samples = np.array([frame.data for frame in frames])
     seeds = [int(s) for s in np.random.default_rng(41).integers(1 << 62, size=6)]
+    n = samples.shape[1]
     for snr_db in (8.0, -3.0):
         rows = awgn_rows(samples, snr_db, seeds)
         want = [awgn_link(f, snr_db, s).data for f, s in zip(frames, seeds)]
         assert rows.tobytes() == np.array(want).tobytes()
+        # Reference: two standard_normal(n) draws per seed, real then imaginary.
+        scale = 10.0 ** (-snr_db / 20.0) / np.sqrt(2)
+        for row, frame, seed in zip(rows, frames, seeds):
+            rng = np.random.default_rng(seed)
+            noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
+            assert row.tobytes() == (frame.data + noise).tobytes()
     assert np.array_equal(awgn_rows(samples, np.inf, seeds), samples)
     for snr_db in (float("nan"), -np.inf):
         with pytest.raises(ParameterError) as link_error:
