@@ -59,13 +59,12 @@ from .harness import (
     run_experiment,
     validate_config,
 )
-from .keystream import KeystreamSeed, keyed_permutation, keyed_subset, keystream
+from .keystream import KeystreamSeed, keyed_permutation, keyed_subset
 from .ofdm import (
     OfdmConfig,
     SymbolFrame,
     awgn_link,
     ebn0_db_to_snr_db,
-    flat_fading_link,
     ofdm_demodulate,
     ofdm_modulate,
     wifi_like_config,
@@ -139,12 +138,10 @@ __all__ = [
     "KeystreamSeed",
     "keyed_permutation",
     "keyed_subset",
-    "keystream",
     "OfdmConfig",
     "SymbolFrame",
     "awgn_link",
     "ebn0_db_to_snr_db",
-    "flat_fading_link",
     "ofdm_demodulate",
     "ofdm_modulate",
     "wifi_like_config",

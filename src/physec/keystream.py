@@ -7,9 +7,11 @@ raises KeystreamExhausted rather than silently reusing bits.
 
 keystream() hashes every block of the slices it returns, one row per block
 offset when given several. keyed_permutation and keyed_subset take a bit
-vector, a batch of bit rows, or a KeystreamRegions batch, whose rows they
-hash only as far as their draws read: a 64-point permutation reads about a
-third of its budget, so most of its region is never hashed.
+vector, a batch of bit rows, or a KeystreamRegions batch, and read each row
+as a stream of (value, width) chunks: a bit row is one chunk, a region row
+yields its blocks one by one, each hashed only when a draw reaches it. A
+64-point permutation reads about a third of its budget, so most of its
+region is never hashed.
 """
 from __future__ import annotations
 
@@ -107,48 +109,13 @@ class KeystreamRegions:
         object.__setattr__(self, "first_blocks", tuple(map(int, self.first_blocks)))
 
 
-def _region_source(state, first: int, n_bits: int, sure_bits: int) -> tuple:
-    """One region as a bit source (see _bit_sources): the blocks holding its
-    first sure_bits bits hashed now, each later block only when a draw
-    reaches it, the last cut to the region's end."""
-    sure = min(-(-sure_bits // BLOCK_BITS), -(-n_bits // BLOCK_BITS))
-    digests = b"".join(_block_digest(state, first + j) for j in range(sure))
-    left = min(sure * BLOCK_BITS, n_bits)
-    word = int.from_bytes(digests, "big") >> (sure * BLOCK_BITS - left)
-    return word, left, _later_blocks(state, first, n_bits, sure)
-
-
-def _later_blocks(state, first: int, n_bits: int, done: int):
-    """(value, width) of each block of a region after its first `done`."""
-    for start in range(done * BLOCK_BITS, n_bits, BLOCK_BITS):
+def _region_blocks(state, first: int, n_bits: int):
+    """(value, width) of each block of a region, hashed only when a draw
+    asks for it, the last cut to the region's end."""
+    for start in range(0, n_bits, BLOCK_BITS):
         width = min(BLOCK_BITS, n_bits - start)
         digest = _block_digest(state, first + start // BLOCK_BITS)
         yield int.from_bytes(digest, "big") >> (BLOCK_BITS - width), width
-
-
-def _bit_sources(ks, sure_bits: int) -> tuple:
-    """Each keystream row as (word, bits in word, more chunks or None), and
-    whether ks is a batch (a KeystreamRegions or a 2-D bit array).
-
-    A KeystreamRegions row is hashed when its draws start, up front as far
-    as sure_bits, the bits every run of the caller's swap plan reads.
-    """
-    if isinstance(ks, KeystreamRegions):
-        state, nonce = _key_state(ks.seed), ks.seed.nonce
-        return (
-            _region_source(state, nonce + b, ks.n_bits, sure_bits)
-            for b in ks.first_blocks
-        ), True
-    bits = np.asarray(ks, dtype=np.uint8)
-    if bits.ndim not in (1, 2):
-        raise ParameterError(f"keystream must be 1-D or 2-D, got shape {bits.shape}")
-    rows = bits if bits.ndim == 2 else bits[None]
-    n_bits = rows.shape[1]
-    packed = np.packbits(rows, axis=1)
-    pad = 8 * packed.shape[1] - n_bits
-    return [
-        (int.from_bytes(row.tobytes(), "big") >> pad, n_bits, None) for row in packed
-    ], bits.ndim == 2
 
 
 def keyed_permutation(n: int, ks) -> np.ndarray:
@@ -156,16 +123,12 @@ def keyed_permutation(n: int, ks) -> np.ndarray:
 
     Rejection sampling keeps every draw uniform, so permutations are
     unbiased; consumption is variable, so hand in a generous slice. A batch
-    of keystream rows (see _bit_sources) gives one permutation per row,
-    shape [F, n].
+    of keystream rows (a [F, n_bits] bit array or a KeystreamRegions) gives
+    one permutation per row, shape [F, n].
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    plan = _swap_plan(n, n - 1, True)
-    sources, batch = _bit_sources(ks, _plan_bits(plan))
-    items = list(range(n))
-    perms = [_keyed_swaps(items.copy(), plan, *source) for source in sources]
-    return _draws(perms, n, batch)
+    return _draw(list(range(n)), _swap_plan(n, n - 1, True), n, ks)
 
 
 def keyed_subset(pool, count: int, ks) -> np.ndarray:
@@ -176,15 +139,32 @@ def keyed_subset(pool, count: int, ks) -> np.ndarray:
     arr = np.asarray(pool, dtype=np.intp).tolist()
     if not 0 <= count <= len(arr):
         raise ParameterError("count must be in [0, pool size]")
-    plan = _swap_plan(len(arr), count, False)
-    sources, batch = _bit_sources(ks, _plan_bits(plan))
-    subsets = [_keyed_swaps(arr.copy(), plan, *source)[:count] for source in sources]
-    return _draws(subsets, count, batch)
+    return _draw(arr, _swap_plan(len(arr), count, False), count, ks)
 
 
-def _draws(rows: list, width: int, batch: bool) -> np.ndarray:
-    """The drawn rows as [F, width] for a batch, else the single row."""
-    out = np.array(rows, dtype=np.intp).reshape(len(rows), width)
+def _draw(items: list, plan, count: int, ks) -> np.ndarray:
+    """Run plan on a copy of items per keystream row and keep the first
+    count items of each: [F, count] for a batch of rows, else one row.
+
+    Each row reaches the kernel as (value, width) chunks: a bit-array row
+    is one chunk, and a KeystreamRegions row yields its blocks in order.
+    """
+    if isinstance(ks, KeystreamRegions):
+        state, nonce, n_bits = _key_state(ks.seed), ks.seed.nonce, ks.n_bits
+        rows = (_region_blocks(state, nonce + b, n_bits) for b in ks.first_blocks)
+        batch = True
+    else:
+        bits = np.asarray(ks, dtype=np.uint8)
+        if bits.ndim not in (1, 2):
+            raise ParameterError(
+                f"keystream must be 1-D or 2-D, got shape {bits.shape}"
+            )
+        batch, n_bits = bits.ndim == 2, bits.shape[-1]
+        packed = np.packbits(np.atleast_2d(bits), axis=1)
+        pad = 8 * packed.shape[1] - n_bits
+        rows = [[(int.from_bytes(r.tobytes(), "big") >> pad, n_bits)] for r in packed]
+    drawn = [_keyed_swaps(items.copy(), plan, row)[:count] for row in rows]
+    out = np.array(drawn, dtype=np.intp).reshape(len(drawn), count)
     return out if batch else out[0]
 
 
@@ -206,19 +186,20 @@ def _swap_plan(size: int, count: int, from_back: bool) -> tuple:
     return tuple(plan)
 
 
-def _keyed_swaps(items: list, plan, word: int, left: int, more=None) -> list:
+def _keyed_swaps(items: list, plan, chunks) -> list:
     """Run a swap plan on items in place, each draw rejection-sampled from
-    a keystream row.
+    a keystream row given as (value, width) chunks, read MSB first.
 
-    The low `left` bits of word are the row's unread bits, read MSB first;
-    more yields the chunks that follow them, appended only when a draw runs
-    past the word's end. A draw that runs past the row's end raises
-    KeystreamExhausted with the bits it needed and the bits left.
+    A chunk is taken only when a draw runs past the bits already taken. A
+    draw that runs past the row's end raises KeystreamExhausted with the
+    bits it needed and the bits left.
     """
+    chunks = iter(chunks)
+    word = left = 0
     for slot, low, m, width, mask in plan:
         while True:
             if left < width:
-                word, left = _extend(word, left, width, more)
+                word, left = _extend(word, left, width, chunks)
             left -= width
             draw = (word >> left) & mask
             if draw < m:
@@ -228,11 +209,11 @@ def _keyed_swaps(items: list, plan, word: int, left: int, more=None) -> list:
     return items
 
 
-def _extend(word: int, left: int, width: int, more) -> tuple[int, int]:
-    """The unread bits of word followed by chunks of more, until there are
+def _extend(word: int, left: int, width: int, chunks) -> tuple[int, int]:
+    """The unread bits of word followed by further chunks, until there are
     at least width of them."""
     word &= (1 << left) - 1
-    for value, bits in more or ():
+    for value, bits in chunks:
         word = (word << bits) | value
         left += bits
         if left >= width:
@@ -259,10 +240,6 @@ def subset_allocation_bits(pool_size: int, count: int) -> int:
     return _plan_budget(_swap_plan(pool_size, count, False))
 
 
-def _plan_bits(plan) -> int:
-    """The bits a swap plan reads when no draw is rejected: its least need."""
-    return sum(width for _, _, _, width, _ in plan)
-
-
 def _plan_budget(plan) -> int:
-    return 4 * _plan_bits(plan)
+    """Four times the bits a swap plan reads when no draw is rejected."""
+    return 4 * sum(width for _, _, _, width, _ in plan)

@@ -1,11 +1,11 @@
-"""OFDM framing: subcarrier layout, unitary (I)FFT modem, channel links.
+"""OFDM framing: subcarrier layout, unitary (I)FFT modem, AWGN link.
 
 The modem works on arrays with one OFDM symbol per row: ofdm_modulate and
 ofdm_demodulate are the DFT pair along the last axis, and attach_cp adds
-the cyclic prefix. SymbolFrame is the time-domain frame the links carry.
-The DFT pair is unitary (norm="ortho"), so scrambling stages and the modem
-itself preserve energy exactly and per-subcarrier noise variance equals the
-injected per-sample variance.
+the cyclic prefix. SymbolFrame is the time-domain frame awgn_link carries,
+prefix included. The DFT pair is unitary (norm="ortho"), so scrambling
+stages and the modem itself preserve energy exactly and per-subcarrier
+noise variance equals the injected per-sample variance.
 """
 from __future__ import annotations
 
@@ -87,16 +87,15 @@ def wifi_like_config(mapping: str = modulation.QPSK) -> OfdmConfig:
 
 @dataclass(frozen=True)
 class SymbolFrame:
-    """One time-domain OFDM symbol on the link, with or without its prefix."""
+    """One time-domain OFDM symbol on the link, cyclic prefix first."""
 
     data: np.ndarray
     cfg: OfdmConfig
-    has_cp: bool = False
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=complex)
         object.__setattr__(self, "data", arr)
-        expect = self.cfg.n_fft + (self.cfg.cp_len if self.has_cp else 0)
+        expect = self.cfg.n_fft + self.cfg.cp_len
         if arr.shape != (expect,):
             raise ParameterError(f"frame must have shape ({expect},), got {arr.shape}")
 
@@ -170,21 +169,6 @@ def awgn_rows(samples, snr_db: float, seeds) -> np.ndarray:
         draw = np.random.default_rng(seed).standard_normal(2 * n)
         row.real, row.imag = draw[:n], draw[n:]
     return x + noise * (sigma / np.sqrt(2))
-
-
-def flat_fading_link(
-    frame: SymbolFrame, snr_db: float, rng_seed: int
-) -> Tuple[SymbolFrame, complex]:
-    """One-tap Rayleigh block fading plus AWGN.
-
-    Returns the faded frame and the tap, which a legitimate receiver learns
-    from its reference preamble and passes to ofdm_demodulate; a receiver
-    without the preamble (an eavesdropper) has to equalize blind.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence((rng_seed, 0x0FAD)))
-    gain = complex((rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2))
-    faded = replace(frame, data=frame.data * gain)
-    return awgn_link(faded, snr_db, rng_seed), gain
 
 
 def ebn0_db_to_snr_db(ebn0_db: float, mapping: str) -> float:

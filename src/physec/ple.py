@@ -469,15 +469,13 @@ class PleCodec:
         with its cyclic prefix."""
         bits = np.asarray(plain_bits, dtype=np.uint8)
         samples = self.encrypt_batch(bits[None], [frame_index])[0]
-        return SymbolFrame(samples, self.cfg, has_cp=True)
+        return SymbolFrame(samples, self.cfg)
 
     def decrypt(
         self, frame: SymbolFrame, frame_index: int = 0, channel_gain: complex = 1.0
     ) -> np.ndarray:
-        """decrypt_batch for one time-domain SymbolFrame, with or without
-        its cyclic prefix."""
-        samples = frame.data if frame.has_cp else attach_cp(frame.data, self.cfg.cp_len)
-        return self.decrypt_batch(samples[None], [frame_index], channel_gain)[0]
+        """decrypt_batch for one time-domain SymbolFrame."""
+        return self.decrypt_batch(frame.data[None], [frame_index], channel_gain)[0]
 
 
 def key_to_data_ratio(

@@ -5,10 +5,13 @@ scipy.signal and scipy.special take ~1.1 s to import, and the process pool
 use neither, so they must stay unloaded until a channel is simulated or a
 pool runs. Each case runs in its own interpreter, because the test process
 has long since imported everything. The last test checks that physec's
-__all__ lists every public name the package binds, once.
+__all__ lists every public name the package binds, once, and that each
+physec.<submodule> attribute is that submodule.
 """
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import types
@@ -148,3 +151,7 @@ def test_public_api_lists_each_bound_name_once():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(bound - set(names)) == []
+    # no bound name shadows a submodule: physec.keystream is the module
+    for info in pkgutil.iter_modules(physec.__path__):
+        module = importlib.import_module(f"physec.{info.name}")
+        assert getattr(physec, info.name) is module, info.name

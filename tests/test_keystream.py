@@ -1,12 +1,12 @@
 import functools
 import hashlib
-import importlib
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import physec.keystream as ks_module
 from physec.bits import STAGE_AMPLIFIED, STAGE_QUANTIZED, BitKey
 from physec.errors import KeystreamExhausted, ParameterError
 from physec.keystream import (
@@ -20,9 +20,6 @@ from physec.keystream import (
     subset_allocation_bits,
     xor_encrypt,
 )
-
-# the module, which the package's keystream function shadows
-ks_module = importlib.import_module("physec.keystream")
 
 
 # A sequential reader of keystream words: the reference that the draw
@@ -241,6 +238,21 @@ def test_subset_selection():
     assert sorted(full) == list(range(5))
     with pytest.raises(ParameterError):
         keyed_subset(pool, 49, ks)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 3, 64)])
+def test_draws_refuse_keystream_that_is_not_1d_or_2d(shape):
+    bits = np.ones(shape, dtype=np.uint8)
+    want = f"keystream must be 1-D or 2-D, got shape {shape}"
+    draws = [
+        functools.partial(keyed_permutation, 1),
+        functools.partial(keyed_permutation, 4),
+        functools.partial(keyed_subset, np.arange(8), 2),
+    ]
+    for draw in draws:
+        with pytest.raises(ParameterError) as error:
+            draw(bits)
+        assert str(error.value) == want
 
 
 def test_allocation_validation():

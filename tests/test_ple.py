@@ -293,7 +293,7 @@ def test_codec_roundtrip_each_scheme():
             for f in range(3):
                 bits = rng.integers(0, 2, size=cfg.payload_bits, dtype=np.uint8)
                 frame = codec.encrypt(bits, f)
-                assert frame.has_cp and frame.data.size == 80
+                assert frame.data.size == 80
                 assert np.array_equal(codec.decrypt(frame, f), bits)
 
 

@@ -1,10 +1,10 @@
 import hashlib
-import importlib
 import itertools
 
 import numpy as np
 import pytest
 
+import physec.keystream as ks_module
 from physec import ple
 from physec.bits import STAGE_AMPLIFIED, BitKey
 from physec.errors import ParameterError
@@ -12,9 +12,6 @@ from physec.keystream import BLOCK_BITS, KeystreamSeed
 from physec.modulation import QAM16, QPSK
 from physec.ofdm import SymbolFrame, wifi_like_config
 from physec.ple import SCHEME_ORDER, PleCodec, key_to_data_ratio
-
-# the module, which the package's keystream function shadows
-ks_module = importlib.import_module("physec.keystream")
 
 SUBSETS = [
     tuple(s for i, s in enumerate(SCHEME_ORDER) if (mask >> i) & 1)
@@ -286,18 +283,10 @@ def test_channel_gain_is_divided_out():
     assert np.array_equal(codec.decrypt_batch(faded, frames, channel_gain=gain), bits)
     assert not np.array_equal(codec.decrypt_batch(faded, frames), bits)
     single = codec.encrypt(bits[0], 0)
-    faded_single = SymbolFrame(single.data * gain, cfg, has_cp=True)
+    faded_single = SymbolFrame(single.data * gain, cfg)
     assert np.array_equal(codec.decrypt(faded_single, 0, channel_gain=gain), bits[0])
     with pytest.raises(ParameterError):
         codec.decrypt_batch(faded, frames, channel_gain=0)
-
-
-def test_single_frame_decrypt_accepts_frame_without_prefix():
-    cfg = wifi_like_config()
-    codec = PleCodec(cfg, SCHEME_ORDER, _seed(6))
-    bits = _payloads(cfg, 1, 7)[0]
-    core = SymbolFrame(codec.encrypt(bits, 9).data[cfg.cp_len :], cfg)
-    assert np.array_equal(codec.decrypt(core, 9), bits)
 
 
 def test_key_to_data_ratio_refuses_duplicates():
