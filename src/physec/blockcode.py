@@ -33,21 +33,19 @@ class LinearBlockCode:
         self.code_id = code_id
         # H = [P^T | I]; syndrome of a received word r is r @ H^T
         self._h_t = np.vstack([p, np.eye(p.shape[1], dtype=np.uint8)])
+        # a syndrome's bits, read as a big-endian integer, index the table
+        self._syn_weights = (1 << np.arange(p.shape[1] - 1, -1, -1)).astype(np.int64)
         self._syndrome_table = self._build_table()
 
     def _build_table(self):
-        n_syn = 1 << (self.n_code - self.k_code)
-        weights = (1 << np.arange(self.n_code - self.k_code - 1, -1, -1)).astype(
-            np.int64
-        )
-        table = np.full(n_syn, -1, dtype=np.int64)
+        table = np.full(1 << (self.n_code - self.k_code), -1, dtype=np.int64)
         table[0] = 0
         pattern_bits = (1 << np.arange(self.n_code - 1, -1, -1)).astype(np.int64)
         for w in range(1, self.t_corr + 1):
             for positions in combinations(range(self.n_code), w):
                 err = np.zeros(self.n_code, dtype=np.uint8)
                 err[list(positions)] = 1
-                syn = int((err @ self._h_t % 2) @ weights)
+                syn = int((err @ self._h_t % 2) @ self._syn_weights)
                 if table[syn] == -1:
                     table[syn] = int(err @ pattern_bits)
         return table
@@ -71,21 +69,14 @@ class LinearBlockCode:
         w = np.asarray(word, dtype=np.uint8) & 1
         if w.ndim != 1 or w.size != self.n_code:
             raise ParameterError(f"word length must be {self.n_code}")
-        weights = 1 << np.arange(self.n_code - self.k_code - 1, -1, -1)
-        syn = int((w @ self._h_t % 2) @ weights)
-        pattern = self._syndrome_table[syn]
-        if pattern == -1:
-            raise DecodeFailure(f"syndrome {syn:#x} outside correction radius")
-        err = ((pattern >> np.arange(self.n_code - 1, -1, -1)) & 1).astype(np.uint8)
-        return (w ^ err)[: self.k_code]
+        return self.decode_batch(w[None])[0]
 
     def decode_batch(self, words: np.ndarray) -> np.ndarray:
         """Decode (m, n_code) rows at once; any failed row raises."""
         w = np.asarray(words, dtype=np.uint8) & 1
         if w.ndim != 2 or w.shape[1] != self.n_code:
             raise ParameterError(f"words must have shape (m, {self.n_code})")
-        weights = 1 << np.arange(self.n_code - self.k_code - 1, -1, -1)
-        syn = (w @ self._h_t % 2) @ weights
+        syn = (w @ self._h_t % 2) @ self._syn_weights
         patterns = self._syndrome_table[syn]
         if np.any(patterns == -1):
             bad = int(np.flatnonzero(patterns == -1)[0])

@@ -2,11 +2,12 @@
 
 An experiment is a JSON document: a channel (or a measured trace file), a
 loss model, a quantizer, a reconciliation code, an amplification length, a
-PLE scheme stack, exactly one sweep axis, and a trial count. Per-trial seeds
-derive deterministically from the master seed, the sweep index and the trial
-index, so reports are byte-identical regardless of execution order or
-parallelism degree, and per-trial failures are recorded as data rather than
-aborting the run.
+PLE scheme stack, exactly one sweep axis, and a trial count. Loading a config
+resolves each sweep point once; any schema key but scenario and trials can be
+swept, hidden ones included. Per-trial seeds derive deterministically from
+the master seed, the sweep index and the trial index, so reports are
+byte-identical regardless of execution order or parallelism degree, and
+per-trial failures are recorded as data rather than aborting the run.
 """
 from __future__ import annotations
 
@@ -196,7 +197,7 @@ def _complete(node, spec, out: list, path: str = "", hidden: bool = True):
             return copy.deepcopy(spec.default)
         if isinstance(node, dict):
             return _complete(node, spec.fields, out, path, hidden)
-        return node
+        return copy.deepcopy(node)
     if not isinstance(node, dict):
         out.append(f"{path} must be an object")
         node = {}
@@ -246,7 +247,6 @@ def _resolve_point(cfg: dict) -> SweepPoint:
             return make()
         except PhysecError as exc:
             out.append(f"{section}: {exc}")
-            return None
 
     trace_file = cfg["trace_file"]
     if trace_file is not None:
@@ -289,18 +289,20 @@ def _resolve_point(cfg: dict) -> SweepPoint:
     )
 
 
-def _violations(cfg: dict) -> list[str]:
+def _collect(cfg: dict, out: list, prefix: str = "") -> SweepPoint | None:
+    """cfg's SweepPoint, or None after adding its new violations, prefixed, to out."""
     try:
-        _resolve_point(cfg)
+        return _resolve_point(cfg)
     except ConfigError as exc:
-        return exc.violations
-    return []
+        for violation in exc.violations:
+            if violation not in out and prefix + violation not in out:
+                out.append(prefix + violation)
 
 
 def _apply_sweep(raw: dict, parameter: str, value) -> dict:
-    """A copy of raw with value at the dotted path parameter; KeyError when
-    raw holds no such path."""
-    cfg = copy.deepcopy(raw)
+    """A copy of raw, hidden defaults in, with value at the dotted path
+    parameter; KeyError when that copy holds no such path."""
+    cfg = _complete(raw, _SCHEMA, [])
     node = cfg
     *parents, leaf = parameter.split(".")
     for part in parents:
@@ -323,47 +325,54 @@ def _non_finite(node, path: str = ""):
             yield from _non_finite(sub, f"{path}[{i}]")
 
 
-def validate_config(raw) -> list[str]:
-    """Schema check; returns every violation found, empty when valid.
-
-    The config must be expressible as JSON, so Infinity and NaN are
-    rejected wherever they appear. The merged config and each of its sweep
-    points are resolved the way run_experiment resolves them, and whatever
-    that raises is collected.
-    """
+def _resolve(raw, master_seed: int | None = None) -> tuple[dict, list, list[str]]:
+    """(merged config, one SweepPoint per sweep value, every violation);
+    master_seed replaces the config's own, unless master_seed is swept."""
     if not isinstance(raw, dict):
-        return ["config root must be a JSON object"]
+        return {}, [], ["config root must be a JSON object"]
     out = [
         f"{path} must be finite: JSON has no Infinity or NaN"
         for path in _non_finite(raw)
     ]
     cfg = _complete(raw, _SCHEMA, out, hidden=False)
-    out += [v for v in _violations(cfg) if v not in out]
+    if master_seed is not None:
+        cfg["master_seed"] = int(master_seed)
+    _collect(cfg, out)
     if any(v.startswith("sweep") for v in out):
-        return out  # a malformed sweep was replaced by the default sweep
+        return cfg, [], out  # a malformed sweep was replaced by the default sweep
     param, values = cfg["sweep"]["parameter"], cfg["sweep"]["values"]
     if param == "sweep" or param.startswith("sweep."):
-        return out + ["sweep.parameter cannot target the sweep itself"]
+        return cfg, [], out + ["sweep.parameter cannot target the sweep itself"]
+    if param in ("scenario", "trials"):
+        return cfg, [], out + [f"sweep.parameter {param!r} is shared by every point"]
     try:
-        _apply_sweep(cfg, param, None)
+        swept = [_apply_sweep(cfg, param, value) for value in values]
     except KeyError:
-        return out + [f"sweep.parameter {param!r} is not a config path"]
+        return cfg, [], out + [f"sweep.parameter {param!r} is not a config path"]
     if cfg["trace_file"] is not None and param.startswith("channel."):
         out.append("cannot sweep channel parameters of a trace file")
-    for value in values:
-        for violation in _violations(_apply_sweep(cfg, param, value)):
-            message = f"sweep value {value!r}: {violation}"
-            if violation not in out and message not in out:
-                out.append(message)
-    return out
+    points = [_collect(c, out, f"sweep value {v!r}: ") for v, c in zip(values, swept)]
+    return cfg, points, out
+
+
+def validate_config(raw) -> list[str]:
+    """Schema check; returns every violation found, empty when valid.
+
+    The config must be expressible as JSON, so Infinity and NaN are
+    rejected wherever they appear. Its sweep points are resolved as
+    config_from_dict resolves them, and whatever that raises is collected.
+    Any schema key but scenario and trials may be swept, hidden ones too.
+    """
+    return _resolve(raw)[2]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description plus its canonical JSON hash."""
+    """Validated experiment, its canonical JSON hash and its sweep points."""
 
     raw: dict
     config_hash: str
+    points: tuple = field(compare=False, repr=False)  # a function of raw
 
     @property
     def scenario(self) -> str:
@@ -393,14 +402,12 @@ def canonical_json_bytes(obj) -> bytes:
 
 
 def config_from_dict(raw: dict, master_seed: int | None = None) -> ExperimentConfig:
-    violations = validate_config(raw)
+    """Validate raw and resolve each sweep point, once; raises ConfigError."""
+    merged, points, violations = _resolve(raw, master_seed)
     if violations:
         raise ConfigError(violations)
     config_hash = hashlib.sha256(canonical_json_bytes(raw)).hexdigest()
-    merged = copy.deepcopy(_complete(raw, _SCHEMA, [], hidden=False))
-    if master_seed is not None:
-        merged["master_seed"] = int(master_seed)
-    return ExperimentConfig(raw=merged, config_hash=config_hash)
+    return ExperimentConfig(raw=merged, config_hash=config_hash, points=tuple(points))
 
 
 def load_config(path: str, master_seed: int | None = None) -> ExperimentConfig:
@@ -663,25 +670,18 @@ def _aggregate(values: list[float]) -> dict:
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> MetricsReport:
     """Execute every (sweep value, trial) cell and aggregate per sweep value.
 
-    Each sweep point is resolved once, and each trace file is read once per
-    run; the trials share what that built. Rates are means of per-trial
+    The trials run the sweep points that config_from_dict resolved, and
+    each trace file is read once per run. Rates are means of per-trial
     indicator variables and always land in [0, 1]; numeric metrics carry a
     standard error when at least two trials produced a value. Per-trial
     module errors are tallied per sweep point.
     """
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")
-    raw = config.raw
     trials = config.trials
-    points, traces = [], {}
-    for value in config.sweep_values:
-        point = _resolve_point(_apply_sweep(raw, config.sweep_parameter, value))
-        path = point.trace_file
-        if path is not None:
-            if path not in traces:
-                traces[path] = load_trace_csv(path)
-            point = replace(point, trace=traces[path])
-        points.append(point)
+    paths = dict.fromkeys(p.trace_file for p in config.points if p.trace_file)
+    traces = {path: load_trace_csv(path) for path in paths}
+    points = [replace(p, trace=traces.get(p.trace_file)) for p in config.points]
     tasks = [(p, s, t) for s, p in enumerate(points) for t in range(trials)]
     if jobs == 1:
         outcomes = [run_single_trial(*task) for task in tasks]
@@ -698,7 +698,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> MetricsReport:
     report = MetricsReport(
         scenario=config.scenario,
         sweep_parameter=config.sweep_parameter,
-        config=raw,
+        config=config.raw,
         config_hash=config.config_hash,
         seed=config.master_seed,
     )

@@ -138,3 +138,10 @@ def test_constructor_and_io_validation():
         code.encode([1, 0, 1])
     with pytest.raises(ParameterError):
         code.decode([1, 0, 1, 1, 0, 1])
+
+
+def test_single_word_decode_fails_as_block_zero():
+    code = repetition41()
+    message = "^block 0: syndrome outside correction radius$"
+    with pytest.raises(DecodeFailure, match=message):
+        code.decode(np.array([1, 1, 0, 0], dtype=np.uint8))

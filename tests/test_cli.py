@@ -188,7 +188,8 @@ def test_run_malformed_trace_exit_1(tmp_path, capsys):
     path = tmp_path / "exp.json"
     path.write_text(
         json.dumps({"trace_file": str(trace), "ple": {"ber_bits": 0},
-                    "sweep": {"parameter": "trials", "values": [1]}, "trials": 1})
+                    "sweep": {"parameter": "quantizer.alpha", "values": [0.5]},
+                    "trials": 1})
     )
     assert main(["run", str(path)]) == 1
     assert "bad.csv:2: non-numeric b cell" in capsys.readouterr().err

@@ -155,3 +155,43 @@ def test_non_finite_json_number_is_a_named_violation(text, field):
     assert f"{field} must be finite: JSON has no Infinity or NaN" in out, out
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "param, values", [("trials", [1, 5]), ("scenario", ["a", "b"])]
+)
+def test_sweep_over_a_key_every_point_shares_is_rejected(param, values):
+    raw = {
+        "channel": {"n_probes": 200},
+        "ple": {"ber_bits": 0},
+        "trials": 3,
+        "sweep": {"parameter": param, "values": values},
+    }
+    message = f"sweep.parameter {param!r} is shared by every point"
+    assert validate_config(raw) == [message]
+    with pytest.raises(ConfigError):
+        config_from_dict(raw)
+
+
+def test_sweep_over_a_hidden_schema_key():
+    raw = {
+        "quantizer": {"algorithm": "cdf"},
+        "channel": {"n_probes": 200},
+        "ple": {"ber_bits": 0},
+        "trials": 2,
+        "sweep": {"parameter": "quantizer.quantization_level", "values": [1, 2]},
+    }
+    assert validate_config(raw) == []
+    cfg = config_from_dict(raw)
+    assert [p.quantizer.quantization_level for p in cfg.points] == [1, 2]
+    # the merged config still lists the hidden key only where the file sets it
+    assert "quantization_level" not in cfg.raw["quantizer"]
+    kdr = [e["metrics"]["kdr"]["mean"] for e in run_experiment(cfg).results]
+    assert kdr[0] != kdr[1]
+    # a field of an OFDM object, hidden or not, needs an object to live in
+    sweep = {"parameter": "ple.ofdm.n_fft", "values": [8]}
+    assert validate_config({"sweep": sweep}) == [
+        "sweep.parameter 'ple.ofdm.n_fft' is not a config path"
+    ]
+    ofdm = {"data_carriers": [1, 2, 3], "cp_len": 2}
+    assert validate_config({"ple": {"ofdm": ofdm}, "sweep": sweep}) == []

@@ -10,6 +10,7 @@ from physec.bits import STAGE_AMPLIFIED, BitKey, bit_fraction_differing
 from physec.blockcode import code_by_id
 from physec.channel import ChannelParams, generate_trace
 from physec.distill import amplify, recover, sketch, syndrome_bits_leaked
+from physec import harness
 from physec.errors import ConfigError, ParameterError, PhysecError
 from physec.harness import (
     _ber_trial,
@@ -170,6 +171,38 @@ def test_master_seed_override():
     cfg_b = config_from_dict({"scenario": "s"}, master_seed=7)
     assert cfg_a.master_seed == 0 and cfg_b.master_seed == 7
     assert cfg_a.config_hash == cfg_b.config_hash
+
+
+def test_points_are_resolved_once_at_load(monkeypatch):
+    cfg = config_from_dict(
+        _fast_cfg(
+            channel={"n_probes": 150},
+            ple={"ber_bits": 200},
+            sweep={"parameter": "ple.ebn0_db", "values": [0.0, 4.0, 8.0, 12.0]},
+            trials=2,
+        )
+    )
+    assert len(cfg.points) == len(cfg.sweep_values)
+    expected = report_json_bytes(run_experiment(cfg))
+
+    def refuse(*args):
+        raise AssertionError("run_experiment resolved a sweep point again")
+
+    monkeypatch.setattr(harness, "_resolve_point", refuse)
+    monkeypatch.setattr(harness, "_apply_sweep", refuse)
+    for jobs in (1, 2):
+        assert report_json_bytes(run_experiment(cfg, jobs=jobs)) == expected
+
+
+def test_master_seed_override_reaches_every_point():
+    raw = _fast_cfg(sweep={"parameter": "channel.snr_db", "values": [10.0, 30.0]})
+    assert [p.master_seed for p in config_from_dict(raw).points] == [0, 0]
+    assert [p.master_seed for p in config_from_dict(raw, 7).points] == [7, 7]
+    # a master_seed sweep value wins over the override
+    raw = _fast_cfg(sweep={"parameter": "master_seed", "values": [3, 4]})
+    cfg = config_from_dict(raw, master_seed=7)
+    assert cfg.master_seed == 7
+    assert [p.master_seed for p in cfg.points] == [3, 4]
 
 
 def test_trace_roundtrip(tmp_path):
