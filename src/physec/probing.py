@@ -6,12 +6,16 @@ exchanging timestamp lists. Timestamps are public side information and the
 exchange is modeled as error-free. Each party's surviving probes are held
 as arrays (ProbeSide), whether they come from a simulated channel trace or
 from a measured trace file.
+
+A trace file is read once, in chunks of CHUNK_ROWS rows. Each chunk is split
+into cells and parsed column by column, and every check runs on whole
+columns; the first malformed row in file order is the one reported.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -19,6 +23,17 @@ from .channel import ChannelTrace
 from .errors import ParameterError
 
 TRACE_HEADER = ("timestamp_a", "rss_a", "timestamp_b", "rss_b")
+CHUNK_ROWS = 4096  # data rows parsed at a time: bounds the parser's memory
+CELL_LIMIT = 131_072  # longest cell accepted, in characters
+_NOT_UTF8 = "bytes that are not UTF-8"
+# what can be wrong with one side of a row, in the order a row is checked
+_FAULTS = (
+    "half-empty {} probe",
+    "non-numeric {} cell",
+    "non-finite {} timestamp",
+    "decreasing {} timestamp",
+    "duplicate {} timestamp",
+)
 
 
 @dataclass(frozen=True)
@@ -110,66 +125,135 @@ def align_timestamps(alice: ProbeSide, bob: ProbeSide, tau: float):
     return alice.x[ia], bob.x[ib], bob.rows[ib]
 
 
+def _floats(cells: list, present: np.ndarray):
+    """One column's values by row (NaN where absent or not a number) and
+    the mask of rows whose cell is a number."""
+    values = np.full(present.size, np.nan)
+    try:
+        values[present] = np.fromiter(
+            map(float, filter(None, cells)), float, np.count_nonzero(present)
+        )
+        return values, present
+    except ValueError:
+        numeric = present.copy()
+        for i in np.flatnonzero(present):
+            try:
+                values[i] = float(cells[i])
+            except ValueError:
+                numeric[i] = False
+        return values, numeric
+
+
+def _parse_rows(lines: list, last: list, fail):
+    """Per-side (t, x, rows) of one chunk of data lines, and its tau.
+
+    Every check runs on whole columns; the first malformed row in file order
+    raises fail(its index in lines, what is wrong). rows count from the
+    chunk's first line. last holds each side's last timestamp before the
+    chunk and is advanced past it. tau is None when no row holds both probes.
+    """
+    wrong = np.flatnonzero(
+        np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines)) != 3
+    )
+    n = int(wrong[0]) if wrong.size else len(lines)  # rows with 4 cells
+    cells = list(map(str.strip, ",".join(lines[:n]).split(","))) if n else []
+    lengths = np.fromiter(map(len, cells), np.intp, len(cells)).reshape(n, 4)
+    present = lengths > 0
+    # faults[k, i]: side k's first fault in row i, as 1 + its _FAULTS index
+    faults = np.zeros((2, n), np.int8)
+    sides, t_alls, oks = [], [], []
+    for k, c in enumerate((0, 2)):
+        t_all, t_numeric = _floats(cells[c::4], present[:, c])
+        x_all, x_numeric = _floats(cells[c + 1 :: 4], present[:, c + 1])
+        both = present[:, c] & present[:, c + 1]
+        ok = both & t_numeric & x_numeric
+        rows = np.flatnonzero(ok)
+        t = t_all[rows]
+        prev = np.concatenate(([last[k]], t[:-1]))
+        stale = t <= prev
+        faults[k, rows[stale]] = np.where(t[stale] == prev[stale], 5, 4)
+        faults[k, rows[~np.isfinite(t)]] = 3
+        faults[k, both & ~ok] = 2
+        faults[k, present[:, c] != present[:, c + 1]] = 1
+        if t.size:
+            last[k] = float(t[-1])
+        sides.append((t, x_all[rows], rows))
+        t_alls.append(t_all)
+        oks.append(ok)
+    too_long = (lengths > CELL_LIMIT).any(axis=1)
+    bad = np.flatnonzero(too_long | faults.any(axis=0))
+    if bad.size:
+        i = int(bad[0])
+        if too_long[i]:
+            raise fail(i, f"cell longer than {CELL_LIMIT} characters")
+        k = 0 if faults[0, i] else 1
+        raise fail(i, _FAULTS[faults[k, i] - 1].format("ab"[k]))
+    if n < len(lines):
+        raise fail(n, "expected 4 cells")
+    both = np.flatnonzero(oks[0] & oks[1])
+    if not both.size:
+        return sides, None
+    return sides, float(t_alls[0][both[0]]) - float(t_alls[1][both[0]])
+
+
 def _parse_trace(path: str):
-    """(alice, bob, tau) of a trace file, from one pass over it.
+    """(alice, bob, tau) of a trace file, read once in chunks of CHUNK_ROWS rows.
 
     tau is Alice's minus Bob's timestamp in the first row that holds both
     probes, None when no row does.
     """
     columns = (([], [], []), ([], [], []))  # times, values, rows per side
-    sides = tuple(zip(range(2), "ab", (0, 2), columns))
     last = [-math.inf, -math.inf]
     tau = None
-    row_no = 1
+    first = 0  # data row of the chunk's first line, counting from 0
 
-    def bad(what: str) -> ParameterError:
-        return ParameterError(f"{path}:{row_no}: {what}")
+    def fail(i: int, what: str) -> ParameterError:
+        if not _is_utf8(lines[i]):
+            what = _NOT_UTF8
+        return ParameterError(f"{path}:{first + i + 2}: {what}")
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParameterError(f"{path}: empty trace file") from None
-        if tuple(h.strip() for h in header) != TRACE_HEADER:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        header = fh.readline()
+        if not header:
+            raise ParameterError(f"{path}: empty trace file")
+        if not _is_utf8(header):
+            raise ParameterError(f"{path}:1: {_NOT_UTF8}")
+        if tuple(map(str.strip, header.split(","))) != TRACE_HEADER:
             raise ParameterError(f"{path}: header must be {','.join(TRACE_HEADER)}")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise bad("expected 4 cells")
-            kept = 0
-            for k, side, cell, (times, values, rows) in sides:
-                t_cell, v_cell = row[cell].strip(), row[cell + 1].strip()
-                if not t_cell or not v_cell:
-                    if t_cell or v_cell:
-                        raise bad(f"half-empty {side} probe")
-                    continue
-                try:
-                    t, v = float(t_cell), float(v_cell)
-                except ValueError:
-                    raise bad(f"non-numeric {side} cell") from None
-                if not math.isfinite(t):
-                    raise bad(f"non-finite {side} timestamp")
-                if t <= last[k]:
-                    kind = "duplicate" if t == last[k] else "decreasing"
-                    raise bad(f"{kind} {side} timestamp")
-                last[k] = t
-                times.append(t)
-                values.append(v)
-                rows.append(row_no - 2)
-                kept += 1
-            if tau is None and kept == 2:
-                tau = last[0] - last[1]
-    alice, bob = (ProbeSide(*side) for side in columns)
+        while lines := list(islice(fh, CHUNK_ROWS)):
+            sides, chunk_tau = _parse_rows(lines, last, fail)
+            for side, (t, x, rows) in zip(columns, sides):
+                side[0].append(t)
+                side[1].append(x)
+                side[2].append(rows + first)
+            if tau is None:
+                tau = chunk_tau
+            first += len(lines)
+    alice, bob = (
+        ProbeSide(*(np.concatenate(parts) if parts else () for parts in side))
+        for side in columns
+    )
     return alice, bob, tau
 
 
+def _is_utf8(line: str) -> bool:
+    """Whether a line read with surrogateescape decoded without an escape."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def read_trace(path: str, tau: float | None = None):
-    """Parse a trace file into per-side probes, in one pass.
+    """Parse a trace file into per-side probes.
 
     Format: header ``timestamp_a,rss_a,timestamp_b,rss_b``; each row is one
-    probing round; an empty timestamp/value pair marks a lost probe on that
-    side. Each side's timestamps must be finite and increase strictly from
-    row to row; every malformed row is cited by its line number.
+    probing round of four plain numeric cells (no CSV quoting); an empty
+    timestamp/value pair marks a lost probe on that side. Each side's
+    timestamps must be finite and increase strictly from row to row. The file
+    is read once, in chunks of CHUNK_ROWS rows, and each chunk is parsed
+    column by column; the first malformed row is cited by its line number.
 
     Returns (alice, bob, tau). When tau is not given it is inferred from the
     first row that holds both probes.

@@ -200,3 +200,39 @@ def test_trace_stats_malformed_trace_exit_1(tmp_path, capsys):
     path.write_text(TRACE + "5.0,-50.0,2.5,-49.0\n")
     assert main(["trace-stats", str(path)]) == 1
     assert "decreasing b timestamp" in capsys.readouterr().err
+
+
+# a row that is not UTF-8, and a cell longer than the parser's limit
+UNREADABLE_ROWS = {
+    "not-utf8": (b"5.0,-5\xff0.0,4.0,-49.0\n", "bad.csv:6: bytes that are not UTF-8"),
+    "long-cell": (
+        b"5.0,-50.0,4.0," + b"4" * 131_073 + b"\n",
+        "bad.csv:6: cell longer than 131072 characters",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE_ROWS))
+def test_trace_stats_unreadable_row_exit_1(tmp_path, capsys, kind):
+    row, message = UNREADABLE_ROWS[kind]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(TRACE.encode() + row)
+    assert main(["trace-stats", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE_ROWS))
+def test_run_unreadable_trace_row_exit_1(tmp_path, capsys, kind):
+    row, message = UNREADABLE_ROWS[kind]
+    trace = tmp_path / "bad.csv"
+    trace.write_bytes(TRACE.encode() + row)
+    path = tmp_path / "exp.json"
+    path.write_text(
+        json.dumps({"trace_file": str(trace), "ple": {"ber_bits": 0},
+                    "sweep": {"parameter": "quantizer.alpha", "values": [0.5]},
+                    "trials": 1})
+    )
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
