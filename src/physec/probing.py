@@ -14,6 +14,7 @@ columns; the first malformed row in file order is the one reported.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import islice, repeat
 
@@ -26,6 +27,7 @@ TRACE_HEADER = ("timestamp_a", "rss_a", "timestamp_b", "rss_b")
 CHUNK_ROWS = 4096  # data rows parsed at a time: bounds the parser's memory
 CELL_LIMIT = 131_072  # longest cell accepted, in characters
 _NOT_UTF8 = "bytes that are not UTF-8"
+_ESCAPED = re.compile("[\udc80-\udcff]")  # such bytes, read with surrogateescape
 # what can be wrong with one side of a row, in the order a row is checked
 _FAULTS = (
     "half-empty {} probe",
@@ -202,13 +204,15 @@ def _parse_trace(path: str):
     tau is Alice's minus Bob's timestamp in the first row that holds both
     probes, None when no row does.
     """
-    columns = (([], [], []), ([], [], []))  # times, values, rows per side
+    empty = np.empty(0)
+    # per chunk, each side's (t, x, rows); the first entry stands for no rows
+    chunks = [((empty, empty, empty.astype(np.intp)),) * 2]
     last = [-math.inf, -math.inf]
     tau = None
     first = 0  # data row of the chunk's first line, counting from 0
 
     def fail(i: int, what: str) -> ParameterError:
-        if not _is_utf8(lines[i]):
+        if _ESCAPED.search(lines[i]):
             what = _NOT_UTF8
         return ParameterError(f"{path}:{first + i + 2}: {what}")
 
@@ -216,33 +220,18 @@ def _parse_trace(path: str):
         header = fh.readline()
         if not header:
             raise ParameterError(f"{path}: empty trace file")
-        if not _is_utf8(header):
+        if _ESCAPED.search(header):
             raise ParameterError(f"{path}:1: {_NOT_UTF8}")
         if tuple(map(str.strip, header.split(","))) != TRACE_HEADER:
             raise ParameterError(f"{path}: header must be {','.join(TRACE_HEADER)}")
         while lines := list(islice(fh, CHUNK_ROWS)):
             sides, chunk_tau = _parse_rows(lines, last, fail)
-            for side, (t, x, rows) in zip(columns, sides):
-                side[0].append(t)
-                side[1].append(x)
-                side[2].append(rows + first)
+            chunks.append([(t, x, rows + first) for t, x, rows in sides])
             if tau is None:
                 tau = chunk_tau
             first += len(lines)
-    alice, bob = (
-        ProbeSide(*(np.concatenate(parts) if parts else () for parts in side))
-        for side in columns
-    )
+    alice, bob = (ProbeSide(*map(np.concatenate, zip(*side))) for side in zip(*chunks))
     return alice, bob, tau
-
-
-def _is_utf8(line: str) -> bool:
-    """Whether a line read with surrogateescape decoded without an escape."""
-    try:
-        line.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
 
 
 def read_trace(path: str, tau: float | None = None):
