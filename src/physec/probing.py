@@ -25,7 +25,7 @@ from .errors import ParameterError
 
 TRACE_HEADER = ("timestamp_a", "rss_a", "timestamp_b", "rss_b")
 CHUNK_ROWS = 4096  # data rows parsed at a time: bounds the parser's memory
-CELL_LIMIT = 131_072  # longest cell accepted, in characters
+CELL_LIMIT = 131_072  # longest cell accepted, in characters: csv's default field limit
 _NOT_UTF8 = "bytes that are not UTF-8"
 _ESCAPED = re.compile("[\udc80-\udcff]")  # such bytes, read with surrogateescape
 # what can be wrong with one side of a row, in the order a row is checked
