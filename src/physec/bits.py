@@ -21,14 +21,21 @@ _STAGE_ORDER = {STAGE_QUANTIZED: 0, STAGE_RECONCILED: 1, STAGE_AMPLIFIED: 2}
 
 
 def as_bit_array(bits) -> np.ndarray:
-    """Coerce array-like input to a contiguous uint8 vector of 0/1 values."""
+    """Copy array-like input into a contiguous uint8 vector of 0/1 values.
+
+    Every entry must be exactly 0 or 1; it is checked before the cast,
+    which would wrap 257 to 1 and truncate 1.5 to 1.
+    """
     arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ParameterError(f"bit vector must be 1-D, got shape {arr.shape}")
-    arr = arr.astype(np.uint8, copy=True)
-    if arr.size and not np.all(arr <= 1):
-        raise ParameterError("bit vector entries must be 0 or 1")
-    return arr
+    if arr.dtype == np.uint8:
+        valid = arr.max(initial=0) <= 1
+    else:
+        valid = arr.dtype == np.bool_ or ((arr == 0) | (arr == 1)).all()
+    if not valid:
+        raise ParameterError("bit vector entries must be exactly 0 or 1")
+    return arr.astype(np.uint8, copy=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,22 +33,26 @@ class LinearBlockCode:
         self.code_id = code_id
         # H = [P^T | I]; syndrome of a received word r is r @ H^T
         self._h_t = np.vstack([p, np.eye(p.shape[1], dtype=np.uint8)])
-        # a syndrome's bits, read as a big-endian integer, index the table
+        # a syndrome's bits, read as a big-endian integer, index the tables
         self._syn_weights = (1 << np.arange(p.shape[1] - 1, -1, -1)).astype(np.int64)
-        self._syndrome_table = self._build_table()
+        self._correctable, self._message_fix = self._build_tables()
 
-    def _build_table(self):
-        table = np.full(1 << (self.n_code - self.k_code), -1, dtype=np.int64)
-        table[0] = 0
-        pattern_bits = (1 << np.arange(self.n_code - 1, -1, -1)).astype(np.int64)
+    def _build_tables(self):
+        """Per syndrome: whether an error pattern of weight <= t_corr has it,
+        and the message bits of the lightest such pattern (zeros if none)."""
+        n_syn = 1 << (self.n_code - self.k_code)
+        correctable = np.zeros(n_syn, dtype=bool)
+        fix = np.zeros((n_syn, self.k_code), dtype=np.uint8)
+        correctable[0] = True
         for w in range(1, self.t_corr + 1):
             for positions in combinations(range(self.n_code), w):
                 err = np.zeros(self.n_code, dtype=np.uint8)
                 err[list(positions)] = 1
                 syn = int((err @ self._h_t % 2) @ self._syn_weights)
-                if table[syn] == -1:
-                    table[syn] = int(err @ pattern_bits)
-        return table
+                if not correctable[syn]:
+                    correctable[syn] = True
+                    fix[syn] = err[: self.k_code]
+        return correctable, fix
 
     def encode(self, message) -> np.ndarray:
         """Message bits -> systematic codeword. Accepts (k,) or (m, k)."""
@@ -77,14 +81,12 @@ class LinearBlockCode:
         if w.ndim != 2 or w.shape[1] != self.n_code:
             raise ParameterError(f"words must have shape (m, {self.n_code})")
         syn = (w @ self._h_t % 2) @ self._syn_weights
-        patterns = self._syndrome_table[syn]
-        if np.any(patterns == -1):
-            bad = int(np.flatnonzero(patterns == -1)[0])
+        correctable = self._correctable[syn]
+        if not correctable.all():
+            bad = int(np.argmin(correctable))
             raise DecodeFailure(f"block {bad}: syndrome outside correction radius")
-        errs = ((patterns[:, None] >> np.arange(self.n_code - 1, -1, -1)) & 1).astype(
-            np.uint8
-        )
-        return (w ^ errs)[:, : self.k_code]
+        # take, not a fancy index: it skips numpy's slow 2-D gather path
+        return w[:, : self.k_code] ^ np.take(self._message_fix, syn, axis=0)
 
     def codewords(self) -> np.ndarray:
         """All 2^k codewords (small k only; used for structural checks)."""

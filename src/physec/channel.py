@@ -118,6 +118,25 @@ def _gauss_markov_at(times: np.ndarray, rho: float, rng) -> np.ndarray:
     return out
 
 
+def _merge_sorted(a: np.ndarray, b: np.ndarray):
+    """The sorted distinct values of two sorted 1-D arrays, and the
+    position of each entry of a and of b among them.
+
+    One stable merge: a stable sort of the concatenation runs in linear
+    time on two sorted runs, the first of each run of equal values starts
+    a distinct value, and a running count of those starts ranks every entry.
+    """
+    both = np.concatenate((a, b))
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    first = np.empty(merged.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=first[1:])
+    rank = np.empty(merged.size, dtype=np.intp)
+    rank[order] = np.cumsum(first) - 1
+    return merged[first], rank[: a.size], rank[a.size :]
+
+
 def generate_trace(params: ChannelParams) -> ChannelTrace:
     """Simulate one probing session.
 
@@ -137,10 +156,8 @@ def generate_trace(params: ChannelParams) -> ChannelTrace:
     t_b = np.arange(n, dtype=float)
     t_a = t_b + tau
 
-    union = np.union1d(t_b, t_a)
+    union, idx_b, idx_a = _merge_sorted(t_b, t_a)
     h_union = _gauss_markov_at(union, rho, rng_h)
-    idx_b = np.searchsorted(union, t_b)
-    idx_a = np.searchsorted(union, t_a)
     h_b = h_union[idx_b]
     h_a = h_union[idx_a]
 

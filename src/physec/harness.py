@@ -523,16 +523,18 @@ def _eve_distillation(x_e, quantizer_cfg, bits_a, common, sk, code, finish):
     except PhysecError:
         return math.nan, None
     # align Eve's bits to the legit common index list, zero-filling her drops;
-    # both quantizers keep indices in input order, so hers are sorted
-    bps = outcome_e.bits_per_sample
-    eve_grid = np.zeros((common.size, bps), dtype=np.uint8)
+    # both quantizers keep indices in input order, so hers are sorted. Each
+    # sample's bits move as one item of a bytes-wide dtype.
+    sample = np.dtype((np.void, outcome_e.bits_per_sample))
+    eve_samples = np.zeros(common.size, dtype=sample)
     src, row = match_sorted(outcome_e.kept_indices, common)
-    eve_grid[row] = outcome_e.bits.bits.reshape(-1, bps)[src]
+    eve_samples[row] = outcome_e.bits.bits.view(sample)[src]
+    eve_bits = eve_samples.view(np.uint8)
     eve_kdr = math.nan
     if row.size:
-        alice_grid = bits_a.bits.reshape(-1, bps)
-        eve_kdr = bit_fraction_differing(alice_grid[row].ravel(), eve_grid[row].ravel())
-    k_e = BitKey(eve_grid.ravel()[: sk.s.size])
+        alice_bits = bits_a.bits.view(sample)[row].view(np.uint8)
+        eve_kdr = bit_fraction_differing(alice_bits, eve_samples[row].view(np.uint8))
+    k_e = BitKey(eve_bits[: sk.s.size])
     try:
         return eve_kdr, finish(recover(k_e, sk, code))
     except PhysecError:

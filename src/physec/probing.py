@@ -33,6 +33,7 @@ _FAULTS = (
     "half-empty {} probe",
     "non-numeric {} cell",
     "non-finite {} timestamp",
+    "non-finite {} value",
     "decreasing {} timestamp",
     "duplicate {} timestamp",
 )
@@ -173,13 +174,15 @@ def _parse_rows(lines: list, last: list, fail):
         t = t_all[rows]
         prev = np.concatenate(([last[k]], t[:-1]))
         stale = t <= prev
-        faults[k, rows[stale]] = np.where(t[stale] == prev[stale], 5, 4)
+        x = x_all[rows]
+        faults[k, rows[stale]] = np.where(t[stale] == prev[stale], 6, 5)
+        faults[k, rows[~np.isfinite(x)]] = 4
         faults[k, rows[~np.isfinite(t)]] = 3
         faults[k, both & ~ok] = 2
         faults[k, present[:, c] != present[:, c + 1]] = 1
         if t.size:
             last[k] = float(t[-1])
-        sides.append((t, x_all[rows], rows))
+        sides.append((t, x, rows))
         t_alls.append(t_all)
         oks.append(ok)
     too_long = (lengths > CELL_LIMIT).any(axis=1)
@@ -239,10 +242,11 @@ def read_trace(path: str, tau: float | None = None):
 
     Format: header ``timestamp_a,rss_a,timestamp_b,rss_b``; each row is one
     probing round of four plain numeric cells (no CSV quoting); an empty
-    timestamp/value pair marks a lost probe on that side. Each side's
-    timestamps must be finite and increase strictly from row to row. The file
-    is read once, in chunks of CHUNK_ROWS rows, and each chunk is parsed
-    column by column; the first malformed row is cited by its line number.
+    timestamp/value pair marks a lost probe on that side. Every timestamp
+    and value must be finite, and each side's timestamps must increase
+    strictly from row to row. The file is read once, in chunks of CHUNK_ROWS
+    rows, and each chunk is parsed column by column; the first malformed row
+    is cited by its line number.
 
     Returns (alice, bob, tau). When tau is not given it is inferred from the
     first row that holds both probes.

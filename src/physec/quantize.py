@@ -90,33 +90,47 @@ def quantize_mean_sigma(x, cfg: MeanSigmaConfig) -> QuantizationOutcome:
     return QuantizationOutcome(BitKey(bits, STAGE_QUANTIZED), kept)
 
 
+# row j: the reflected Gray code of j in 8 bits, MSB first; the QL-bit code
+# of j < 2^QL is the row's last QL bits
+_GRAY_ROWS = np.unpackbits(
+    np.array([j ^ (j >> 1) for j in range(256)], dtype=np.uint8)[:, None], axis=1
+)
+
+
 def gray_code(j, ql: int) -> np.ndarray:
     """QL-bit reflected Gray code of interval index j, MSB first; for an
     array j, one code per entry along a new last axis."""
     if not 1 <= ql <= 8:
         raise ParameterError("ql must be in 1..8")
     j = np.asarray(j)
-    if np.any((j < 0) | (j >= 1 << ql)):
+    if j.size and (j.min() < 0 or j.max() >= 1 << ql):
         raise ParameterError(f"index outside [0, 2^{ql})")
-    g = j ^ (j >> 1)
-    return ((g[..., None] >> np.arange(ql - 1, -1, -1)) & 1).astype(np.uint8)
+    return np.take(_GRAY_ROWS[:, 8 - ql :], j, axis=0)
 
 
 def _cdf_thresholds(arr: np.ndarray, ql: int) -> np.ndarray:
     """Quantile thresholds eta_j = F_inv(j / 2^QL), j = 1 .. 2^QL - 1."""
     levels = 1 << ql
-    values, counts = np.unique(arr, return_counts=True)
-    if values.size < levels:
+    ordered = np.sort(arr)
+    # a distinct value starts where the sorted samples change; the number
+    # of samples below it is the position of its first copy
+    starts = np.empty(ordered.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    if ordered[-1] != ordered[-1]:
+        # NaNs sort last and count as one value
+        starts[np.searchsorted(ordered, np.nan) + 1 :] = False
+    below = np.flatnonzero(starts)
+    if below.size < levels:
         raise DegenerateInputError(
-            f"need at least {levels} distinct values, got {values.size}"
+            f"need at least {levels} distinct values, got {below.size}"
         )
-    below = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    # F(values[i]) >= j/levels  <=>  below[i] * levels >= n * j  (exact integers)
+    # F(value i) >= j/levels  <=>  below[i] * levels >= n * j  (exact integers)
     j = np.arange(1, levels)
     pick = np.searchsorted(below * levels, arr.size * j, side="left")
-    if np.any(pick >= values.size):
+    if np.any(pick >= below.size):
         raise DegenerateInputError("upper quantile unrealizable (too many ties)")
-    return values[pick]
+    return ordered[below[pick]]
 
 
 def quantize_cdf(x, cfg: CdfConfig) -> BitKey:
@@ -143,7 +157,13 @@ def intersect_kept_indices(outcome: QuantizationOutcome, other_kept):
     (censored BitKey, common index vector).
     """
     other = np.asarray(other_kept, dtype=np.intp)
-    mask = np.isin(outcome.kept_indices, other)
+    kept = outcome.kept_indices
+    if other.size and other.min() < 0 or kept.size and kept.min() < 0:
+        raise ParameterError("kept indices must be >= 0")
+    # a lookup table over this outcome's indices: True where the peer kept one
+    shared = np.zeros(kept.max(initial=-1) + 1, dtype=bool)
+    shared[other[other < shared.size]] = True
+    mask = shared[kept]
     # compress, not a boolean index: it skips numpy's slow 2-D mask path
     bits = outcome.bits.bits.reshape(-1, outcome.bits_per_sample).compress(mask, 0)
-    return BitKey(bits.ravel(), STAGE_QUANTIZED), outcome.kept_indices[mask]
+    return BitKey(bits.ravel(), STAGE_QUANTIZED), kept[mask]

@@ -26,6 +26,26 @@ def test_as_bit_array_rejects_non_bits():
         as_bit_array(np.zeros((2, 2)))
 
 
+def test_as_bit_array_checks_before_the_cast():
+    # a cast first would wrap 257 to 1 and truncate 1.5 to 1
+    with pytest.raises(ParameterError, match="exactly 0 or 1"):
+        BitKey(np.array([0, 257, 1]))
+    with pytest.raises(ParameterError, match="exactly 0 or 1"):
+        as_bit_array([1.5])
+    for bad in ([-1], [np.nan], np.array([0, 2], np.uint8), np.array([0, -255], np.int16)):
+        with pytest.raises(ParameterError, match="exactly 0 or 1"):
+            as_bit_array(bad)
+    assert np.array_equal(as_bit_array([1.0, 0.0, -0.0]), [1, 0, 0])
+    assert as_bit_array(np.array([], dtype=float)).dtype == np.uint8
+
+
+def test_as_bit_array_copies_uint8_and_bool_input():
+    for bits in (np.array([1, 0, 1], np.uint8), np.array([True, False, True])):
+        out = as_bit_array(bits)
+        assert out.dtype == np.uint8 and np.array_equal(out, [1, 0, 1])
+        assert not np.shares_memory(out, bits)
+
+
 def test_bitkey_equality_includes_stage():
     a = BitKey([1, 0, 1], STAGE_QUANTIZED)
     b = BitKey([1, 0, 1], STAGE_QUANTIZED)

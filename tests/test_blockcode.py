@@ -145,3 +145,55 @@ def test_single_word_decode_fails_as_block_zero():
     message = "^block 0: syndrome outside correction radius$"
     with pytest.raises(DecodeFailure, match=message):
         code.decode(np.array([1, 1, 0, 0], dtype=np.uint8))
+
+
+def _reference_decode_batch(code, words):
+    """Decoding through a table of whole error patterns as integers, each
+    unpacked per call, kept as the reference."""
+    n, r = code.n_code, code.n_code - code.k_code
+    h_t = np.vstack([code.parity, np.eye(r, dtype=np.uint8)])
+    syn_weights = 1 << np.arange(r - 1, -1, -1)
+    table = np.full(1 << r, -1, dtype=np.int64)
+    table[0] = 0
+    for w in range(1, code.t_corr + 1):
+        for positions in combinations(range(n), w):
+            err = np.zeros(n, dtype=np.uint8)
+            err[list(positions)] = 1
+            syn = int((err @ h_t % 2) @ syn_weights)
+            if table[syn] == -1:
+                table[syn] = int(err @ (1 << np.arange(n - 1, -1, -1)))
+    patterns = table[(words @ h_t % 2) @ syn_weights]
+    if np.any(patterns == -1):
+        bad = int(np.flatnonzero(patterns == -1)[0])
+        raise DecodeFailure(f"block {bad}: syndrome outside correction radius")
+    errs = ((patterns[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+    return (words ^ errs)[:, : code.k_code]
+
+
+def _decoded(decode, words):
+    try:
+        return decode(words).tobytes()
+    except DecodeFailure as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("make", [hamming74, repetition41])
+def test_decode_batch_matches_pattern_table_reference(make):
+    code = make()
+    every_word = np.array([_int_to_bits(v, code.n_code) for v in range(1 << code.n_code)])
+    rng = np.random.default_rng(code.n_code)
+    batches = [every_word[i : i + 1] for i in range(every_word.shape[0])]
+    batches += [every_word[rng.integers(0, every_word.shape[0], 9)] for _ in range(200)]
+    for words in batches:
+        want = _decoded(lambda w: _reference_decode_batch(code, w), words)
+        assert _decoded(code.decode_batch, words) == want
+
+
+@pytest.mark.parametrize("first_bad", range(6))
+def test_decode_batch_names_the_first_failing_block_like_the_reference(first_bad):
+    code = repetition41()
+    words = np.tile(np.array([1, 1, 1, 0], dtype=np.uint8), (6, 1))
+    words[first_bad:] = [1, 1, 0, 0]  # two errors: outside the correction radius
+    want = f"block {first_bad}: syndrome outside correction radius"
+    assert _decoded(lambda w: _reference_decode_batch(code, w), words) == want
+    assert _decoded(code.decode_batch, words) == want

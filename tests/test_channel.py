@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from physec import channel
 from physec.channel import (
     ChannelParams,
     eve_correlation_from_distance,
@@ -228,3 +229,37 @@ def test_trace_golden_hash(tau):
     for arr in (tr.x_a, tr.x_b, tr.x_e, tr.t_a):
         digest.update(np.asarray(arr, dtype="<f8").tobytes())
     assert digest.hexdigest() == TRACE_SHA256[tau]
+
+
+def _reference_merge(a, b):
+    """np.union1d plus a searchsorted per array, kept as the reference for
+    the one stable merge that replaced them."""
+    union = np.union1d(a, b)
+    return union, np.searchsorted(union, a), np.searchsorted(union, b)
+
+
+def _assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+# 0 puts both parties on one grid; 2.5 and 12 overlap only partly, and 12
+# leaves no common time at 10 probes
+@pytest.mark.parametrize("tau", [0.0, 0.3, 1.0, 2.5, 12.0])
+def test_merge_matches_union_and_searchsorted(tau, monkeypatch):
+    t_b = np.arange(10, dtype=float)
+    _assert_same_arrays(channel._merge_sorted(t_b, t_b + tau), _reference_merge(t_b, t_b + tau))
+    params = ChannelParams(sampling_delay=tau, n_probes=10, rng_seed=3)
+    merged = generate_trace(params)
+    monkeypatch.setattr(channel, "_merge_sorted", _reference_merge)
+    reference = generate_trace(params)
+    for name in ("x_a", "x_b", "x_e", "t_a", "t_b"):
+        assert getattr(merged, name).tobytes() == getattr(reference, name).tobytes()
+
+
+def test_merge_of_sorted_arrays_with_repeats():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        a, b = (np.sort(rng.integers(-5, 5, rng.integers(1, 12)) / 2.0) for _ in "ab")
+        _assert_same_arrays(channel._merge_sorted(a, b), _reference_merge(a, b))

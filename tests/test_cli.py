@@ -202,6 +202,22 @@ def test_trace_stats_malformed_trace_exit_1(tmp_path, capsys):
     assert "decreasing b timestamp" in capsys.readouterr().err
 
 
+def test_non_finite_rss_trace_exit_1(tmp_path, capsys):
+    trace = tmp_path / "bad.csv"
+    trace.write_text(TRACE.replace("-52.5", "nan") + "5.0,-50.0,4.0,inf\n")
+    message = "bad.csv:4: non-finite a value"
+    assert main(["trace-stats", str(trace)]) == 1
+    assert message in capsys.readouterr().err
+    path = tmp_path / "exp.json"
+    path.write_text(
+        json.dumps({"trace_file": str(trace), "ple": {"ber_bits": 0},
+                    "sweep": {"parameter": "quantizer.alpha", "values": [0.5]},
+                    "trials": 1})
+    )
+    assert main(["run", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 # a row that is not UTF-8, and a cell longer than the parser's limit
 UNREADABLE_ROWS = {
     "not-utf8": (b"5.0,-5\xff0.0,4.0,-49.0\n", "bad.csv:6: bytes that are not UTF-8"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from physec import quantize
 from physec.bits import STAGE_QUANTIZED, BitKey
 from physec.errors import DegenerateInputError, ParameterError
 from physec.quantize import (
@@ -206,3 +207,121 @@ def test_intersect_multibit_blocks():
 def test_outcome_length_consistency():
     with pytest.raises(ParameterError):
         QuantizationOutcome(BitKey([0, 1, 1], STAGE_QUANTIZED), kept_indices=[0, 1])
+
+
+# --- the linear-pass forms against the forms they replaced ---------------
+
+
+def _reference_gray_code(j, ql):
+    """Gray codes by shifting every bit out, kept as the reference."""
+    g = np.asarray(j) ^ (np.asarray(j) >> 1)
+    return ((g[..., None] >> np.arange(ql - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def _reference_cdf_thresholds(arr, ql):
+    """Thresholds from np.unique's counts, kept as the reference."""
+    levels = 1 << ql
+    values, counts = np.unique(arr, return_counts=True)
+    if values.size < levels:
+        raise DegenerateInputError(
+            f"need at least {levels} distinct values, got {values.size}"
+        )
+    below = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    pick = np.searchsorted(below * levels, arr.size * np.arange(1, levels), side="left")
+    if np.any(pick >= values.size):
+        raise DegenerateInputError("upper quantile unrealizable (too many ties)")
+    return values[pick]
+
+
+def _reference_intersect(outcome, other_kept):
+    """Censoring by np.isin, kept as the reference."""
+    mask = np.isin(outcome.kept_indices, np.asarray(other_kept, dtype=np.intp))
+    bits = outcome.bits.bits.reshape(-1, outcome.bits_per_sample)[mask]
+    return bits.ravel(), outcome.kept_indices[mask]
+
+
+@pytest.mark.parametrize("ql", range(1, 9))
+def test_gray_code_matches_shift_reference(ql):
+    j = np.arange(1 << ql)
+    for arg in (j, j[::-1].reshape(2, -1), 0, (1 << ql) - 1):
+        got, want = gray_code(arg, ql), _reference_gray_code(arg, ql)
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert gray_code(np.array([], dtype=np.intp), ql).shape == (0, ql)
+
+
+def _outcome_text(f, *args):
+    try:
+        return f(*args).tobytes()
+    except DegenerateInputError as exc:
+        return str(exc)
+
+
+def test_cdf_thresholds_match_unique_reference_on_ties():
+    rng = np.random.default_rng(11)
+    texts = set()
+    for _ in range(2000):
+        ql = int(rng.integers(1, 5))
+        x = rng.integers(0, rng.integers(1, 24), rng.integers(2, 80)).astype(float)
+        if rng.random() < 0.2:
+            x[rng.random(x.size) < 0.3] = np.nan  # NaNs count as one value
+        if rng.random() < 0.2:
+            x[x == 0] = -0.0
+        want = _outcome_text(_reference_cdf_thresholds, x, ql)
+        assert _outcome_text(quantize._cdf_thresholds, x, ql) == want, (x, ql)
+        if isinstance(want, str):
+            texts.add(want.split(" got ")[0])
+    distinct = {f"need at least {1 << ql} distinct values," for ql in range(1, 5)}
+    assert texts == distinct | {"upper quantile unrealizable (too many ties)"}
+
+
+def test_cdf_degenerate_error_texts():
+    with pytest.raises(DegenerateInputError, match="^need at least 4 distinct values, got 3$"):
+        quantize._cdf_thresholds(np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]), 2)
+    with pytest.raises(DegenerateInputError, match=r"^upper quantile unrealizable \(too many"):
+        quantize._cdf_thresholds(np.array([1.0, 2.0, 3.0, 4.0, 4.0, 4.0, 4.0, 4.0]), 2)
+
+
+@pytest.mark.parametrize("bps", [1, 3])
+@pytest.mark.parametrize(
+    "kept, other",
+    [
+        ([], []),
+        ([], [0, 4]),
+        ([0, 2, 5], []),
+        ([0, 2, 5], [1, 3, 4, 6, 10**9]),  # disjoint, one far past the end
+        (list(range(50)), list(range(50))),  # the full range
+        ([1, 3, 5, 7], [7, 5, 5, 0]),  # unsorted, repeated
+    ],
+)
+def test_intersect_matches_isin_reference(kept, other, bps):
+    rng = np.random.default_rng(len(kept) + bps)
+    bits = BitKey(rng.integers(0, 2, len(kept) * bps), STAGE_QUANTIZED)
+    outcome = QuantizationOutcome(bits, kept_indices=kept, bits_per_sample=bps)
+    got_bits, got_common = intersect_kept_indices(outcome, other)
+    want_bits, want_common = _reference_intersect(outcome, other)
+    assert np.array_equal(got_bits.bits, want_bits)
+    assert got_common.dtype == np.intp and np.array_equal(got_common, want_common)
+
+
+def test_intersect_matches_isin_reference_on_random_lists():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        kept, other = (np.flatnonzero(rng.random(n) < rng.random()) for _ in "ab")
+        bits = BitKey(rng.integers(0, 2, 2 * kept.size), STAGE_QUANTIZED)
+        outcome = QuantizationOutcome(bits, kept, bits_per_sample=2)
+        got_bits, got_common = intersect_kept_indices(outcome, other)
+        want_bits, want_common = _reference_intersect(outcome, other)
+        assert np.array_equal(got_bits.bits, want_bits)
+        assert np.array_equal(got_common, want_common)
+
+
+def test_intersect_rejects_negative_indices():
+    # a lookup table would wrap -1 to its last entry
+    out = QuantizationOutcome(BitKey([0, 1, 1], STAGE_QUANTIZED), kept_indices=[0, 1, 2])
+    with pytest.raises(ParameterError, match="kept indices must be >= 0"):
+        intersect_kept_indices(out, [0, -1])
+    negative = QuantizationOutcome(BitKey([0, 1], STAGE_QUANTIZED), kept_indices=[-1, 2])
+    with pytest.raises(ParameterError, match="kept indices must be >= 0"):
+        intersect_kept_indices(negative, [2])

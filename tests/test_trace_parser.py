@@ -115,6 +115,8 @@ def _reference_parse(path: str):
                     raise bad(f"non-numeric {side} cell") from None
                 if not math.isfinite(t):
                     raise bad(f"non-finite {side} timestamp")
+                if not math.isfinite(v):
+                    raise bad(f"non-finite {side} value")
                 if t <= last[k]:
                     kind = "duplicate" if t == last[k] else "decreasing"
                     raise bad(f"{kind} {side} timestamp")
@@ -315,3 +317,35 @@ def test_cells_longer_than_the_limit_are_cited(tmp_path):
     assert read_trace(str(path))[0].x.tolist() == [1.5]
     path.write_text(",".join(TRACE_HEADER) + f"\n1.0,-50.0,0.0,-49.0\n2.0,0{longest},1.0,-48.0\n")
     _rejects(path, f":3: cell longer than {probing.CELL_LIMIT} characters")
+
+
+@pytest.mark.parametrize("cell", NON_FINITE)
+def test_non_finite_rss_values_are_cited(tmp_path, cell):
+    # read_trace used to return them as measurements
+    path = tmp_path / "trace.csv"
+    lines = _clean_rows(6)
+    lines[2] = f"3.0,{cell},2.0,-52.0"
+    lines[4] = "5.0,-50.0,4.0,inf"
+    path.write_text("\n".join([",".join(TRACE_HEADER), *lines]) + "\n")
+    assert _outcome(_reference_parse, str(path)) == f"{path}:4: non-finite a value"
+    _rejects(path, ":4: non-finite a value")
+
+
+def test_non_finite_rss_value_order_within_a_row(tmp_path):
+    # side a before side b; in one side, a non-finite timestamp before a
+    # non-finite value, and that before a repeated or decreasing timestamp
+    cases = {
+        "1.0,-50.0,0.0,nan": ":2: non-finite b value",
+        "1.0,nan,0.0,x": ":2: non-finite a value",
+        "1.0,nan,nan,-50.0": ":2: non-finite a value",
+        "inf,nan,0.0,-50.0": ":2: non-finite a timestamp",
+    }
+    path = tmp_path / "trace.csv"
+    for row, message in cases.items():
+        path.write_text(f"{','.join(TRACE_HEADER)}\n{row}\n")
+        assert _outcome(_reference_parse, str(path)) == f"{path}{message}"
+        _rejects(path, message)
+    # a value that is not finite wins over a repeated timestamp in its row
+    path.write_text(f"{','.join(TRACE_HEADER)}\n1.0,-50.0,0.0,-50.0\n1.0,-inf,1.0,-50.0\n")
+    assert _outcome(_reference_parse, str(path)) == f"{path}:3: non-finite a value"
+    _rejects(path, ":3: non-finite a value")
