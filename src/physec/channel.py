@@ -8,8 +8,10 @@ Gauss-Markov fading process.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +67,8 @@ class ChannelTrace:
     """One probing session: measurement and timestamp vectors.
 
     x_b[i] is Bob's measurement at time t_b[i] = i, x_a[i] is Alice's at
-    t_a[i] = i + tau, and x_e[i] is the eavesdropper's at t_b[i].
+    t_a[i] = i + tau, and x_e[i] is the eavesdropper's at t_b[i]. t_a and
+    t_b are read-only: every trace with the same n_probes and tau shares them.
     """
 
     x_a: np.ndarray
@@ -90,30 +93,57 @@ def load_filter():
     return lfilter
 
 
-def _gauss_markov_at(times: np.ndarray, rho: float, rng) -> np.ndarray:
-    """Sample a zero-mean unit-variance stationary Gauss-Markov process.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    Exact at arbitrary (sorted) sample times: conditional on h(t1),
+
+class _Steps(NamedTuple):
+    """The steps of a Gauss-Markov process sampled at sorted times: the
+    value at each time after the first is phi h + sigma z, with h the value
+    at the time before it and z a fresh standard normal.
+
+    With constant spacing every step is the same, and phi and sigma are the
+    one step's floats; otherwise they are read-only arrays, one entry per gap.
+    """
+
+    phi: float | np.ndarray
+    sigma: float | np.ndarray
+    constant: bool
+
+
+def _markov_steps(times: np.ndarray, rho: float) -> _Steps | None:
+    """The steps of a zero-mean unit-variance stationary Gauss-Markov
+    process at sorted times; None when there is a single time.
+
+    Exact at arbitrary sample times: conditional on h(t1),
     h(t2) ~ N(rho^(t2-t1) h(t1), 1 - rho^(2(t2-t1))). Repeated times get
     identical values. rho=0 gives white samples (0^0 = 1 keeps duplicates
     coherent), rho=1 a constant process.
     """
-    n = times.size
-    z = rng.standard_normal(n)
-    if n == 1:
-        return z
-    dt = np.diff(times)
-    phi = np.power(rho, dt)
+    if times.size == 1:
+        return None
+    phi = np.power(rho, np.diff(times))
     sigma = np.sqrt(np.maximum(0.0, 1.0 - phi * phi))
     if np.all(phi == phi[0]):
+        return _Steps(float(phi[0]), float(sigma[0]), True)
+    return _Steps(_read_only(phi), _read_only(sigma), False)
+
+
+def _gauss_markov(z: np.ndarray, steps: _Steps | None) -> np.ndarray:
+    """Run the process of steps, driven by one standard normal z per time."""
+    if steps is None:
+        return z
+    if steps.constant:
         # constant probe spacing: the recursion is a first-order IIR filter
-        drive = np.empty(n)
+        drive = np.empty(z.size)
         drive[0] = z[0]
-        drive[1:] = sigma * z[1:]
-        return load_filter()([1.0], [1.0, -phi[0]], drive)
-    out = np.empty(n)
+        drive[1:] = steps.sigma * z[1:]
+        return load_filter()([1.0], [1.0, -steps.phi], drive)
+    phi, sigma = steps.phi, steps.sigma
+    out = np.empty(z.size)
     out[0] = z[0]
-    for i in range(1, n):
+    for i in range(1, z.size):
         out[i] = phi[i - 1] * out[i - 1] + sigma[i - 1] * z[i]
     return out
 
@@ -137,6 +167,34 @@ def _merge_sorted(a: np.ndarray, b: np.ndarray):
     return merged[first], rank[: a.size], rank[a.size :]
 
 
+class _SamplingGrid(NamedTuple):
+    """What every trial of one (n_probes, rho_t, tau) shares: Bob's and
+    Alice's sample times, the union of both with each side's position in
+    it, and the fading steps over the union (h) and over Bob's times (g)."""
+
+    t_b: np.ndarray
+    t_a: np.ndarray
+    union: np.ndarray
+    idx_b: np.ndarray
+    idx_a: np.ndarray
+    union_steps: _Steps | None
+    b_steps: _Steps | None
+
+
+@functools.lru_cache(maxsize=8)
+def _sampling_grid(n: int, rho: float, tau: float) -> _SamplingGrid:
+    """The sampling grid of n probes at delay tau under rho, built at the
+    first trial that needs it; every array in it is read-only."""
+    t_b = np.arange(n, dtype=float)
+    t_a = t_b + tau
+    union, idx_b, idx_a = _merge_sorted(t_b, t_a)
+    return _SamplingGrid(
+        *map(_read_only, (t_b, t_a, union, idx_b, idx_a)),
+        union_steps=_markov_steps(union, rho),
+        b_steps=_markov_steps(t_b, rho),
+    )
+
+
 def generate_trace(params: ChannelParams) -> ChannelTrace:
     """Simulate one probing session.
 
@@ -145,23 +203,22 @@ def generate_trace(params: ChannelParams) -> ChannelTrace:
     rho_t^tau before noise. The eavesdropper sees
     rho_E h + sqrt(1 - rho_E^2) g with g an independent copy of the fading
     process, plus her own measurement noise.
+
+    The sample times and the fading process's step terms depend only on
+    (n_probes, rho_t, tau): they are built once per such grid and reused by
+    every trial on it, which draws only its own noise.
     """
     n = params.n_probes
-    rho = params.temporal_correlation
-    tau = params.sampling_delay
+    grid = _sampling_grid(n, params.temporal_correlation, params.sampling_delay)
 
     seeds = np.random.SeedSequence(params.rng_seed).spawn(5)
     rng_h, rng_g, rng_wa, rng_wb, rng_we = (np.random.default_rng(s) for s in seeds)
 
-    t_b = np.arange(n, dtype=float)
-    t_a = t_b + tau
+    h_union = _gauss_markov(rng_h.standard_normal(grid.union.size), grid.union_steps)
+    h_b = h_union[grid.idx_b]
+    h_a = h_union[grid.idx_a]
 
-    union, idx_b, idx_a = _merge_sorted(t_b, t_a)
-    h_union = _gauss_markov_at(union, rho, rng_h)
-    h_b = h_union[idx_b]
-    h_a = h_union[idx_a]
-
-    g = _gauss_markov_at(t_b, rho, rng_g)
+    g = _gauss_markov(rng_g.standard_normal(n), grid.b_steps)
 
     sw = params.noise_std
     x_a = h_a + sw * rng_wa.standard_normal(n)
@@ -169,7 +226,9 @@ def generate_trace(params: ChannelParams) -> ChannelTrace:
     rho_e = params.eve_correlation
     x_e = rho_e * h_b + math.sqrt(1.0 - rho_e**2) * g + sw * rng_we.standard_normal(n)
 
-    return ChannelTrace(x_a=x_a, x_b=x_b, x_e=x_e, t_a=t_a, t_b=t_b, params=params)
+    return ChannelTrace(
+        x_a=x_a, x_b=x_b, x_e=x_e, t_a=grid.t_a, t_b=grid.t_b, params=params
+    )
 
 
 def pearson_correlation(u, v) -> float:

@@ -54,7 +54,6 @@ from .probing import (
     LossModel,
     align_timestamps,
     apply_loss,
-    match_sorted,
     paired_base_times,  # bound only for the benchmark's trace plan
     read_trace,
 )
@@ -352,6 +351,11 @@ def _resolve(raw, master_seed: int | None = None) -> tuple[dict, list, list[str]
     if cfg["trace_file"] is not None and param.startswith("channel."):
         out.append("cannot sweep channel parameters of a trace file")
     points = [_collect(c, out, f"sweep value {v!r}: ") for v, c in zip(values, swept)]
+    if len(points) > 1 and None not in points:
+        # code_by_id builds a new code per call, so codes compare by id
+        first, *rest = (replace(p, code=p.code.code_id) for p in points)
+        if all(p == first for p in rest):
+            out.append(f"sweep.parameter {param!r} changes no point")
     return cfg, points, out
 
 
@@ -361,7 +365,8 @@ def validate_config(raw) -> list[str]:
     The config must be expressible as JSON, so Infinity and NaN are
     rejected wherever they appear. Its sweep points are resolved as
     config_from_dict resolves them, and whatever that raises is collected.
-    Any schema key but scenario and trials may be swept, hidden ones too.
+    Any schema key but scenario and trials may be swept, hidden ones too,
+    but the points of a sweep of two or more values may not all be equal.
     """
     return _resolve(raw)[2]
 
@@ -464,8 +469,11 @@ def key_generation_trial(
 
     Keys are truncated to a whole number of code blocks before sketching.
     An eavesdropper observation vector, when given, is distilled the same
-    way, including the attempt to exploit the public sketch.
+    way, including the attempt to exploit the public sketch; it holds one
+    observation per entry of x_a, else ParameterError is raised.
     """
+    if x_e is not None and len(x_e) != len(x_a):
+        raise ParameterError("x_e must hold one observation per entry of x_a")
     result = KeyGenResult()
     try:
         outcome_a = _quantize_outcome(x_a, quantizer_cfg)
@@ -522,12 +530,18 @@ def _eve_distillation(x_e, quantizer_cfg, bits_a, common, sk, code, finish):
         outcome_e = _quantize_outcome(x_e, quantizer_cfg)
     except PhysecError:
         return math.nan, None
-    # align Eve's bits to the legit common index list, zero-filling her drops;
-    # both quantizers keep indices in input order, so hers are sorted. Each
-    # sample's bits move as one item of a bytes-wide dtype.
+    # align Eve's bits to the legit common index list, zero-filling her drops:
+    # a table over her samples holds each kept one's position among her bits
+    # (-1 where she dropped it). Each sample's bits move as one item of a
+    # bytes-wide dtype.
     sample = np.dtype((np.void, outcome_e.bits_per_sample))
     eve_samples = np.zeros(common.size, dtype=sample)
-    src, row = match_sorted(outcome_e.kept_indices, common)
+    kept_e = outcome_e.kept_indices
+    position = np.full(len(x_e), -1, dtype=np.intp)
+    position[kept_e] = np.arange(kept_e.size)
+    src = position[common]
+    row = np.flatnonzero(src >= 0)
+    src = src[row]
     eve_samples[row] = outcome_e.bits.bits.view(sample)[src]
     eve_bits = eve_samples.view(np.uint8)
     eve_kdr = math.nan

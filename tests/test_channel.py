@@ -216,19 +216,21 @@ TRACE_SHA256 = {
 
 @pytest.mark.parametrize("tau", sorted(TRACE_SHA256))
 def test_trace_golden_hash(tau):
-    tr = generate_trace(
-        ChannelParams(
-            temporal_correlation=0.9,
-            sampling_delay=tau,
-            eve_correlation=0.3,
-            n_probes=4096,
-            rng_seed=5,
-        )
+    params = ChannelParams(
+        temporal_correlation=0.9,
+        sampling_delay=tau,
+        eve_correlation=0.3,
+        n_probes=4096,
+        rng_seed=5,
     )
-    digest = hashlib.sha256()
-    for arr in (tr.x_a, tr.x_b, tr.x_e, tr.t_a):
-        digest.update(np.asarray(arr, dtype="<f8").tobytes())
-    assert digest.hexdigest() == TRACE_SHA256[tau]
+    # the first call builds the sampling grid, the second reuses it
+    channel._sampling_grid.cache_clear()
+    for _ in range(2):
+        tr = generate_trace(params)
+        digest = hashlib.sha256()
+        for arr in (tr.x_a, tr.x_b, tr.x_e, tr.t_a):
+            digest.update(np.asarray(arr, dtype="<f8").tobytes())
+        assert digest.hexdigest() == TRACE_SHA256[tau]
 
 
 def _reference_merge(a, b):
@@ -253,6 +255,8 @@ def test_merge_matches_union_and_searchsorted(tau, monkeypatch):
     params = ChannelParams(sampling_delay=tau, n_probes=10, rng_seed=3)
     merged = generate_trace(params)
     monkeypatch.setattr(channel, "_merge_sorted", _reference_merge)
+    # drop the grid the first call cached, so the reference merge builds one
+    channel._sampling_grid.cache_clear()
     reference = generate_trace(params)
     for name in ("x_a", "x_b", "x_e", "t_a", "t_b"):
         assert getattr(merged, name).tobytes() == getattr(reference, name).tobytes()
@@ -263,3 +267,46 @@ def test_merge_of_sorted_arrays_with_repeats():
     for _ in range(200):
         a, b = (np.sort(rng.integers(-5, 5, rng.integers(1, 12)) / 2.0) for _ in "ab")
         _assert_same_arrays(channel._merge_sorted(a, b), _reference_merge(a, b))
+
+
+def test_a_new_trial_on_a_grid_merges_nothing(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.size)
+        return _reference_merge(a, b)
+
+    monkeypatch.setattr(channel, "_merge_sorted", counted)
+    channel._sampling_grid.cache_clear()
+    first = generate_trace(ChannelParams(n_probes=64, rng_seed=1))
+    second = generate_trace(ChannelParams(n_probes=64, rng_seed=2))
+    assert calls == [64]
+    assert not np.array_equal(first.x_b, second.x_b)
+    # another delay is another grid
+    generate_trace(ChannelParams(n_probes=64, sampling_delay=0.3, rng_seed=2))
+    assert calls == [64, 64]
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.3])
+def test_cached_grid_is_read_only(tau):
+    params = ChannelParams(temporal_correlation=0.9, sampling_delay=tau, n_probes=32)
+    tr = generate_trace(params)
+    grid = channel._sampling_grid(32, 0.9, tau)
+    steps = [s for s in (grid.union_steps, grid.b_steps) if not s.constant]
+    arrays = [a for a in grid if isinstance(a, np.ndarray)]
+    arrays += [a for s in steps for a in (s.phi, s.sigma)]
+    # the regular path keeps one step's floats, the irregular one an array per gap
+    assert len(steps) == (tau == 0.3)
+    assert tr.t_a is grid.t_a and tr.t_b is grid.t_b
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_grid_cache_stays_bounded_over_an_n_probes_sweep():
+    limit = channel._sampling_grid.cache_info().maxsize
+    channel._sampling_grid.cache_clear()
+    for n in range(1, 2 * limit + 2):
+        generate_trace(ChannelParams(n_probes=n, rng_seed=n))
+    assert channel._sampling_grid.cache_info().currsize == limit

@@ -173,6 +173,31 @@ def test_sweep_over_a_key_every_point_shares_is_rejected(param, values):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "algorithm, param, values",
+    [
+        ("cdf", "quantizer.alpha", [0.1, 0.9]),
+        # CdfConfig takes 1 to 8, but the mean/sigma path never builds one
+        ("mean_sigma", "quantizer.quantization_level", [1, 99]),
+    ],
+    ids=["alpha-under-cdf", "level-under-mean-sigma"],
+)
+def test_sweep_that_changes_no_point_is_rejected(algorithm, param, values):
+    raw = {
+        "quantizer": {"algorithm": algorithm},
+        "channel": {"n_probes": 200},
+        "ple": {"ber_bits": 0},
+        "trials": 3,
+        "sweep": {"parameter": param, "values": values},
+    }
+    assert validate_config(raw) == [f"sweep.parameter {param!r} changes no point"]
+    with pytest.raises(ConfigError):
+        config_from_dict(raw)
+    # one value is a single point, not a sweep that shows nothing
+    raw["sweep"]["values"] = values[:1]
+    assert validate_config(raw) == []
+
+
 def test_sweep_over_a_hidden_schema_key():
     raw = {
         "quantizer": {"algorithm": "cdf"},

@@ -22,6 +22,7 @@ from physec.harness import (
     canonical_json_bytes,
     config_from_dict,
     emit_report,
+    key_generation_trial,
     load_config,
     load_trace_csv,
     report_csv_text,
@@ -595,6 +596,14 @@ def test_eve_alignment_matches_loop_reference(quantizer, code_id):
     assert keys > 0
     # the guard band makes Eve drop indices that Alice and Bob kept
     assert (dropped > 0) == isinstance(quantizer, MeanSigmaConfig)
+
+
+def test_eve_observations_must_pair_with_alice_samples():
+    trace = generate_trace(ChannelParams(n_probes=200, rng_seed=4))
+    args = (MeanSigmaConfig(0.5), code_by_id("hamming74"), 16, 1, b"salt")
+    with pytest.raises(ParameterError, match="one observation per entry of x_a"):
+        key_generation_trial(trace.x_a, trace.x_b, *args, x_e=trace.x_e[:-1])
+    assert key_generation_trial(trace.x_a, trace.x_b, *args, x_e=trace.x_e).agreed
 
 
 # report SHA-256s of perfbench/configs/keygen.json, computed before the
