@@ -253,9 +253,10 @@ def test_merge_matches_union_and_searchsorted(tau, monkeypatch):
     t_b = np.arange(10, dtype=float)
     _assert_same_arrays(channel._merge_sorted(t_b, t_b + tau), _reference_merge(t_b, t_b + tau))
     params = ChannelParams(sampling_delay=tau, n_probes=10, rng_seed=3)
+    # each call builds its own grid, with the merge in force at the time
+    channel._sampling_grid.cache_clear()
     merged = generate_trace(params)
     monkeypatch.setattr(channel, "_merge_sorted", _reference_merge)
-    # drop the grid the first call cached, so the reference merge builds one
     channel._sampling_grid.cache_clear()
     reference = generate_trace(params)
     for name in ("x_a", "x_b", "x_e", "t_a", "t_b"):
