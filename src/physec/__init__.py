@@ -57,7 +57,6 @@ from .harness import (
     load_config,
     load_trace_csv,
     run_experiment,
-    validate_config,
 )
 from .keystream import KeystreamSeed, keyed_permutation, keyed_subset
 from .ofdm import (
@@ -134,7 +133,6 @@ __all__ = [
     "load_config",
     "load_trace_csv",
     "run_experiment",
-    "validate_config",
     "KeystreamSeed",
     "keyed_permutation",
     "keyed_subset",

@@ -74,12 +74,6 @@ class BitKey:
     def to01(self) -> str:
         return "".join("1" if b else "0" for b in self.bits)
 
-    @classmethod
-    def from01(cls, text: str, stage: str = STAGE_QUANTIZED) -> "BitKey":
-        if not set(text) <= {"0", "1"}:
-            raise ParameterError("bit string may contain only '0' and '1'")
-        return cls(np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"), stage)
-
 
 def pack_bits(bits) -> bytes:
     """Pack a 0/1 vector into bytes, MSB first, zero-padding the last byte."""

@@ -98,11 +98,6 @@ class LinearBlockCode:
         ).astype(np.uint8)
         return self.encode(msgs)
 
-    def min_distance(self) -> int:
-        """Exhaustive minimum distance = minimum nonzero codeword weight."""
-        cw = self.codewords()
-        return int(cw[1:].sum(axis=1).min())
-
 
 def hamming74() -> LinearBlockCode:
     """The (7,4) Hamming code, systematic form, t_corr = 1."""

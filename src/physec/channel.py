@@ -76,7 +76,6 @@ class ChannelTrace:
     x_e: np.ndarray
     t_a: np.ndarray
     t_b: np.ndarray
-    params: ChannelParams
 
 
 def load_filter():
@@ -226,9 +225,7 @@ def generate_trace(params: ChannelParams) -> ChannelTrace:
     rho_e = params.eve_correlation
     x_e = rho_e * h_b + math.sqrt(1.0 - rho_e**2) * g + sw * rng_we.standard_normal(n)
 
-    return ChannelTrace(
-        x_a=x_a, x_b=x_b, x_e=x_e, t_a=grid.t_a, t_b=grid.t_b, params=params
-    )
+    return ChannelTrace(x_a=x_a, x_b=x_b, x_e=x_e, t_a=grid.t_a, t_b=grid.t_b)
 
 
 def pearson_correlation(u, v) -> float:

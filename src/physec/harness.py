@@ -217,7 +217,8 @@ def _complete(node, spec, out: list, path: str = "", hidden: bool = True):
 @dataclass(frozen=True)
 class SweepPoint:
     """One sweep point, resolved once. trace is the (x_a, x_b) pair of
-    trace_file once run_experiment has read it."""
+    trace_file once run_experiment has read it. ofdm, schemes, phase and
+    snr_db are None when ber_bits is 0."""
 
     master_seed: int
     channel: ChannelParams
@@ -225,10 +226,10 @@ class SweepPoint:
     quantizer: MeanSigmaConfig | CdfConfig
     code: LinearBlockCode
     out_len: int
-    ofdm: OfdmConfig
-    schemes: tuple
-    phase: PhaseEncryptConfig
-    snr_db: float
+    ofdm: OfdmConfig | None
+    schemes: tuple | None
+    phase: PhaseEncryptConfig | None
+    snr_db: float | None
     ber_bits: int
     key_to_data_ratio: float
     trace_file: str | None
@@ -271,6 +272,10 @@ def _resolve_point(cfg: dict) -> SweepPoint:
         build("ple.phase", lambda: phase.check_mapping(ofdm.mapping))
     if out:
         raise ConfigError(out)
+    ratio = key_to_data_ratio(schemes, ofdm, phase)
+    snr_db = ebn0_db_to_snr_db(ple["ebn0_db"], ofdm.mapping)
+    if ple["ber_bits"] == 0:  # no trial runs the link; only its cost counts
+        ofdm = schemes = phase = snr_db = None
     return SweepPoint(
         master_seed=cfg["master_seed"],
         channel=channel,
@@ -281,9 +286,9 @@ def _resolve_point(cfg: dict) -> SweepPoint:
         ofdm=ofdm,
         schemes=schemes,
         phase=phase,
-        snr_db=ebn0_db_to_snr_db(ple["ebn0_db"], ofdm.mapping),
+        snr_db=snr_db,
         ber_bits=ple["ber_bits"],
-        key_to_data_ratio=key_to_data_ratio(schemes, ofdm, phase),
+        key_to_data_ratio=ratio,
         trace_file=trace_file,
     )
 
@@ -359,18 +364,6 @@ def _resolve(raw, master_seed: int | None = None) -> tuple[dict, list, list[str]
     return cfg, points, out
 
 
-def validate_config(raw) -> list[str]:
-    """Schema check; returns every violation found, empty when valid.
-
-    The config must be expressible as JSON, so Infinity and NaN are
-    rejected wherever they appear. Its sweep points are resolved as
-    config_from_dict resolves them, and whatever that raises is collected.
-    Any schema key but scenario and trials may be swept, hidden ones too,
-    but the points of a sweep of two or more values may not all be equal.
-    """
-    return _resolve(raw)[2]
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment, its canonical JSON hash and its sweep points."""
@@ -407,7 +400,10 @@ def canonical_json_bytes(obj) -> bytes:
 
 
 def config_from_dict(raw: dict, master_seed: int | None = None) -> ExperimentConfig:
-    """Validate raw and resolve each sweep point, once; raises ConfigError."""
+    """Validate raw and resolve each sweep point, once; raises ConfigError
+    listing every violation. Infinity and NaN, which JSON cannot hold, are
+    rejected anywhere. Any key but scenario and trials may be swept, hidden
+    ones too, but a sweep of two or more values may not make equal points."""
     merged, points, violations = _resolve(raw, master_seed)
     if violations:
         raise ConfigError(violations)
@@ -778,10 +774,7 @@ def emit_report(report: MetricsReport, fmt: str, path: str) -> None:
         fh.write(data)
 
 
-def load_trace_csv(path: str, tau: float | None = None):
-    """Read a measured probing trace and align it.
-
-    When tau is not given it is inferred from the first complete row.
-    Returns the aligned measurement pair (x_a, x_b).
-    """
-    return align_timestamps(*read_trace(path, tau))[:2]
+def load_trace_csv(path: str):
+    """The aligned measurement pair (x_a, x_b) of a probing trace file, tau
+    inferred from its first complete row."""
+    return align_timestamps(*read_trace(path))[:2]

@@ -42,11 +42,6 @@ def bits_per_symbol(mapping: str) -> int:
     return _points(mapping).size.bit_length() - 1
 
 
-def constellation(mapping: str) -> np.ndarray:
-    """Points indexed by the big-endian integer value of the bit label."""
-    return _points(mapping).copy()
-
-
 def map_symbols(bits, mapping: str) -> np.ndarray:
     """Bit vector -> complex symbols, bits grouped MSB-first per symbol."""
     arr = np.asarray(bits, dtype=np.uint8)

@@ -118,16 +118,10 @@ def attach_cp(core, cp_len: int) -> np.ndarray:
     return np.concatenate([core[..., n - cp_len :], core], axis=-1)
 
 
-def ofdm_demodulate(core, channel_gain: complex = 1.0) -> np.ndarray:
+def ofdm_demodulate(core) -> np.ndarray:
     """Unitary DFT along the last axis: prefix-free samples core[..., n_fft]
-    -> equalized grid[..., n_fft], one OFDM symbol per row.
-
-    channel_gain is the known one-tap flat-fading coefficient; the receiver
-    divides it out per subcarrier.
-    """
-    if channel_gain == 0:
-        raise ParameterError("channel gain must be nonzero")
-    return np.fft.fft(core, axis=-1, norm="ortho") / channel_gain
+    -> subcarrier grid[..., n_fft], one OFDM symbol per row."""
+    return np.fft.fft(core, axis=-1, norm="ortho")
 
 
 def _check_snr(snr_db: float) -> None:

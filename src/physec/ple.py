@@ -87,8 +87,8 @@ class PhaseEncryptConfig:
     def __post_init__(self):
         if not 1 <= self.bits_per_angle <= 16:
             raise ParameterError("bits_per_angle must be in 1..16")
-        if self.noise_scale < 0:
-            raise ParameterError("noise_scale must be >= 0")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ParameterError("noise_scale must be finite and >= 0")
         if self.noise_enabled and self.noise_scale == 0:
             raise ParameterError("enabled noise needs a positive noise_scale")
 
@@ -306,10 +306,11 @@ class PleCodec:
     """Composition of the enabled schemes over one OFDM link.
 
     Encryption order: xor on bits, constellation mapping, phase, partial
-    interleave (data carriers), dummy insertion, frequency scrambling,
-    unitary IFFT (ofdm_modulate), time scrambling, cyclic prefix
-    (attach_cp). Decryption inverts the chain. frame_index advances the
-    keystream so no two frames share keystream positions.
+    interleave (data carriers, at DEFAULT_INTERLEAVE_THRESHOLD), dummy
+    insertion, frequency scrambling, unitary IFFT (ofdm_modulate), time
+    scrambling, cyclic prefix (attach_cp). Decryption inverts the chain.
+    frame_index advances the keystream so no two frames share keystream
+    positions.
 
     The codec works on batches of frames: encrypt_batch and decrypt_batch
     take one row per frame plus each row's frame index, and run each
@@ -322,13 +323,11 @@ class PleCodec:
         schemes,
         seed: KeystreamSeed,
         phase_cfg: PhaseEncryptConfig | None = None,
-        interleave_threshold: float = DEFAULT_INTERLEAVE_THRESHOLD,
     ):
         self.cfg = cfg
         self.schemes = _ordered_schemes(schemes)
         self.seed = seed
         self.phase_cfg = phase_cfg or PhaseEncryptConfig()
-        self.interleave_threshold = _check_threshold(interleave_threshold)
         if SCHEME_PHASE in self.schemes:
             self.phase_cfg.check_mapping(cfg.mapping)
         self._budgets = {
@@ -417,7 +416,7 @@ class PleCodec:
             symbols = phase_encrypt(symbols, ks, self.phase_cfg)
         symbols = symbols.reshape(n_frames, cfg.n_data)
         if SCHEME_INTERLEAVE in self.schemes:
-            symbols = partial_interleave(symbols, self.interleave_threshold)
+            symbols = partial_interleave(symbols, DEFAULT_INTERLEAVE_THRESHOLD)
         grid = np.zeros((n_frames, cfg.n_fft), dtype=complex)
         grid[:, self._data_idx] = symbols
         if SCHEME_DUMMY in self.schemes:
@@ -429,14 +428,8 @@ class PleCodec:
             core = scramble_time(core, perms[SCHEME_SCRAMBLE_TIME])
         return attach_cp(core, cfg.cp_len)
 
-    def decrypt_batch(
-        self, samples, frame_indices, channel_gain: complex = 1.0
-    ) -> np.ndarray:
-        """Invert encrypt_batch: samples[F, n_fft + cp_len] -> bits[F, payload_bits].
-
-        channel_gain is the known one-tap flat-fading coefficient, divided
-        out per subcarrier by ofdm_demodulate.
-        """
+    def decrypt_batch(self, samples, frame_indices) -> np.ndarray:
+        """Invert encrypt_batch: samples[F, n_fft + cp_len] -> bits[F, payload_bits]."""
         cfg = self.cfg
         regions, perms = self._material(frame_indices, dummy=False)
         n_frames = regions.shape[0]
@@ -449,12 +442,12 @@ class PleCodec:
         core = rx[:, cfg.cp_len :]
         if SCHEME_SCRAMBLE_TIME in self.schemes:
             core = unscramble_time(core, perms[SCHEME_SCRAMBLE_TIME])
-        grid = ofdm_demodulate(core, channel_gain)
+        grid = ofdm_demodulate(core)
         if SCHEME_SCRAMBLE_FREQ in self.schemes:
             grid = unscramble_freq(grid, perms[SCHEME_SCRAMBLE_FREQ])
         symbols = grid[:, self._data_idx]
         if SCHEME_INTERLEAVE in self.schemes:
-            symbols = partial_deinterleave(symbols, self.interleave_threshold)
+            symbols = partial_deinterleave(symbols, DEFAULT_INTERLEAVE_THRESHOLD)
         symbols = symbols.ravel()
         if SCHEME_PHASE in self.schemes:
             ks = self._scheme_bits(SCHEME_PHASE, regions).ravel()
@@ -471,11 +464,9 @@ class PleCodec:
         samples = self.encrypt_batch(bits[None], [frame_index])[0]
         return SymbolFrame(samples, self.cfg)
 
-    def decrypt(
-        self, frame: SymbolFrame, frame_index: int = 0, channel_gain: complex = 1.0
-    ) -> np.ndarray:
+    def decrypt(self, frame: SymbolFrame, frame_index: int = 0) -> np.ndarray:
         """decrypt_batch for one time-domain SymbolFrame."""
-        return self.decrypt_batch(frame.data[None], [frame_index], channel_gain)[0]
+        return self.decrypt_batch(frame.data[None], [frame_index])[0]
 
 
 def key_to_data_ratio(

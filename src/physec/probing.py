@@ -237,7 +237,7 @@ def _parse_trace(path: str):
     return alice, bob, tau
 
 
-def read_trace(path: str, tau: float | None = None):
+def read_trace(path: str):
     """Parse a trace file into per-side probes.
 
     Format: header ``timestamp_a,rss_a,timestamp_b,rss_b``; each row is one
@@ -248,14 +248,11 @@ def read_trace(path: str, tau: float | None = None):
     rows, and each chunk is parsed column by column; the first malformed row
     is cited by its line number.
 
-    Returns (alice, bob, tau). When tau is not given it is inferred from the
-    first row that holds both probes.
+    Returns (alice, bob, tau), tau from the first row holding both probes.
     """
-    alice, bob, inferred = _parse_trace(path)
+    alice, bob, tau = _parse_trace(path)
     if tau is None:
-        if inferred is None:
-            raise ParameterError(f"{path}: no complete row to infer tau from")
-        tau = inferred
+        raise ParameterError(f"{path}: no complete row to infer tau from")
     return alice, bob, tau
 
 

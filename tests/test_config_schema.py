@@ -8,9 +8,19 @@ import pytest
 
 from physec import harness
 from physec.errors import ConfigError
-from physec.harness import config_from_dict, run_experiment, validate_config
+from physec.harness import config_from_dict, run_experiment
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def validate_config(raw) -> list:
+    """Every violation config_from_dict raises for raw; empty when valid."""
+    try:
+        config_from_dict(raw)
+    except ConfigError as exc:
+        return exc.violations
+    return []
+
 
 TRACE = """timestamp_a,rss_a,timestamp_b,rss_b
 1.0,-51.0,0.0,-50.5
@@ -179,8 +189,22 @@ def test_sweep_over_a_key_every_point_shares_is_rejected(param, values):
         ("cdf", "quantizer.alpha", [0.1, 0.9]),
         # CdfConfig takes 1 to 8, but the mean/sigma path never builds one
         ("mean_sigma", "quantizer.quantization_level", [1, 99]),
+        # under ber_bits 0 no trial runs the link, and these leave its cost
+        ("mean_sigma", "ple.phase.bits_per_angle", [1, 2]),
+        ("mean_sigma", "ple.ebn0_db", [4.0, 8.0]),
+        (
+            "mean_sigma",
+            "ple.ofdm",
+            ["wifi64", {"data_carriers": [1, 2, 3], "n_fft": 8, "cp_len": 2}],
+        ),
     ],
-    ids=["alpha-under-cdf", "level-under-mean-sigma"],
+    ids=[
+        "alpha-under-cdf",
+        "level-under-mean-sigma",
+        "phase-without-link",
+        "ebn0-without-link",
+        "ofdm-without-link",
+    ],
 )
 def test_sweep_that_changes_no_point_is_rejected(algorithm, param, values):
     raw = {
@@ -195,6 +219,27 @@ def test_sweep_that_changes_no_point_is_rejected(algorithm, param, values):
         config_from_dict(raw)
     # one value is a single point, not a sweep that shows nothing
     raw["sweep"]["values"] = values[:1]
+    assert validate_config(raw) == []
+
+
+@pytest.mark.parametrize(
+    "ber_bits, param, values",
+    [
+        # without the link, the points still differ in its cost
+        (0, "ple.schemes", [["xor"], ["xor", "phase"]]),
+        (96, "ple.ebn0_db", [4.0, 8.0]),
+    ],
+    ids=["schemes-without-link", "ebn0-with-link"],
+)
+def test_ple_sweep_that_changes_the_link_or_its_cost_is_accepted(
+    ber_bits, param, values
+):
+    raw = {
+        "channel": {"n_probes": 200},
+        "ple": {"ber_bits": ber_bits},
+        "trials": 3,
+        "sweep": {"parameter": param, "values": values},
+    }
     assert validate_config(raw) == []
 
 

@@ -68,7 +68,7 @@ import json, sys
 import physec
 physec.load_config(sys.argv[1])
 with open(sys.argv[1], encoding="utf-8") as fh:
-    assert physec.validate_config(json.load(fh)) == []
+    physec.harness.config_from_dict(json.load(fh))
 alice, bob, tau = physec.read_trace(sys.argv[2])
 assert physec.align_timestamps(alice, bob, tau)[0].size > 0
 """

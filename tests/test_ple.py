@@ -106,6 +106,9 @@ def test_phase_config_validation():
         PhaseEncryptConfig(noise_enabled=True, noise_scale=0.0)
     with pytest.raises(ParameterError):
         PhaseEncryptConfig(noise_scale=-1.0)
+    for scale in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            PhaseEncryptConfig(noise_enabled=True, noise_scale=scale)
 
 
 def test_interleave_threshold_extremes():
@@ -145,14 +148,13 @@ def test_interleave_leaves_non_data_carriers():
     bits = np.random.default_rng(30).integers(0, 2, (8, 96), dtype=np.uint8)
     with_interleave, dummy_only = (
         ofdm_demodulate(
-            PleCodec(cfg, stack, _seed(31), interleave_threshold=-math.pi)
-            .encrypt_batch(bits, frames)[:, cfg.cp_len :]
+            PleCodec(cfg, stack, _seed(31)).encrypt_batch(bits, frames)[:, cfg.cp_len :]
         )
         for stack in (("partial_interleave", "dummy"), ("dummy",))
     )
     idle, data = list(cfg.idle_carriers), list(cfg.data_carriers)
     assert np.allclose(with_interleave[:, idle], dummy_only[:, idle], atol=1e-12)
-    # threshold -pi swaps every data symbol ...
+    # the default threshold swaps data symbols ...
     assert not np.allclose(with_interleave[:, data], dummy_only[:, data])
     # ... and would move decoys off the Re = Im diagonal, which do occur
     decoys = dummy_only[:, idle][np.abs(dummy_only[:, idle]) > 0.5]
@@ -367,8 +369,6 @@ def test_codec_validation():
         PleCodec(cfg, ("caesar",), seed)
     with pytest.raises(ParameterError):
         PleCodec(cfg, ("xor", "xor"), seed)
-    with pytest.raises(ParameterError):
-        PleCodec(cfg, ("xor",), seed, interleave_threshold=9.0)
     over = min_decision_distance(QPSK) / 2
     with pytest.raises(ParameterError):
         PleCodec(

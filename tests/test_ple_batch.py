@@ -10,7 +10,7 @@ from physec.bits import STAGE_AMPLIFIED, BitKey
 from physec.errors import ParameterError
 from physec.keystream import BLOCK_BITS, KeystreamSeed
 from physec.modulation import QAM16, QPSK
-from physec.ofdm import SymbolFrame, wifi_like_config
+from physec.ofdm import wifi_like_config
 from physec.ple import SCHEME_ORDER, PleCodec, key_to_data_ratio
 
 SUBSETS = [
@@ -271,22 +271,6 @@ def test_empty_batch():
     samples = codec.encrypt_batch(np.zeros((0, 96), dtype=np.uint8), [])
     assert samples.shape == (0, 80)
     assert codec.decrypt_batch(samples, []).shape == (0, 96)
-
-
-def test_channel_gain_is_divided_out():
-    cfg = wifi_like_config()
-    codec = PleCodec(cfg, SCHEME_ORDER, _seed(4))
-    bits = _payloads(cfg, 8, 5)
-    frames = np.arange(8)
-    gain = 0.3 - 0.8j
-    faded = codec.encrypt_batch(bits, frames) * gain
-    assert np.array_equal(codec.decrypt_batch(faded, frames, channel_gain=gain), bits)
-    assert not np.array_equal(codec.decrypt_batch(faded, frames), bits)
-    single = codec.encrypt(bits[0], 0)
-    faded_single = SymbolFrame(single.data * gain, cfg)
-    assert np.array_equal(codec.decrypt(faded_single, 0, channel_gain=gain), bits[0])
-    with pytest.raises(ParameterError):
-        codec.decrypt_batch(faded, frames, channel_gain=0)
 
 
 def test_key_to_data_ratio_refuses_duplicates():

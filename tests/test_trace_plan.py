@@ -1,9 +1,12 @@
-"""The benchmark's trace plan finds every name it wraps.
+"""The benchmark finds every physec name it wraps or reads.
 
 perfbench/bench_trace.py wraps each layer's functions at the names their
-callers look them up under, through owner.__dict__. A binding the program
-drops would otherwise surface only as a KeyError in a traced benchmark run.
+callers look them up under, through owner.__dict__, and the rest of
+perfbench/ reads physec's public names. A binding the program drops would
+otherwise surface only in a failed benchmark run or in the perfbench suite.
 """
+import ast
+import functools
 import importlib.util
 import os
 import sys
@@ -32,4 +35,58 @@ def test_every_traced_binding_is_in_its_owner(monkeypatch):
         if attr not in owner.__dict__
     ]
     assert plan
+    assert missing == []
+
+
+def _chain(node):
+    """The dotted name of an attribute chain rooted at a bare name, or None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        return ".".join([node.id, *reversed(parts)])
+    return None
+
+
+def _physec_chains(path):
+    """Every physec.<name>... chain that a file reads, each alias such as
+    harness = physec.harness read as the chain it stands for."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    aliases = {"physec": "physec"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], _chain(node.value)
+            if isinstance(target, ast.Name) and value and value.startswith("physec."):
+                aliases[target.id] = value
+    inner = {
+        id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+    chains = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            root, _, rest = (_chain(node) or "").partition(".")
+            if root in aliases:
+                chains.add(f"{aliases[root]}.{rest}")
+        elif isinstance(node, ast.Import):
+            chains.update(a.name for a in node.names if a.name.startswith("physec."))
+    return chains
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # ast, not a regex: metric strings such as "harness.pool.overhead_ms"
+    # look like names but are not
+    files = ("run.py", "bench_inputs.py", "test_perfbench.py")
+    chains = set().union(
+        *(_physec_chains(os.path.join(ROOT, "perfbench", f)) for f in files)
+    )
+    missing = []
+    for chain in sorted(chains):
+        try:
+            functools.reduce(getattr, chain.split(".")[1:], physec)
+        except AttributeError:
+            missing.append(chain)
+    assert {"physec.read_trace_records", "physec.awgn_link"} <= chains
+    assert "physec.harness.config_from_dict" in chains
     assert missing == []
