@@ -658,3 +658,24 @@ def test_keygen_report_golden_hash(master_seed):
 def test_ple_link_report_golden_hash(master_seed):
     digest = _report_sha256("ple_link.json", master_seed)
     assert digest == PLE_LINK_REPORT_SHA256[master_seed]
+
+
+# report SHA-256 of a two-trial config shaped like the ple_link benchmark
+# (six schemes, 100 frames per trial), taken while every permutation was
+# drawn by the per-row kernel
+SIX_SCHEME_REPORT_SHA256 = (
+    "ac257b4b327dc1cee4068112840e156945f4473a26a03d16abb9802491078113"
+)
+
+
+def test_six_scheme_link_report_golden_hash():
+    cfg = config_from_dict(
+        {
+            "scenario": "six-scheme-link",
+            "ple": {"schemes": list(SCHEME_ORDER), "ebn0_db": 8.0, "ber_bits": 9600},
+            "trials": 2,
+            "master_seed": 21,
+        }
+    )
+    digest = hashlib.sha256(report_json_bytes(run_experiment(cfg))).hexdigest()
+    assert digest == SIX_SCHEME_REPORT_SHA256

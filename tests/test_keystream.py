@@ -464,3 +464,25 @@ def test_lazy_regions_match_eager_keystream_row_by_row(monkeypatch):
         ran_dry["cut" if cut else "full"] += 1
     assert {1, 2, 3, 4, 5, 6} <= set(reached)
     assert ran_dry["cut"] and ran_dry["full"]
+
+
+# SHA-256 of 64-point permutations over 300-row KeystreamRegions batches
+# (key default_rng(2028), 128 bits), one at nonce 5 and one whose block
+# counter wraps past 2^64 mid-batch; taken while every region row was drawn
+# by the per-row kernel
+LARGE_BATCH_SHA256 = (
+    "8e4d8f826ede988b56e02c22240a14f9330dce1ac712eabcf0d9385b31e9e3ad"
+)
+
+
+def test_large_region_batch_golden_hash():
+    key = BitKey(
+        np.random.default_rng(2028).integers(0, 2, 128, dtype=np.uint8),
+        STAGE_AMPLIFIED,
+    )
+    firsts = (np.arange(300) * 15 + 3).tolist()
+    digest = hashlib.sha256()
+    for nonce in (5, (1 << 64) - 2000):
+        regions = KeystreamRegions(KeystreamSeed(key, nonce), PERM_BITS, firsts)
+        digest.update(keyed_permutation(64, regions).astype(np.int64).tobytes())
+    assert digest.hexdigest() == LARGE_BATCH_SHA256

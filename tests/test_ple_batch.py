@@ -78,6 +78,28 @@ def test_six_scheme_ciphertext_golden_hash(mapping):
     assert digest == CIPHERTEXT_SHA256[mapping]
 
 
+# the same, over a 150-frame batch (frames 0..149 reversed, key
+# default_rng(2029), nonce 3; payload default_rng(17)), taken while every
+# permutation was drawn by the per-row kernel
+LARGE_CIPHERTEXT_SHA256 = {
+    QPSK: "150a57ca3e836620e1310dfcfd1fbedf17c5ec42146934161cb50bcecbae8c1b",
+    QAM16: "457aa93dd4389fe744fa488d28ccce95bdfd601a128aaf0dc77ccef314dfd47d",
+}
+
+
+@pytest.mark.parametrize("mapping", sorted(LARGE_CIPHERTEXT_SHA256))
+def test_large_batch_ciphertext_golden_hash(mapping):
+    cfg = wifi_like_config(mapping)
+    key = np.random.default_rng(2029).integers(0, 2, 128, dtype=np.uint8)
+    codec = PleCodec(cfg, SCHEME_ORDER, KeystreamSeed(BitKey(key, STAGE_AMPLIFIED), 3))
+    frames = np.arange(150)[::-1]
+    bits = _payloads(cfg, frames.size, 17)
+    samples = codec.encrypt_batch(bits, frames)
+    digest = hashlib.sha256(samples.astype("<c16").tobytes()).hexdigest()
+    assert digest == LARGE_CIPHERTEXT_SHA256[mapping]
+    assert np.array_equal(codec.decrypt_batch(samples, frames), bits)
+
+
 # SHA-256 of the plain modem, a codec with no schemes: encrypt_batch of
 # frames 0..11 (payload default_rng(8)), computed while the frequency-domain
 # SymbolFrame chain (frame_from_symbols -> ofdm_modulate) still existed and
