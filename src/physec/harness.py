@@ -274,6 +274,8 @@ def _resolve_point(cfg: dict) -> SweepPoint:
         raise ConfigError(out)
     ratio = key_to_data_ratio(schemes, ofdm, phase)
     snr_db = ebn0_db_to_snr_db(ple["ebn0_db"], ofdm.mapping)
+    if SCHEME_PHASE not in schemes:  # no codec reads the phase config
+        phase = None
     if ple["ber_bits"] == 0:  # no trial runs the link; only its cost counts
         ofdm = schemes = phase = snr_db = None
     return SweepPoint(

@@ -12,11 +12,19 @@ as a stream of (value, width) chunks: a bit row is one chunk, a region row
 yields its blocks one by one, each hashed only when a draw reaches it. A
 64-point permutation reads about a third of its budget, so most of its
 region is never hashed.
+
+A KeystreamRegions batch of LOCKSTEP_MIN_ROWS rows or more is drawn by a
+second kernel that runs every row's draws at once in numpy, with the same
+results. It hashes each row's blocks in order up to the end of its current
+window of attempts, at most one window past its last draw and never past
+its region's end. A batch in which a row runs dry goes back to the per-row
+kernel, which raises the same KeystreamExhausted.
 """
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +104,8 @@ class KeystreamRegions:
     Row f holds the bits keystream(seed, n_bits, first_blocks[f]) returns.
     keyed_permutation and keyed_subset take it in place of that
     [F, n_bits] bit array and give the same rows, but hash each row only as
-    far as its draws read.
+    far as its draws read; a batch of LOCKSTEP_MIN_ROWS rows or more may
+    hash a row up to one window of attempts further, never past its end.
     """
 
     seed: KeystreamSeed
@@ -146,10 +155,16 @@ def _draw(items: list, plan, count: int, ks) -> np.ndarray:
     """Run plan on a copy of items per keystream row and keep the first
     count items of each: [F, count] for a batch of rows, else one row.
 
-    Each row reaches the kernel as (value, width) chunks: a bit-array row
-    is one chunk, and a KeystreamRegions row yields its blocks in order.
+    A KeystreamRegions batch of at least LOCKSTEP_MIN_ROWS rows is drawn
+    by _lockstep_swaps when it can; otherwise each row reaches the
+    per-row kernel as (value, width) chunks: a bit-array row is one chunk,
+    and a KeystreamRegions row yields its blocks in order.
     """
     if isinstance(ks, KeystreamRegions):
+        if len(ks.first_blocks) >= LOCKSTEP_MIN_ROWS:
+            drawn = _lockstep_swaps(items, plan, ks)
+            if drawn is not None:
+                return drawn[:, :count]
         state, nonce, n_bits = _key_state(ks.seed), ks.seed.nonce, ks.n_bits
         rows = (_region_blocks(state, nonce + b, n_bits) for b in ks.first_blocks)
         batch = True
@@ -207,6 +222,136 @@ def _keyed_swaps(items: list, plan, chunks) -> list:
         draw += low
         items[slot], items[draw] = items[draw], items[slot]
     return items
+
+
+# the fewest region rows that _draw hands to _lockstep_swaps: below it the
+# kernel's per-step numpy calls cost more than the per-row loop saves
+LOCKSTEP_MIN_ROWS = 64
+# _lockstep_swaps reads each draw through a 16-bit big-endian window, so
+# it takes draws of at most 16 - 7 bits
+_WINDOW_BITS = 16
+
+
+@functools.lru_cache(maxsize=64)
+def _lockstep_groups(plan) -> tuple:
+    """The plan's runs of equal-width steps, each (width, m, count, first,
+    more).
+
+    m belongs to the run's first step; step j of the run draws from m - j
+    choices. first is three standard deviations above the mean number of
+    attempts in which a row accepts all count draws, and more is one
+    standard deviation, at least 1.
+    """
+    groups = []
+    for _, _, m, width, _ in plan:
+        if groups and groups[-1][0] == width:
+            groups[-1][2] += 1
+        else:
+            groups.append([width, m, 1])
+    out = []
+    for width, m, count in groups:
+        accept = [(m - j) / (1 << width) for j in range(count)]
+        mean = sum(1 / p for p in accept)
+        sd = math.sqrt(sum((1 - p) / p / p for p in accept))
+        out.append((width, m, count, math.ceil(mean + 3 * sd), max(1, math.ceil(sd))))
+    return tuple(out)
+
+
+def _lockstep_swaps(items: list, plan, ks: KeystreamRegions):
+    """Run plan on a copy of items per region row, all rows in lockstep:
+    the rows _keyed_swaps gives, shape [F, len(items)], or None when a row
+    would read past its region.
+
+    Within a run of equal-width steps every attempt moves a row's read
+    position on by the width, so a row's candidate words for the run are a
+    strided read from its start. They are read a window of attempts at a
+    time, and a scan over each window keeps each row's bound m - k, k its
+    draws accepted so far: attempt i is accepted when its word is below
+    the bound. A row's blocks are hashed in order, as far as the window of
+    a run it has not finished reaches, never past its region's end.
+    """
+    groups = _lockstep_groups(plan)
+    if any(width > _WINDOW_BITS - 7 for width, *_ in groups):
+        return None
+    rows, n_bits = len(ks.first_blocks), ks.n_bits
+    n_blocks = -(-n_bits // BLOCK_BITS)
+    block_bytes = BLOCK_BITS // 8
+    state, firsts = _key_state(ks.seed), [ks.seed.nonce + b for b in ks.first_blocks]
+    # each row's region bytes, then the byte after its end that a window at
+    # the end reads
+    buf = np.zeros((rows, n_blocks * block_bytes + 2), dtype=np.uint16)
+    # every row reads at least its no-rejection need
+    floor = -(-sum(width * count for width, _, count, *_ in groups) // BLOCK_BITS)
+    floor = min(floor, n_blocks)
+    digests = b"".join(_block_digest(state, f + i) for f in firsts for i in range(floor))
+    buf[:, : floor * block_bytes] = np.frombuffer(digests, np.uint8).reshape(rows, -1)
+    # pairs[r, j]: bytes j and j + 1 of row r as one big-endian word
+    pairs = (buf[:, :-1] << 8) | buf[:, 1:]
+    flat = pairs.ravel()
+    hashed = np.full(rows, floor)
+    row_starts = np.arange(rows) * pairs.shape[1]
+    pos = np.zeros(rows, dtype=np.int64)
+    draws = []
+    for width, m, count, first, more in groups:
+        if width == 0:
+            draws.append(np.zeros((count, rows), dtype=np.intp))
+            continue
+        bound = np.full(rows, m, dtype=np.uint16)
+        windows, accepts = [], []
+        tried = 0
+        while True:
+            attempts = more if windows else first
+            end = np.where(bound > m - count, pos + width * (tried + attempts), 0)
+            need = np.minimum(-(-end // BLOCK_BITS), n_blocks)
+            for r in np.flatnonzero(need > hashed).tolist():
+                for b in range(hashed[r], need[r]):
+                    at = b * block_bytes
+                    buf[r, at : at + block_bytes] = np.frombuffer(
+                        _block_digest(state, firsts[r] + b), np.uint8
+                    )
+                    lo = max(at - 1, 0)
+                    pairs[r, lo : at + block_bytes] = (
+                        buf[r, lo : at + block_bytes] << 8
+                    ) | buf[r, lo + 1 : at + block_bytes + 1]
+                hashed[r] = need[r]
+            bit = pos + width * np.arange(tried, tried + attempts)[:, None]
+            np.minimum(bit, n_bits, out=bit)
+            shift = (_WINDOW_BITS - width) - (bit & 7).astype(np.uint16)
+            words = (flat[(bit >> 3) + row_starts] >> shift) & ((1 << width) - 1)
+            accepted = np.empty(words.shape, dtype=bool)
+            for i in range(attempts):
+                np.less(words[i], bound, out=accepted[i])
+                bound -= accepted[i]
+            windows.append(words)
+            accepts.append(accepted)
+            tried += attempts
+            short = bound > m - count
+            if not short.any():
+                break
+            # a row short of draws whose next word ends past its region
+            # runs dry; the per-row kernel raises its error
+            if (pos[short] + width * (tried + 1) > n_bits).any():
+                return None
+        # a row's draws are its first count accepted words, and the
+        # count-th ends its run
+        words, accepted = np.concatenate(windows), np.concatenate(accepts)
+        taken = np.cumsum(accepted, axis=0)
+        keep = accepted & (taken <= count)
+        draws.append(words.T[keep.T].reshape(rows, count).T)
+        pos += width * ((taken < count).sum(axis=0) + 1)
+        # a word that ends past the region was read from the bits beyond it
+        if pos.max() > n_bits:
+            return None
+    # the swaps, on items[size, F]: slot s of every row is row s
+    lows = np.array([low for _, low, *_ in plan], dtype=np.intp)[:, None]
+    partners = (np.concatenate(draws) + lows) * rows + np.arange(rows)
+    out = np.repeat(np.asarray(items, dtype=np.intp)[:, None], rows, axis=1)
+    cells = out.ravel()
+    for (slot, *_), partner in zip(plan, partners):
+        held = cells[partner]
+        cells[partner] = out[slot]
+        out[slot] = held
+    return out.T.copy()
 
 
 def _extend(word: int, left: int, width: int, chunks) -> tuple[int, int]:

@@ -353,10 +353,10 @@ class PleCodec:
         regions holds each frame's blocks of every enabled scheme but the
         scrambles, one row per frame, hashed in one keystream call; without
         dummy it stops before the dummy stage's block, which only encryption
-        reads. perms maps each enabled scramble scheme to its permutations.
-        Both are read-only; the codec keeps the last batch's, keyed by the
-        indices' bytes, so decrypting the batch it has just encrypted
-        derives nothing again.
+        reads. perms maps each enabled scramble scheme to its permutations,
+        all drawn in one _perm call. Both are read-only; the codec keeps the
+        last batch's, keyed by the indices' bytes, so decrypting the batch
+        it has just encrypted derives nothing again.
         """
         idx = np.asarray(frame_indices)
         if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
@@ -366,9 +366,8 @@ class PleCodec:
         key = (idx.dtype.str, idx.tobytes())
         starts = [f * self._blocks_per_frame for f in idx.tolist()]
         if self._kept is None or self._kept[0] != key:
-            perms = {s: self._perm(s, starts) for s in self.schemes if s in _SCRAMBLES}
-            for perm in perms.values():
-                perm.flags.writeable = False
+            scrambles = tuple(s for s in self.schemes if s in _SCRAMBLES)
+            perms = self._perm(scrambles, starts) if scrambles else {}
             self._kept = (key, None, perms)
         _, regions, perms = self._kept
         n_bits = (self._eager_blocks if dummy else self._decrypt_blocks) * BLOCK_BITS
@@ -383,15 +382,16 @@ class PleCodec:
         start = self._region_offset[scheme] * BLOCK_BITS
         return regions[:, start : start + self._budgets[scheme]]
 
-    def _perm(self, scheme: str, starts: list) -> np.ndarray:
-        """One scheme's keyed permutation per frame, shape [F, n_fft]; starts
-        are the frames' first blocks. Each permutation's region is hashed
-        only as far as its draws read."""
-        first = self._region_offset[scheme]
-        regions = KeystreamRegions(
-            self.seed, self._budgets[scheme], [start + first for start in starts]
-        )
-        return keyed_permutation(self.cfg.n_fft, regions)
+    def _perm(self, schemes: tuple, starts: list) -> dict:
+        """Each scramble scheme's keyed permutation per frame, {scheme:
+        [F, n_fft]}, read-only; starts are the frames' first blocks. Every
+        scheme's regions, one per frame, go to one keyed_permutation call:
+        both scrambles budget permutation_allocation_bits(n_fft)."""
+        firsts = [s + self._region_offset[scheme] for scheme in schemes for s in starts]
+        regions = KeystreamRegions(self.seed, self._budgets[schemes[0]], firsts)
+        perms = keyed_permutation(self.cfg.n_fft, regions)
+        perms.flags.writeable = False
+        return dict(zip(schemes, np.split(perms, len(schemes))))
 
     def encrypt_batch(self, plain_bits, frame_indices) -> np.ndarray:
         """Encrypt F frames: bits[F, payload_bits] -> samples[F, n_fft + cp_len]."""

@@ -184,19 +184,22 @@ def test_sweep_over_a_key_every_point_shares_is_rejected(param, values):
 
 
 @pytest.mark.parametrize(
-    "algorithm, param, values",
+    "algorithm, ber_bits, param, values",
     [
-        ("cdf", "quantizer.alpha", [0.1, 0.9]),
+        ("cdf", 0, "quantizer.alpha", [0.1, 0.9]),
         # CdfConfig takes 1 to 8, but the mean/sigma path never builds one
-        ("mean_sigma", "quantizer.quantization_level", [1, 99]),
+        ("mean_sigma", 0, "quantizer.quantization_level", [1, 99]),
         # under ber_bits 0 no trial runs the link, and these leave its cost
-        ("mean_sigma", "ple.phase.bits_per_angle", [1, 2]),
-        ("mean_sigma", "ple.ebn0_db", [4.0, 8.0]),
+        ("mean_sigma", 0, "ple.phase.bits_per_angle", [1, 2]),
+        ("mean_sigma", 0, "ple.ebn0_db", [4.0, 8.0]),
         (
             "mean_sigma",
+            0,
             "ple.ofdm",
             ["wifi64", {"data_carriers": [1, 2, 3], "n_fft": 8, "cp_len": 2}],
         ),
+        # the link runs, but the default schemes (xor) leave phase off
+        ("mean_sigma", 96, "ple.phase.bits_per_angle", [1, 2]),
     ],
     ids=[
         "alpha-under-cdf",
@@ -204,13 +207,14 @@ def test_sweep_over_a_key_every_point_shares_is_rejected(param, values):
         "phase-without-link",
         "ebn0-without-link",
         "ofdm-without-link",
+        "phase-without-scheme",
     ],
 )
-def test_sweep_that_changes_no_point_is_rejected(algorithm, param, values):
+def test_sweep_that_changes_no_point_is_rejected(algorithm, ber_bits, param, values):
     raw = {
         "quantizer": {"algorithm": algorithm},
         "channel": {"n_probes": 200},
-        "ple": {"ber_bits": 0},
+        "ple": {"ber_bits": ber_bits},
         "trials": 3,
         "sweep": {"parameter": param, "values": values},
     }
@@ -223,20 +227,23 @@ def test_sweep_that_changes_no_point_is_rejected(algorithm, param, values):
 
 
 @pytest.mark.parametrize(
-    "ber_bits, param, values",
+    "ple, param, values",
     [
         # without the link, the points still differ in its cost
-        (0, "ple.schemes", [["xor"], ["xor", "phase"]]),
-        (96, "ple.ebn0_db", [4.0, 8.0]),
+        ({"ber_bits": 0}, "ple.schemes", [["xor"], ["xor", "phase"]]),
+        ({"ber_bits": 96}, "ple.ebn0_db", [4.0, 8.0]),
+        (
+            {"ber_bits": 96, "schemes": ["xor", "phase"]},
+            "ple.phase.bits_per_angle",
+            [1, 2],
+        ),
     ],
-    ids=["schemes-without-link", "ebn0-with-link"],
+    ids=["schemes-without-link", "ebn0-with-link", "phase-with-scheme"],
 )
-def test_ple_sweep_that_changes_the_link_or_its_cost_is_accepted(
-    ber_bits, param, values
-):
+def test_ple_sweep_that_changes_the_link_or_its_cost_is_accepted(ple, param, values):
     raw = {
         "channel": {"n_probes": 200},
-        "ple": {"ber_bits": ber_bits},
+        "ple": ple,
         "trials": 3,
         "sweep": {"parameter": param, "values": values},
     }

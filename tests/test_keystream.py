@@ -486,3 +486,145 @@ def test_large_region_batch_golden_hash():
         regions = KeystreamRegions(KeystreamSeed(key, nonce), PERM_BITS, firsts)
         digest.update(keyed_permutation(64, regions).astype(np.int64).tobytes())
     assert digest.hexdigest() == LARGE_BATCH_SHA256
+
+
+# Batches of at least LOCKSTEP_MIN_ROWS region rows are drawn by the
+# lockstep kernel; the per-row kernel is the reference it must match.
+MIN_ROWS = ks_module.LOCKSTEP_MIN_ROWS
+LOCKSTEP_CASES = [
+    (functools.partial(keyed_permutation, n), permutation_allocation_bits(n))
+    for n in (2, 3, 5, 16, 64, 100, 130, 140, 256)
+] + [
+    # the codec's decoy slots; a full shuffle whose last step has one choice
+    (functools.partial(keyed_subset, np.arange(16, 64), 4), subset_allocation_bits(48, 4)),
+    (functools.partial(keyed_subset, np.arange(100, 105), 5), subset_allocation_bits(5, 5)),
+]
+LOCKSTEP_IDS = [f"perm{n}" for n in (2, 3, 5, 16, 64, 100, 130, 140, 256)] + [
+    "subset48of4",
+    "subset5of5",
+]
+
+
+def _lockstep_spy(monkeypatch):
+    """Record, per _lockstep_swaps call, its row count and whether it
+    drew the batch (False: it handed the batch to the per-row kernel)."""
+    calls = []
+    lockstep = ks_module._lockstep_swaps
+
+    def spy(items, plan, ks):
+        out = lockstep(items, plan, ks)
+        calls.append((len(ks.first_blocks), out is not None))
+        return out
+
+    monkeypatch.setattr(ks_module, "_lockstep_swaps", spy)
+    return calls
+
+
+def _per_row_outcome(monkeypatch, draw, regions):
+    with monkeypatch.context() as patch:
+        patch.setattr(ks_module, "LOCKSTEP_MIN_ROWS", math.inf)
+        return _outcome(draw, regions)
+
+
+def _random_regions(rng, n_bits, rows, wrap=False):
+    """rows regions 15 blocks apart from a random frame; wrap puts the
+    block counter past 2^64 mid-batch."""
+    nonce = (1 << 64) - 7 * rows if wrap else int(rng.integers(1 << 62))
+    seed = _seed(int(rng.integers(1 << 31)), nonce=nonce)
+    firsts = (int(rng.integers(1000)) + np.arange(rows)) * 15 + 3
+    return KeystreamRegions(seed, n_bits, firsts.tolist())
+
+
+@pytest.mark.parametrize("rows", [MIN_ROWS - 1, MIN_ROWS, 3 * MIN_ROWS])
+@pytest.mark.parametrize("case", range(len(LOCKSTEP_CASES)), ids=LOCKSTEP_IDS)
+def test_lockstep_kernel_matches_per_row_kernel(monkeypatch, case, rows):
+    draw, budget = LOCKSTEP_CASES[case]
+    calls = _lockstep_spy(monkeypatch)
+    rng = np.random.default_rng(3000 + 10 * case + rows)
+    # full budgets, one of them with a wrapping counter, then budgets cut
+    # to a random length, most of which some row runs dry on
+    n_bits = [budget, budget] + rng.integers(0, budget + 1, 4).tolist()
+    drawn = []
+    for i, bits in enumerate(n_bits):
+        regions = _random_regions(rng, bits, rows, wrap=i == 1)
+        want = _per_row_outcome(monkeypatch, draw, regions)
+        calls.clear()
+        assert _outcome(draw, regions) == want
+        # the lockstep kernel runs at MIN_ROWS rows and above, and draws
+        # every batch no row runs dry on
+        ran_dry = isinstance(want, str)
+        assert calls == ([(rows, not ran_dry)] if rows >= MIN_ROWS else [])
+        drawn.append(not ran_dry)
+    assert drawn[0] or drawn[1]
+
+
+def test_lockstep_kernel_matches_on_mostly_ones_rows(monkeypatch):
+    # rows of three-quarters ones reject most draws, so they read window
+    # after window and many run dry; one such row among fair rows
+    digest = ks_module._block_digest
+    biased_blocks = set()
+
+    def biased_digest(state, block):
+        out = digest(state, block)
+        if block % (1 << 64) in biased_blocks:
+            more = hashlib.sha256(out).digest()
+            out = bytes(a | b for a, b in zip(out, hashlib.sha256(more).digest()))
+            out = bytes(a | b for a, b in zip(out, more))
+        return out
+
+    monkeypatch.setattr(ks_module, "_block_digest", biased_digest)
+    calls = _lockstep_spy(monkeypatch)
+    rng = np.random.default_rng(3100)
+    drawn = Counter()
+    for case in range(40):
+        draw, budget = LOCKSTEP_CASES[case % len(LOCKSTEP_CASES)]
+        regions = _random_regions(rng, budget, MIN_ROWS)
+        rows = range(MIN_ROWS) if case % 2 else [int(rng.integers(MIN_ROWS))]
+        biased_blocks.clear()
+        for row in rows:
+            start = regions.seed.nonce + regions.first_blocks[row]
+            biased_blocks.update(start + b for b in range(-(-budget // BLOCK_BITS)))
+        want = _per_row_outcome(monkeypatch, draw, regions)
+        calls.clear()
+        assert _outcome(draw, regions) == want
+        drawn[calls[0][1], isinstance(want, str)] += 1
+    # some batches drawn in lockstep, some handed over and run dry
+    assert drawn[True, False] and drawn[False, True]
+    assert not drawn[True, True]
+
+
+def test_lockstep_kernel_hashes_a_prefix_of_each_region(monkeypatch):
+    hashed = []
+    digest = ks_module._block_digest
+
+    def recording_digest(state, block):
+        hashed.append(block % (1 << 64))
+        return digest(state, block)
+
+    monkeypatch.setattr(ks_module, "_block_digest", recording_digest)
+    calls = _lockstep_spy(monkeypatch)
+    rng = np.random.default_rng(3200)
+    reached = Counter()
+    for case in range(3 * len(LOCKSTEP_CASES)):
+        draw, budget = LOCKSTEP_CASES[case % len(LOCKSTEP_CASES)]
+        # full budgets, and budgets cut to about the no-rejection need
+        n_bits = budget if case % 3 else budget // 4 + int(rng.integers(64))
+        regions = _random_regions(rng, n_bits, 2 * MIN_ROWS, wrap=case % 5 == 0)
+        hashed.clear()
+        calls.clear()
+        _outcome(draw, regions)
+        if not calls[0][1]:
+            continue
+        n_blocks = -(-n_bits // BLOCK_BITS)
+        owned = 0
+        for first in regions.first_blocks:
+            start = regions.seed.nonce + first
+            own = [b for b in hashed if (b - start) % (1 << 64) < 15]
+            assert own == [(start + i) % (1 << 64) for i in range(len(own))]
+            assert len(own) <= n_blocks
+            reached[len(own) == n_blocks] += 1
+            owned += len(own)
+        assert owned == len(hashed)
+    # the lockstep kernel drew batches whose rows stopped short of their
+    # region's end, and batches in which some row hashed all of it
+    assert reached[False] and reached[True]

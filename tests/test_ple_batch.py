@@ -198,21 +198,30 @@ def test_batch_hashes_only_the_keystream_blocks_it_reads(monkeypatch):
 
 
 def test_each_scramble_permutation_derived_once_per_batch(monkeypatch):
+    # patched at the module name, as the benchmark's trace plan patches it
     calls = []
-    perm = PleCodec._perm
+    keyed_permutation = ple.keyed_permutation
 
-    def counting_perm(self, scheme, starts):
-        calls.append(scheme)
-        return perm(self, scheme, starts)
+    def counting_permutation(n, regions):
+        calls.append((n, regions.first_blocks))
+        return keyed_permutation(n, regions)
 
-    monkeypatch.setattr(PleCodec, "_perm", counting_perm)
+    monkeypatch.setattr(ple, "keyed_permutation", counting_permutation)
     cfg = wifi_like_config()
     codec = _fresh_codec(cfg)
     frames = np.array([5, 6, 1])
     bits = _payloads(cfg, frames.size, 15)
     samples = codec.encrypt_batch(bits, frames)
     assert np.array_equal(codec.decrypt_batch(samples, frames), bits)
-    assert sorted(calls) == ["scramble_freq", "scramble_time"]
+    # one call for the batch: every frame's scramble_freq region, then
+    # every frame's scramble_time region
+    blocks = codec._blocks_per_frame
+    firsts = [
+        f * blocks + codec._region_offset[scheme]
+        for scheme in ("scramble_freq", "scramble_time")
+        for f in frames.tolist()
+    ]
+    assert calls == [(cfg.n_fft, tuple(firsts))]
 
 
 STAGES = (
