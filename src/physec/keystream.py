@@ -279,19 +279,20 @@ def _lockstep_swaps(items: list, plan, ks: KeystreamRegions):
     state, firsts = _key_state(ks.seed), [ks.seed.nonce + b for b in ks.first_blocks]
     # each row's region bytes, then the byte after its end that a window at
     # the end reads
-    buf = np.zeros((rows, n_blocks * block_bytes + 2), dtype=np.uint16)
+    stride = n_blocks * block_bytes + 2
+    buf = np.zeros((rows, stride), dtype=np.uint8)
+    flat = buf.ravel()
     # every row reads at least its no-rejection need
     floor = -(-sum(width * count for width, _, count, *_ in groups) // BLOCK_BITS)
     floor = min(floor, n_blocks)
-    digests = b"".join(_block_digest(state, f + i) for f in firsts for i in range(floor))
+    digests = b"".join(
+        _block_digest(state, f + i) for f in firsts for i in range(floor)
+    )
     buf[:, : floor * block_bytes] = np.frombuffer(digests, np.uint8).reshape(rows, -1)
-    # pairs[r, j]: bytes j and j + 1 of row r as one big-endian word
-    pairs = (buf[:, :-1] << 8) | buf[:, 1:]
-    flat = pairs.ravel()
     hashed = np.full(rows, floor)
-    row_starts = np.arange(rows) * pairs.shape[1]
+    row_starts = np.arange(rows) * stride
     pos = np.zeros(rows, dtype=np.int64)
-    draws = []
+    draws = [np.zeros((0, rows), dtype=np.intp)]  # [steps, F] per run
     for width, m, count, first, more in groups:
         if width == 0:
             draws.append(np.zeros((count, rows), dtype=np.intp))
@@ -309,15 +310,13 @@ def _lockstep_swaps(items: list, plan, ks: KeystreamRegions):
                     buf[r, at : at + block_bytes] = np.frombuffer(
                         _block_digest(state, firsts[r] + b), np.uint8
                     )
-                    lo = max(at - 1, 0)
-                    pairs[r, lo : at + block_bytes] = (
-                        buf[r, lo : at + block_bytes] << 8
-                    ) | buf[r, lo + 1 : at + block_bytes + 1]
                 hashed[r] = need[r]
             bit = pos + width * np.arange(tried, tried + attempts)[:, None]
             np.minimum(bit, n_bits, out=bit)
+            byte = (bit >> 3) + row_starts
+            pair = (flat[byte].astype(np.uint16) << 8) | flat[byte + 1]
             shift = (_WINDOW_BITS - width) - (bit & 7).astype(np.uint16)
-            words = (flat[(bit >> 3) + row_starts] >> shift) & ((1 << width) - 1)
+            words = (pair >> shift) & ((1 << width) - 1)
             accepted = np.empty(words.shape, dtype=bool)
             for i in range(attempts):
                 np.less(words[i], bound, out=accepted[i])

@@ -391,7 +391,8 @@ class PleCodec:
         regions = KeystreamRegions(self.seed, self._budgets[schemes[0]], firsts)
         perms = keyed_permutation(self.cfg.n_fft, regions)
         perms.flags.writeable = False
-        return dict(zip(schemes, np.split(perms, len(schemes))))
+        by_scheme = perms.reshape(len(schemes), len(starts), self.cfg.n_fft)
+        return dict(zip(schemes, by_scheme))
 
     def encrypt_batch(self, plain_bits, frame_indices) -> np.ndarray:
         """Encrypt F frames: bits[F, payload_bits] -> samples[F, n_fft + cp_len]."""

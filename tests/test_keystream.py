@@ -493,13 +493,19 @@ def test_large_region_batch_golden_hash():
 MIN_ROWS = ks_module.LOCKSTEP_MIN_ROWS
 LOCKSTEP_CASES = [
     (functools.partial(keyed_permutation, n), permutation_allocation_bits(n))
-    for n in (2, 3, 5, 16, 64, 100, 130, 140, 256)
+    for n in (1, 2, 3, 5, 16, 64, 100, 130, 140, 256)
 ] + [
     # the codec's decoy slots; a full shuffle whose last step has one choice
-    (functools.partial(keyed_subset, np.arange(16, 64), 4), subset_allocation_bits(48, 4)),
-    (functools.partial(keyed_subset, np.arange(100, 105), 5), subset_allocation_bits(5, 5)),
+    (
+        functools.partial(keyed_subset, np.arange(16, 64), 4),
+        subset_allocation_bits(48, 4),
+    ),
+    (
+        functools.partial(keyed_subset, np.arange(100, 105), 5),
+        subset_allocation_bits(5, 5),
+    ),
 ]
-LOCKSTEP_IDS = [f"perm{n}" for n in (2, 3, 5, 16, 64, 100, 130, 140, 256)] + [
+LOCKSTEP_IDS = [f"perm{n}" for n in (1, 2, 3, 5, 16, 64, 100, 130, 140, 256)] + [
     "subset48of4",
     "subset5of5",
 ]
@@ -542,9 +548,9 @@ def test_lockstep_kernel_matches_per_row_kernel(monkeypatch, case, rows):
     calls = _lockstep_spy(monkeypatch)
     rng = np.random.default_rng(3000 + 10 * case + rows)
     # full budgets, one of them with a wrapping counter, then budgets cut
-    # to a random length, most of which some row runs dry on
-    n_bits = [budget, budget] + rng.integers(0, budget + 1, 4).tolist()
-    drawn = []
+    # to nothing and to a random length, most of which some row runs dry on
+    n_bits = [budget, budget, 0] + rng.integers(0, budget + 1, 4).tolist()
+    drawn = []  # per batch, whether no row ran dry
     for i, bits in enumerate(n_bits):
         regions = _random_regions(rng, bits, rows, wrap=i == 1)
         want = _per_row_outcome(monkeypatch, draw, regions)
