@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -224,8 +225,11 @@ def _keyed_swaps(items: list, plan, chunks) -> list:
     return items
 
 
-# the fewest region rows that _draw hands to _lockstep_swaps: below it the
-# kernel's per-step numpy calls cost more than the per-row loop saves
+# the fewest region rows that _draw hands to _lockstep_swaps. Most of its
+# cost is a fixed count of numpy calls per batch: on 64-point permutations
+# (2-vCPU x86-64, numpy 2.4) it breaks even with the per-row kernel at
+# about 48 rows, and 64 is the smallest measured batch it drew faster in
+# every run (about 1.2x; 2x at 200 rows)
 LOCKSTEP_MIN_ROWS = 64
 # _lockstep_swaps reads each draw through a 16-bit big-endian window, so
 # it takes draws of at most 16 - 7 bits
@@ -243,18 +247,14 @@ def _lockstep_groups(plan) -> tuple:
     standard deviation, at least 1.
     """
     groups = []
-    for _, _, m, width, _ in plan:
-        if groups and groups[-1][0] == width:
-            groups[-1][2] += 1
-        else:
-            groups.append([width, m, 1])
-    out = []
-    for width, m, count in groups:
-        accept = [(m - j) / (1 << width) for j in range(count)]
+    for width, steps in itertools.groupby(plan, key=lambda step: step[3]):
+        choices = [m for _, _, m, _, _ in steps]
+        accept = [m / (1 << width) for m in choices]
         mean = sum(1 / p for p in accept)
         sd = math.sqrt(sum((1 - p) / p / p for p in accept))
-        out.append((width, m, count, math.ceil(mean + 3 * sd), max(1, math.ceil(sd))))
-    return tuple(out)
+        first, more = math.ceil(mean + 3 * sd), max(1, math.ceil(sd))
+        groups.append((width, choices[0], len(choices), first, more))
+    return tuple(groups)
 
 
 def _lockstep_swaps(items: list, plan, ks: KeystreamRegions):

@@ -20,7 +20,8 @@ that row's keystream bits; PleCodec calls them in this order:
 Each enabled scheme owns a fixed region of keystream blocks per frame, so
 budgets are deterministic, frames never reuse keystream, and the receiver
 can derive any stage's bits independently of the others. The scramble
-regions come last and are hashed only as far as their draws read.
+regions come last and are hashed about as far as their draws read; both
+scrambles' regions of a batch are drawn in one keyed_permutation call.
 
 The codec runs ofdm's array modem (ofdm_modulate, attach_cp,
 ofdm_demodulate) between the stages; PleCodec(cfg, (), seed), with no
