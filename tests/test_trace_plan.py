@@ -16,19 +16,29 @@ import physec
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _bench_trace(monkeypatch):
-    path = os.path.join(ROOT, "perfbench", "bench_trace.py")
-    spec = importlib.util.spec_from_file_location("_physec_bench_trace", path)
+def _perfbench_module(monkeypatch, name):
+    """perfbench/<name>.py loaded read-only under a private module name.
+
+    The perfbench directory is on sys.path while it loads, for its plain
+    imports of its siblings; the siblings leave sys.modules again after.
+    """
+    bench_dir = os.path.join(ROOT, "perfbench")
+    path = os.path.join(bench_dir, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"_physec_{name}", path)
     module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, module)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read-only
+    monkeypatch.syspath_prepend(bench_dir)
+    before = set(sys.modules)
     spec.loader.exec_module(module)
+    for added in set(sys.modules) - before:
+        del sys.modules[added]
     return module
 
 
 def test_every_traced_binding_is_in_its_owner(monkeypatch):
-    plan = _bench_trace(monkeypatch).trace_plan(physec)
+    plan = _perfbench_module(monkeypatch, "bench_trace").trace_plan(physec)
     missing = [
         f"{owner.__name__}.{attr}"
         for owner, attr, _, _ in plan
@@ -90,3 +100,19 @@ def test_every_name_the_benchmark_reads_resolves():
     assert {"physec.read_trace_records", "physec.awgn_link"} <= chains
     assert "physec.harness.config_from_dict" in chains
     assert missing == []
+
+
+# the SHA-256 of the all-schemes ciphertext frames that perfbench/run.py's
+# noiseless round-trip check hashes, per seed
+ROUNDTRIP_DIGESTS = {
+    1: "832818345b4dd6157b17adb72ed0bb326236d80843a0c3109fd919bc0964a2a3",
+    7: "eaa8758c171045f1eaac26618884f20cb63af2e7701c895392b5713de69c3bec",
+}
+
+
+def test_benchmark_roundtrip_bytes_are_pinned(monkeypatch):
+    run = _perfbench_module(monkeypatch, "run")
+    for seed, want in ROUNDTRIP_DIGESTS.items():
+        checks = run.Checks()
+        assert run.check_ple_roundtrip(checks, physec, seed) == want, seed
+        assert checks.attempted == 7 and checks.failed == 0, checks.failures
