@@ -35,8 +35,8 @@ print(f"stages: {', '.join(SCHEME_ORDER)}")
 codec = PleCodec(cfg, SCHEME_ORDER, alice_seed)
 payload = rng.integers(0, 2, size=cfg.payload_bits, dtype=np.uint8)
 tx = codec.encrypt(payload, frame_index=0)
-print(f"waveform: {tx.data.size} samples with cyclic prefix, "
-      f"mean power {np.mean(np.abs(tx.data) ** 2):.3f}")
+print(f"waveform: {tx.size} samples with cyclic prefix, "
+      f"mean power {np.mean(np.abs(tx) ** 2):.3f}")
 print(f"legit round trip exact: "
       f"{np.array_equal(codec.decrypt(tx, 0), payload)}")
 

@@ -61,7 +61,6 @@ from .harness import (
 from .keystream import KeystreamSeed, keyed_permutation, keyed_subset
 from .ofdm import (
     OfdmConfig,
-    SymbolFrame,
     awgn_link,
     ebn0_db_to_snr_db,
     ofdm_demodulate,
@@ -137,7 +136,6 @@ __all__ = [
     "keyed_permutation",
     "keyed_subset",
     "OfdmConfig",
-    "SymbolFrame",
     "awgn_link",
     "ebn0_db_to_snr_db",
     "ofdm_demodulate",

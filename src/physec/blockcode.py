@@ -1,8 +1,8 @@
 """Systematic linear block codes with bounded-distance syndrome decoding.
 
-The reconciliation layer only needs encode/decode with a known correction
-radius, so codes are pluggable: any systematic code defined by its parity
-submatrix P (codeword = [message | message @ P]) works. Decoding looks the
+The reconciliation layer only needs encode/decode_batch with a known
+correction radius, so codes are pluggable: any systematic code defined by
+its parity submatrix P (codeword = [message | message @ P]) works. Decoding looks the
 received word's syndrome up in a table of all error patterns of weight up to
 t_corr; a syndrome outside the table is a decode failure. For a perfect code
 such as Hamming(7,4) every syndrome is in the table, so decoding never fails
@@ -36,6 +36,10 @@ class LinearBlockCode:
         # a syndrome's bits, read as a big-endian integer, index the tables
         self._syn_weights = (1 << np.arange(p.shape[1] - 1, -1, -1)).astype(np.int64)
         self._correctable, self._message_fix = self._build_tables()
+        # read-only: code_by_id hands out one shared instance per id
+        tables = (p, self._h_t, self._syn_weights, self._correctable, self._message_fix)
+        for table in tables:
+            table.flags.writeable = False
 
     def _build_tables(self):
         """Per syndrome: whether an error pattern of weight <= t_corr has it,
@@ -64,19 +68,13 @@ class LinearBlockCode:
         words = np.concatenate([msg2, msg2 @ self.parity % 2], axis=1)
         return words[0] if single else words
 
-    def decode(self, word) -> np.ndarray:
-        """Received word -> message of the nearest codeword within t_corr.
-
-        Raises DecodeFailure when no codeword lies within the correction
-        radius (never happens for a perfect code).
-        """
-        w = np.asarray(word, dtype=np.uint8) & 1
-        if w.ndim != 1 or w.size != self.n_code:
-            raise ParameterError(f"word length must be {self.n_code}")
-        return self.decode_batch(w[None])[0]
-
     def decode_batch(self, words: np.ndarray) -> np.ndarray:
-        """Decode (m, n_code) rows at once; any failed row raises."""
+        """Received words[m, n_code] -> messages[m, k_code]: each row's
+        message of the nearest codeword within t_corr.
+
+        Raises DecodeFailure when some row has no codeword within the
+        correction radius (never happens for a perfect code).
+        """
         w = np.asarray(words, dtype=np.uint8) & 1
         if w.ndim != 2 or w.shape[1] != self.n_code:
             raise ParameterError(f"words must have shape (m, {self.n_code})")
@@ -119,12 +117,13 @@ def repetition41() -> LinearBlockCode:
     return LinearBlockCode(np.ones((1, 3), dtype=np.uint8), t_corr=1, code_id="rep41")
 
 
-_REGISTRY = {"hamming74": hamming74, "rep41": repetition41}
+# built once, like the constellation tables
+_REGISTRY = {code.code_id: code for code in (hamming74(), repetition41())}
 
 
 def code_by_id(code_id: str) -> LinearBlockCode:
-    """Instantiate a registered code by its identifier."""
+    """The registered code with this identifier, one shared instance per id."""
     try:
-        return _REGISTRY[code_id]()
+        return _REGISTRY[code_id]
     except KeyError:
         raise ParameterError(f"unknown code_id {code_id!r}") from None

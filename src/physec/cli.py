@@ -193,14 +193,14 @@ def _selftest_checks():
             noisy = word.copy()
             noisy[list(positions)] ^= 1
             try:
-                rep.decode(noisy)
+                rep.decode_batch(noisy[None])
                 ok = False
             except DecodeFailure:
                 pass
         for position in range(rep.n_code):
             noisy = word.copy()
             noisy[position] ^= 1
-            if rep.decode(noisy)[0] != msg:
+            if rep.decode_batch(noisy[None])[0, 0] != msg:
                 ok = False
     yield (
         "rep41 bounded-distance decoding",

@@ -355,12 +355,19 @@ def _resolve(raw, master_seed: int | None = None) -> tuple[dict, list, list[str]
         swept = [_apply_sweep(cfg, param, value) for value in values]
     except KeyError:
         return cfg, [], out + [f"sweep.parameter {param!r} is not a config path"]
+    written = raw  # the value the config itself writes at the swept path
+    for part in param.split("."):
+        if not isinstance(written, dict) or part not in written:
+            break
+        written = written[part]
+    else:
+        if written not in values:
+            out.append(f"{param} is {written!r}, but the sweep runs it at {values!r}")
     if cfg["trace_file"] is not None and param.startswith("channel."):
         out.append("cannot sweep channel parameters of a trace file")
     points = [_collect(c, out, f"sweep value {v!r}: ") for v, c in zip(values, swept)]
     if len(points) > 1 and None not in points:
-        # code_by_id builds a new code per call, so codes compare by id
-        first, *rest = (replace(p, code=p.code.code_id) for p in points)
+        first, *rest = points
         if all(p == first for p in rest):
             out.append(f"sweep.parameter {param!r} changes no point")
     return cfg, points, out
@@ -405,7 +412,8 @@ def config_from_dict(raw: dict, master_seed: int | None = None) -> ExperimentCon
     """Validate raw and resolve each sweep point, once; raises ConfigError
     listing every violation. Infinity and NaN, which JSON cannot hold, are
     rejected anywhere. Any key but scenario and trials may be swept, hidden
-    ones too, but a sweep of two or more values may not make equal points."""
+    ones too, but a sweep of two or more values may not make equal points,
+    and a value the config writes at the swept path must be a sweep value."""
     merged, points, violations = _resolve(raw, master_seed)
     if violations:
         raise ConfigError(violations)

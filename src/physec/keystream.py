@@ -146,7 +146,10 @@ def keyed_subset(pool, count: int, ks) -> np.ndarray:
 
     A batch of keystream rows gives one subset per row, shape [F, count].
     """
-    arr = np.asarray(pool, dtype=np.intp).tolist()
+    arr = np.asarray(pool)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ParameterError(f"pool must hold integers, got {arr.dtype}")
+    arr = arr.astype(np.intp).tolist()
     if not 0 <= count <= len(arr):
         raise ParameterError("count must be in [0, pool size]")
     return _draw(arr, _swap_plan(len(arr), count, False), count, ks)

@@ -2,14 +2,15 @@
 
 The modem works on arrays with one OFDM symbol per row: ofdm_modulate and
 ofdm_demodulate are the DFT pair along the last axis, and attach_cp adds
-the cyclic prefix. SymbolFrame is the time-domain frame awgn_link carries,
-prefix included. The DFT pair is unitary (norm="ortho"), so scrambling
+the cyclic prefix. On the link a frame is a row of n_fft + cp_len
+time-domain samples, prefix first; awgn_rows adds noise to a batch of such
+rows and awgn_link to one. The DFT pair is unitary (norm="ortho"), so scrambling
 stages and the modem itself preserve energy exactly and per-subcarrier
 noise variance equals the injected per-sample variance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -85,21 +86,6 @@ def wifi_like_config(mapping: str = modulation.QPSK) -> OfdmConfig:
     )
 
 
-@dataclass(frozen=True)
-class SymbolFrame:
-    """One time-domain OFDM symbol on the link, cyclic prefix first."""
-
-    data: np.ndarray
-    cfg: OfdmConfig
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=complex)
-        object.__setattr__(self, "data", arr)
-        expect = self.cfg.n_fft + self.cfg.cp_len
-        if arr.shape != (expect,):
-            raise ParameterError(f"frame must have shape ({expect},), got {arr.shape}")
-
-
 def ofdm_modulate(grid) -> np.ndarray:
     """Unitary inverse DFT along the last axis: subcarrier grid[..., n_fft]
     -> prefix-free samples core[..., n_fft], one OFDM symbol per row."""
@@ -124,22 +110,13 @@ def ofdm_demodulate(core) -> np.ndarray:
     return np.fft.fft(core, axis=-1, norm="ortho")
 
 
-def _check_snr(snr_db: float) -> None:
-    if np.isnan(snr_db) or snr_db == -np.inf:
-        raise ParameterError("snr_db must be a real value or +inf")
-
-
-def awgn_link(frame: SymbolFrame, snr_db: float, rng_seed: int) -> SymbolFrame:
-    """Add circularly symmetric complex Gaussian noise.
+def awgn_link(samples, snr_db: float, rng_seed: int) -> np.ndarray:
+    """awgn_rows for one row samples[n], seeded with rng_seed.
 
     Per-sample noise variance is 10^(-snr_db/10) relative to unit signal
-    power; +inf leaves the frame untouched. The noise is awgn_rows' for a
-    single row seeded with rng_seed.
+    power; +inf leaves the samples unchanged.
     """
-    _check_snr(snr_db)
-    if snr_db == np.inf:
-        return frame
-    return replace(frame, data=awgn_rows(frame.data[None], snr_db, [rng_seed])[0])
+    return awgn_rows(np.asarray(samples)[None], snr_db, [rng_seed])[0]
 
 
 def awgn_rows(samples, snr_db: float, seeds) -> np.ndarray:
@@ -150,7 +127,8 @@ def awgn_rows(samples, snr_db: float, seeds) -> np.ndarray:
     power, drawn as n real parts then n imaginary parts (one
     standard_normal(2 n) call per row); +inf returns the samples unchanged.
     """
-    _check_snr(snr_db)
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ParameterError("snr_db must be a real value or +inf")
     x = np.asarray(samples, dtype=complex)
     if x.ndim != 2 or len(seeds) != x.shape[0]:
         raise ParameterError(f"need one seed per row of samples, got {x.shape}")
@@ -166,7 +144,7 @@ def awgn_rows(samples, snr_db: float, seeds) -> np.ndarray:
 
 
 def ebn0_db_to_snr_db(ebn0_db: float, mapping: str) -> float:
-    """Convert per-bit Eb/N0 to the per-sample SNR awgn_link expects.
+    """Convert per-bit Eb/N0 to the per-sample SNR awgn_rows expects.
 
     With unit-energy symbols, Es/N0 = bits_per_symbol x Eb/N0; the unitary
     modem makes per-subcarrier SNR equal per-sample SNR.

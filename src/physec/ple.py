@@ -9,8 +9,8 @@ that row's keystream bits; PleCodec calls them in this order:
   angles (2 pi v / 2^q), optionally with a keyed bounded perturbation the
   receiver subtracts exactly; flattened symbols.
 * partial_interleave (partial_interleave / partial_deinterleave): swap
-  Re/Im of the data symbols[F, n_data] whose phase exceeds a public
-  threshold.
+  Re/Im of the data symbols[F, n_data] whose phase exceeds the public
+  INTERLEAVE_THRESHOLD.
 * dummy (insert_dummy): fill keyed decoy carriers of grids[F, n_fft], in
   place, with keyed constellation symbols; ks[F, budget].
 * scramble_freq / scramble_time (scramble_* / unscramble_*): keyed index
@@ -25,7 +25,8 @@ scrambles' regions of a batch are drawn in one keyed_permutation call.
 
 The codec runs ofdm's array modem (ofdm_modulate, attach_cp,
 ofdm_demodulate) between the stages; PleCodec(cfg, (), seed), with no
-schemes, is the plain modem.
+schemes, is the plain modem. On the link a frame is a row of n_fft + cp_len
+time-domain samples, cyclic prefix first.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ from .keystream import (
     subset_allocation_bits,
     xor_encrypt,
 )
-from .ofdm import OfdmConfig, SymbolFrame, attach_cp, ofdm_demodulate, ofdm_modulate
+from .ofdm import OfdmConfig, attach_cp, ofdm_demodulate, ofdm_modulate
 
 SCHEME_XOR = "xor"
 SCHEME_PHASE = "phase"
@@ -69,7 +70,9 @@ _SCRAMBLES = (SCHEME_SCRAMBLE_FREQ, SCHEME_SCRAMBLE_TIME)
 # bits consumed per symbol for the keyed phase perturbation (8 radius + 8 angle)
 _NOISE_BITS = 16
 
-DEFAULT_INTERLEAVE_THRESHOLD = -math.pi / 2
+# partial_interleave swaps the symbols whose phase exceeds this; the stage
+# inverts exactly at this value on the QPSK/16QAM alphabets
+INTERLEAVE_THRESHOLD = -math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -157,28 +160,21 @@ def _swap_re_im(values: np.ndarray) -> np.ndarray:
     return values.imag + 1j * values.real
 
 
-def _check_threshold(threshold: float) -> float:
-    if not -math.pi <= threshold <= math.pi:
-        raise ParameterError("interleave threshold must be in [-pi, pi]")
-    return float(threshold)
-
-
-def partial_interleave(symbols, threshold: float) -> np.ndarray:
-    """Swap Re/Im of each data symbol whose phase exceeds the threshold.
+def partial_interleave(symbols) -> np.ndarray:
+    """Swap Re/Im of each data symbol whose phase exceeds INTERLEAVE_THRESHOLD.
 
     symbols are the data symbols of a batch, one row per frame
     ([F, n_data]); the rule is elementwise and public. Phases are principal
-    values in (-pi, pi], so threshold = pi selects nothing and threshold =
-    -pi selects everything. The codec runs this stage before insert_dummy,
-    so decoys are never interleaved. Key-independent by design; its
-    protection comes from stacking under the keyed stages.
+    values in (-pi, pi]. The codec runs this stage before insert_dummy, so
+    decoys are never interleaved. Key-independent by design; its protection
+    comes from stacking under the keyed stages.
     """
     values = np.asarray(symbols, dtype=complex)
-    sel = _principal_angle(values) > _check_threshold(threshold)
+    sel = _principal_angle(values) > INTERLEAVE_THRESHOLD
     return np.where(sel, _swap_re_im(values), values)
 
 
-def partial_deinterleave(symbols, threshold: float) -> np.ndarray:
+def partial_deinterleave(symbols) -> np.ndarray:
     """Undo partial_interleave by re-testing the selection rule.
 
     A symbol is unswapped iff its candidate pre-swap value (Re/Im swapped
@@ -186,13 +182,13 @@ def partial_deinterleave(symbols, threshold: float) -> np.ndarray:
     selection exactly when the symbol values occurring at this stage form a
     set closed under Re/Im swap inside the selection region; that holds for
     the unit QPSK/16QAM alphabets, including quarter-turn phase-encrypted
-    ones, at the default threshold -pi/2. Outside such alphabets (or over a
-    noisy, imperfectly equalized link) selections can be misjudged; this
-    stage is only guaranteed on noiseless or perfectly equalized links.
+    ones. Outside such alphabets (or over a noisy, imperfectly equalized
+    link) selections can be misjudged; this stage is only guaranteed on
+    noiseless or perfectly equalized links.
     """
     values = np.asarray(symbols, dtype=complex)
     swapped = _swap_re_im(values)
-    sel = _principal_angle(swapped) > _check_threshold(threshold)
+    sel = _principal_angle(swapped) > INTERLEAVE_THRESHOLD
     return np.where(sel, swapped, values)
 
 
@@ -307,11 +303,12 @@ class PleCodec:
     """Composition of the enabled schemes over one OFDM link.
 
     Encryption order: xor on bits, constellation mapping, phase, partial
-    interleave (data carriers, at DEFAULT_INTERLEAVE_THRESHOLD), dummy
-    insertion, frequency scrambling, unitary IFFT (ofdm_modulate), time
-    scrambling, cyclic prefix (attach_cp). Decryption inverts the chain.
+    interleave (data carriers), dummy insertion, frequency scrambling,
+    unitary IFFT (ofdm_modulate), time scrambling, cyclic prefix
+    (attach_cp). Decryption inverts the chain.
     frame_index advances the keystream so no two frames share keystream
-    positions.
+    positions; an index whose blocks would wrap the 2^64 block counter is
+    refused.
 
     The codec works on batches of frames: encrypt_batch and decrypt_batch
     take one row per frame plus each row's frame index, and run each
@@ -364,8 +361,14 @@ class PleCodec:
             raise ParameterError("frame indices must be a 1-D integer array")
         if np.any(idx < 0):
             raise ParameterError("frame_index must be >= 0")
+        frames = idx.tolist()
+        # frame f reads blocks f B .. f B + B - 1 of a 2^64 counter
+        if self._blocks_per_frame and frames:
+            limit = (1 << 64) // self._blocks_per_frame
+            if max(frames) >= limit:
+                raise ParameterError(f"frame_index must be < {limit}")
         key = (idx.dtype.str, idx.tobytes())
-        starts = [f * self._blocks_per_frame for f in idx.tolist()]
+        starts = [f * self._blocks_per_frame for f in frames]
         if self._kept is None or self._kept[0] != key:
             scrambles = tuple(s for s in self.schemes if s in _SCRAMBLES)
             perms = self._perm(scrambles, starts) if scrambles else {}
@@ -418,7 +421,7 @@ class PleCodec:
             symbols = phase_encrypt(symbols, ks, self.phase_cfg)
         symbols = symbols.reshape(n_frames, cfg.n_data)
         if SCHEME_INTERLEAVE in self.schemes:
-            symbols = partial_interleave(symbols, DEFAULT_INTERLEAVE_THRESHOLD)
+            symbols = partial_interleave(symbols)
         grid = np.zeros((n_frames, cfg.n_fft), dtype=complex)
         grid[:, self._data_idx] = symbols
         if SCHEME_DUMMY in self.schemes:
@@ -449,7 +452,7 @@ class PleCodec:
             grid = unscramble_freq(grid, perms[SCHEME_SCRAMBLE_FREQ])
         symbols = grid[:, self._data_idx]
         if SCHEME_INTERLEAVE in self.schemes:
-            symbols = partial_deinterleave(symbols, DEFAULT_INTERLEAVE_THRESHOLD)
+            symbols = partial_deinterleave(symbols)
         symbols = symbols.ravel()
         if SCHEME_PHASE in self.schemes:
             ks = self._scheme_bits(SCHEME_PHASE, regions).ravel()
@@ -459,16 +462,14 @@ class PleCodec:
             bits = xor_encrypt(bits, self._scheme_bits(SCHEME_XOR, regions).ravel())
         return bits.reshape(n_frames, cfg.payload_bits)
 
-    def encrypt(self, plain_bits, frame_index: int = 0) -> SymbolFrame:
-        """encrypt_batch for one frame, returned as a time-domain SymbolFrame
-        with its cyclic prefix."""
+    def encrypt(self, plain_bits, frame_index: int = 0) -> np.ndarray:
+        """encrypt_batch for one frame: bits[payload_bits] -> samples[n_fft + cp_len]."""
         bits = np.asarray(plain_bits, dtype=np.uint8)
-        samples = self.encrypt_batch(bits[None], [frame_index])[0]
-        return SymbolFrame(samples, self.cfg)
+        return self.encrypt_batch(bits[None], [frame_index])[0]
 
-    def decrypt(self, frame: SymbolFrame, frame_index: int = 0) -> np.ndarray:
-        """decrypt_batch for one time-domain SymbolFrame."""
-        return self.decrypt_batch(frame.data[None], [frame_index])[0]
+    def decrypt(self, samples, frame_index: int = 0) -> np.ndarray:
+        """decrypt_batch for one frame: samples[n_fft + cp_len] -> bits[payload_bits]."""
+        return self.decrypt_batch(np.asarray(samples)[None], [frame_index])[0]
 
 
 def key_to_data_ratio(

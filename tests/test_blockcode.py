@@ -43,20 +43,17 @@ def test_hamming_linearity():
 
 def test_hamming_clean_roundtrip():
     code = hamming74()
-    for v in range(16):
-        msg = _int_to_bits(v, 4)
-        assert np.array_equal(code.decode(code.encode(msg)), msg)
+    msgs = np.array([_int_to_bits(v, 4) for v in range(16)])
+    assert np.array_equal(code.decode_batch(code.encode(msgs)), msgs)
 
 
 def test_hamming_corrects_all_single_errors():
     code = hamming74()
     for v in range(16):
         msg = _int_to_bits(v, 4)
-        word = code.encode(msg)
-        for pos in range(7):
-            corrupted = word.copy()
-            corrupted[pos] ^= 1
-            assert np.array_equal(code.decode(corrupted), msg)
+        corrupted = np.tile(code.encode(msg), (7, 1))
+        corrupted[np.arange(7), np.arange(7)] ^= 1
+        assert np.array_equal(code.decode_batch(corrupted), np.tile(msg, (7, 1)))
 
 
 def test_hamming_two_bit_errors_miscorrect():
@@ -65,22 +62,20 @@ def test_hamming_two_bit_errors_miscorrect():
     code = hamming74()
     for v in range(16):
         msg = _int_to_bits(v, 4)
-        word = code.encode(msg)
-        for i, j in combinations(range(7), 2):
-            corrupted = word.copy()
-            corrupted[[i, j]] ^= 1
-            assert not np.array_equal(code.decode(corrupted), msg)
+        pairs = list(combinations(range(7), 2))
+        corrupted = np.tile(code.encode(msg), (len(pairs), 1))
+        for row, (i, j) in zip(corrupted, pairs):
+            row[[i, j]] ^= 1
+        assert not np.any(np.all(code.decode_batch(corrupted) == msg, axis=1))
 
 
 def test_repetition_single_error_ok():
     code = repetition41()
     assert (code.n_code, code.k_code, code.t_corr) == (4, 1, 1)
     for bit in (0, 1):
-        word = code.encode([bit])
-        for pos in range(4):
-            corrupted = word.copy()
-            corrupted[pos] ^= 1
-            assert code.decode(corrupted)[0] == bit
+        corrupted = np.tile(code.encode([bit]), (4, 1))
+        corrupted[np.arange(4), np.arange(4)] ^= 1
+        assert np.array_equal(code.decode_batch(corrupted), np.full((4, 1), bit))
 
 
 def test_repetition_double_error_fails():
@@ -91,7 +86,7 @@ def test_repetition_double_error_fails():
             corrupted = word.copy()
             corrupted[[i, j]] ^= 1
             with pytest.raises(DecodeFailure):
-                code.decode(corrupted)
+                code.decode_batch(corrupted[None])
 
 
 def test_decode_batch_matches_scalar():
@@ -103,7 +98,7 @@ def test_decode_batch_matches_scalar():
     words[np.arange(50), flips] ^= 1
     batch = code.decode_batch(words)
     for row, word in zip(batch, words):
-        assert np.array_equal(row, code.decode(word))
+        assert np.array_equal(row, code.decode_batch(word[None])[0])
     assert np.array_equal(batch, msgs)
 
 
@@ -121,8 +116,16 @@ def test_decode_batch_rejects_wrong_shapes(shape):
 
 
 def test_code_by_id():
-    assert code_by_id("hamming74").code_id == "hamming74"
-    assert code_by_id("rep41").code_id == "rep41"
+    for code_id in ("hamming74", "rep41"):
+        code = code_by_id(code_id)
+        assert code.code_id == code_id
+        # one shared instance per id, so its tables are read-only
+        assert code_by_id(code_id) is code
+        for table in (code.parity, code._h_t, code._correctable, code._message_fix):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+    assert hamming74() is not hamming74()
     with pytest.raises(ParameterError):
         code_by_id("golay")
 
@@ -136,14 +139,14 @@ def test_constructor_and_io_validation():
     with pytest.raises(ParameterError):
         code.encode([1, 0, 1])
     with pytest.raises(ParameterError):
-        code.decode([1, 0, 1, 1, 0, 1])
+        code.decode_batch([[1, 0, 1, 1, 0, 1]])
 
 
 def test_single_word_decode_fails_as_block_zero():
     code = repetition41()
     message = "^block 0: syndrome outside correction radius$"
     with pytest.raises(DecodeFailure, match=message):
-        code.decode(np.array([1, 1, 0, 0], dtype=np.uint8))
+        code.decode_batch(np.array([[1, 1, 0, 0]], dtype=np.uint8))
 
 
 def _reference_decode_batch(code, words):

@@ -227,6 +227,43 @@ def test_sweep_that_changes_no_point_is_rejected(algorithm, ber_bits, param, val
 
 
 @pytest.mark.parametrize(
+    "raw, message",
+    [
+        # the default sweep runs channel.snr_db at 30 dB
+        (
+            {"channel": {"snr_db": 10.0}},
+            "channel.snr_db is 10.0, but the sweep runs it at [30.0]",
+        ),
+        (
+            {
+                "ple": {"ebn0_db": 8.0},
+                "sweep": {"parameter": "ple.ebn0_db", "values": [4.0, 6.0]},
+            },
+            "ple.ebn0_db is 8.0, but the sweep runs it at [4.0, 6.0]",
+        ),
+        (
+            {
+                "quantizer": {"alpha": 0.3},
+                "sweep": {"parameter": "quantizer", "values": [{"alpha": 0.5}]},
+            },
+            "quantizer is {'alpha': 0.3}, but the sweep runs it at [{'alpha': 0.5}]",
+        ),
+    ],
+    ids=["default-sweep", "explicit-sweep", "section-sweep"],
+)
+def test_value_the_sweep_replaces_is_rejected(raw, message):
+    assert validate_config(raw) == [message]
+    with pytest.raises(ConfigError):
+        config_from_dict(raw)
+
+
+def test_value_the_sweep_runs_may_be_written():
+    sweep = {"parameter": "ple.ebn0_db", "values": [4.0, 8.0]}
+    assert validate_config({"channel": {"snr_db": 30.0}}) == []
+    assert validate_config({"ple": {"ebn0_db": 8.0}, "sweep": sweep}) == []
+
+
+@pytest.mark.parametrize(
     "ple, param, values",
     [
         # without the link, the points still differ in its cost

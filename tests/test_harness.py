@@ -58,7 +58,7 @@ GOOD_TRACE = """timestamp_a,rss_a,timestamp_b,rss_b
 def _fast_cfg(**overrides):
     cfg = {
         "scenario": "test",
-        "channel": {"n_probes": 200, "snr_db": 30.0},
+        "channel": {"n_probes": 200},
         "ple": {"ber_bits": 0},
         "sweep": {"parameter": "channel.snr_db", "values": [30.0]},
         "trials": 4,
@@ -284,7 +284,11 @@ def test_trace_decreasing_timestamp_cited(tmp_path):
 
 def test_high_snr_always_agrees():
     cfg = config_from_dict(
-        _fast_cfg(channel={"n_probes": 600, "snr_db": 60.0}, trials=10)
+        _fast_cfg(
+            channel={"n_probes": 600},
+            sweep={"parameter": "channel.snr_db", "values": [60.0]},
+            trials=10,
+        )
     )
     report = run_experiment(cfg)
     agg = report.results[0]["metrics"]["key_agreement_rate"]
@@ -322,7 +326,8 @@ def test_kdr_monotone_in_snr():
 def test_distant_eavesdropper_worse_than_bob():
     cfg = config_from_dict(
         _fast_cfg(
-            channel={"n_probes": 400, "snr_db": 20.0, "eve_correlation": 0.5},
+            channel={"n_probes": 400, "eve_correlation": 0.5},
+            sweep={"parameter": "channel.snr_db", "values": [20.0]},
             trials=30,
         )
     )
@@ -344,7 +349,7 @@ def test_per_trial_errors_recorded_not_raised():
 def test_rates_stay_in_unit_interval():
     cfg = config_from_dict(
         _fast_cfg(
-            channel={"n_probes": 300, "snr_db": 10.0},
+            channel={"n_probes": 300},
             sweep={"parameter": "channel.snr_db", "values": [5.0, 25.0]},
             trials=10,
         )

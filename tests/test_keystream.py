@@ -20,6 +20,7 @@ from physec.keystream import (
     subset_allocation_bits,
     xor_encrypt,
 )
+from physec.ofdm import wifi_like_config
 
 
 # A sequential reader of keystream words: the reference that the draw
@@ -238,6 +239,20 @@ def test_subset_selection():
     assert sorted(full) == list(range(5))
     with pytest.raises(ParameterError):
         keyed_subset(pool, 49, ks)
+
+
+def test_subset_pool_must_hold_integers():
+    ks = keystream(_seed(15), 100)
+    for pool in ([0.5, 1.7, 2.2], np.array([True, False, True])):
+        with pytest.raises(ParameterError, match="integers"):
+            keyed_subset(pool, 2, ks)
+    # an empty pool is still valid, and the codec's tuple of idle carriers
+    # draws as its integer array does
+    assert keyed_subset([], 0, ks).size == 0
+    idle = wifi_like_config().idle_carriers
+    assert np.array_equal(
+        keyed_subset(idle, 4, ks), keyed_subset(np.array(idle, dtype=np.uint8), 4, ks)
+    )
 
 
 @pytest.mark.parametrize("shape", [(), (2, 3, 64)])

@@ -7,7 +7,6 @@ from physec.keystream import KeystreamSeed
 from physec.modulation import QAM16, QPSK, map_symbols
 from physec.ofdm import (
     OfdmConfig,
-    SymbolFrame,
     attach_cp,
     awgn_link,
     awgn_rows,
@@ -20,13 +19,13 @@ from physec.ple import PleCodec
 
 
 def _random_frame(cfg, seed=0):
-    """Payload bits, their subcarrier grid and the time-domain link frame."""
+    """Payload bits, their subcarrier grid and the link frame's samples."""
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=cfg.payload_bits, dtype=np.uint8)
     grid = np.zeros(cfg.n_fft, dtype=complex)
     grid[list(cfg.data_carriers)] = map_symbols(bits, cfg.mapping)
     samples = attach_cp(ofdm_modulate(grid), cfg.cp_len)
-    return bits, grid, SymbolFrame(samples, cfg)
+    return bits, grid, samples
 
 
 def test_wifi_layout():
@@ -48,8 +47,8 @@ def test_modem_roundtrip():
     for mapping in (QPSK, QAM16):
         cfg = wifi_like_config(mapping)
         bits, grid, frame = _random_frame(cfg, seed=1)
-        assert frame.data.size == 80
-        back = ofdm_demodulate(frame.data[cfg.cp_len :])
+        assert frame.size == 80
+        back = ofdm_demodulate(frame[cfg.cp_len :])
         assert np.allclose(back, grid, atol=1e-10)
         data = list(cfg.data_carriers)
         assert np.allclose(back[data], map_symbols(bits, mapping), atol=1e-10)
@@ -69,8 +68,8 @@ def test_cyclic_prefix_is_tail_copy():
     cfg = wifi_like_config()
     _, grid, frame = _random_frame(cfg, seed=2)
     core = ofdm_modulate(grid)
-    assert np.array_equal(frame.data[:16], frame.data[-16:])
-    assert np.array_equal(frame.data[16:], core)
+    assert np.array_equal(frame[:16], frame[-16:])
+    assert np.array_equal(frame[16:], core)
     assert np.array_equal(attach_cp(core, 0), core)
     for cp_len in (-1, 64):
         with pytest.raises(ParameterError):
@@ -96,16 +95,15 @@ def test_awgn_infinite_snr_identity():
     cfg = wifi_like_config()
     _, _, frame = _random_frame(cfg, seed=4)
     out = awgn_link(frame, np.inf, rng_seed=0)
-    assert np.array_equal(out.data, frame.data)
+    assert np.array_equal(out, frame)
 
 
 def test_awgn_noise_power_calibrated():
     n = 1 << 17
-    cfg = OfdmConfig(n_fft=n, cp_len=0, data_carriers=(1,))
-    silent = SymbolFrame(np.zeros(n, dtype=complex), cfg)
+    silent = np.zeros(n, dtype=complex)
     for snr_db in (0.0, 10.0):
         out = awgn_link(silent, snr_db, rng_seed=5)
-        power = float(np.mean(np.abs(out.data) ** 2))
+        power = float(np.mean(np.abs(out) ** 2))
         assert abs(power / 10.0 ** (-snr_db / 10.0) - 1.0) < 0.02
 
 
@@ -115,8 +113,8 @@ def test_awgn_deterministic():
     a = awgn_link(frame, 10.0, rng_seed=7)
     b = awgn_link(frame, 10.0, rng_seed=7)
     c = awgn_link(frame, 10.0, rng_seed=8)
-    assert np.array_equal(a.data, b.data)
-    assert not np.array_equal(a.data, c.data)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_awgn_rejects_nonsense_snr():
@@ -131,19 +129,19 @@ def test_awgn_rejects_nonsense_snr():
 def test_awgn_rows_equal_awgn_link_per_row_seed():
     cfg = wifi_like_config()
     frames = [_random_frame(cfg, seed=40 + f)[2] for f in range(6)]
-    samples = np.array([frame.data for frame in frames])
+    samples = np.array(frames)
     seeds = [int(s) for s in np.random.default_rng(41).integers(1 << 62, size=6)]
     n = samples.shape[1]
     for snr_db in (8.0, -3.0):
         rows = awgn_rows(samples, snr_db, seeds)
-        want = [awgn_link(f, snr_db, s).data for f, s in zip(frames, seeds)]
+        want = [awgn_link(f, snr_db, s) for f, s in zip(frames, seeds)]
         assert rows.tobytes() == np.array(want).tobytes()
         # Reference: two standard_normal(n) draws per seed, real then imaginary.
         scale = 10.0 ** (-snr_db / 20.0) / np.sqrt(2)
         for row, frame, seed in zip(rows, frames, seeds):
             rng = np.random.default_rng(seed)
             noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
-            assert row.tobytes() == (frame.data + noise).tobytes()
+            assert row.tobytes() == (frame + noise).tobytes()
     assert np.array_equal(awgn_rows(samples, np.inf, seeds), samples)
     for snr_db in (float("nan"), -np.inf):
         with pytest.raises(ParameterError) as link_error:
@@ -160,28 +158,35 @@ def test_ebn0_conversion():
     assert ebn0_db_to_snr_db(4.0, QAM16) == pytest.approx(4.0 + 10 * np.log10(4))
 
 
-def test_extract_ignores_decoys():
-    # the plain modem (a codec with no schemes) reads only the data carriers
-    cfg = wifi_like_config()
-    key = BitKey(np.random.default_rng(12).integers(0, 2, 128, dtype=np.uint8),
+def _plain_modem(cfg, seed):
+    """A codec with no schemes: mapping, data carriers, IFFT and prefix."""
+    key = BitKey(np.random.default_rng(seed).integers(0, 2, 128, dtype=np.uint8),
                  STAGE_AMPLIFIED)
-    codec = PleCodec(cfg, (), KeystreamSeed(key))
+    return PleCodec(cfg, (), KeystreamSeed(key))
+
+
+def test_extract_ignores_decoys():
+    # the plain modem reads only the data carriers
+    cfg = wifi_like_config()
+    codec = _plain_modem(cfg, 12)
     bits, grid, frame = _random_frame(cfg, seed=12)
-    assert np.array_equal(codec.encrypt(bits, 5).data, frame.data)
+    assert np.array_equal(codec.encrypt(bits, 5), frame)
     grid[list(cfg.idle_carriers)] = 9.0 + 9.0j
-    loaded = SymbolFrame(attach_cp(ofdm_modulate(grid), cfg.cp_len), cfg)
+    loaded = attach_cp(ofdm_modulate(grid), cfg.cp_len)
     assert np.array_equal(codec.decrypt(loaded, 5), bits)
-    data = ofdm_demodulate(loaded.data[cfg.cp_len :])[list(cfg.data_carriers)]
+    data = ofdm_demodulate(loaded[cfg.cp_len :])[list(cfg.data_carriers)]
     assert np.mean(np.abs(data) ** 2) == pytest.approx(1.0)
 
 
 def test_frame_and_config_validation():
     cfg = wifi_like_config()
+    codec = _plain_modem(cfg, 13)
     # a link frame is n_fft + cp_len = 80 samples, prefix included
     for size in (63, 64, 81):
         with pytest.raises(ParameterError):
-            SymbolFrame(np.zeros(size, dtype=complex), cfg)
-    assert SymbolFrame(np.zeros(80, dtype=complex), cfg).data.shape == (80,)
+            codec.decrypt(np.zeros(size, dtype=complex), 0)
+    assert codec.decrypt(np.zeros(80, dtype=complex), 0).shape == (cfg.payload_bits,)
+    assert codec.encrypt(np.zeros(cfg.payload_bits, dtype=np.uint8), 0).shape == (80,)
     with pytest.raises(ParameterError):
         OfdmConfig(n_fft=48, cp_len=0, data_carriers=(1,))
     with pytest.raises(ParameterError):

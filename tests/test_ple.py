@@ -16,7 +16,6 @@ from physec.ofdm import (
     wifi_like_config,
 )
 from physec.ple import (
-    DEFAULT_INTERLEAVE_THRESHOLD,
     SCHEME_ORDER,
     PhaseEncryptConfig,
     PleCodec,
@@ -111,17 +110,12 @@ def test_phase_config_validation():
             PhaseEncryptConfig(noise_enabled=True, noise_scale=scale)
 
 
-def test_interleave_threshold_extremes():
-    values = np.array([[1.0 + 0j, 0 + 1j]])
-    # pi: nothing exceeds the threshold
-    assert np.array_equal(partial_interleave(values, math.pi), values)
-    # -pi: everything does
-    assert np.allclose(partial_interleave(values, -math.pi), [[1j, 1.0]])
-
-
 def test_interleave_frozen_example():
-    out = partial_interleave(np.array([[1.0 + 0j, 0 + 1j]]), math.pi / 4)
-    assert np.allclose(out, [[1.0, 1.0]])
+    # the public rule swaps symbols whose principal phase exceeds -pi/2; a
+    # phase of -pi reads as pi
+    values = np.array([[1.0 + 0j, 1j, -1j, -1.0 - 1.0j, complex(-1.0, -0.0)]])
+    out = partial_interleave(values)
+    assert np.allclose(out, [[1j, 1.0, -1j, -1.0 - 1.0j, -1j]])
 
 
 def test_interleave_roundtrip_on_alphabets():
@@ -134,8 +128,8 @@ def test_interleave_roundtrip_on_alphabets():
             if trial % 2:
                 sym = sym * 1j  # quarter-turn rotated alphabet stays invertible
             rows = sym.reshape(1, cfg.n_data)
-            fwd = partial_interleave(rows, DEFAULT_INTERLEAVE_THRESHOLD)
-            back = partial_deinterleave(fwd, DEFAULT_INTERLEAVE_THRESHOLD)
+            fwd = partial_interleave(rows)
+            back = partial_deinterleave(fwd)
             assert np.allclose(back, rows)
             assert np.sum(np.abs(fwd) ** 2) == pytest.approx(np.sum(np.abs(rows) ** 2))
 
@@ -154,20 +148,12 @@ def test_interleave_leaves_non_data_carriers():
     )
     idle, data = list(cfg.idle_carriers), list(cfg.data_carriers)
     assert np.allclose(with_interleave[:, idle], dummy_only[:, idle], atol=1e-12)
-    # the default threshold swaps data symbols ...
+    # the public rule swaps data symbols ...
     assert not np.allclose(with_interleave[:, data], dummy_only[:, data])
     # ... and would move decoys off the Re = Im diagonal, which do occur
     decoys = dummy_only[:, idle][np.abs(dummy_only[:, idle]) > 0.5]
     assert decoys.size == 4 * frames.size
     assert np.any(np.abs(decoys.real - decoys.imag) > 0.5)
-
-
-def test_interleave_threshold_validation():
-    values = np.zeros((1, 2), dtype=complex)
-    with pytest.raises(ParameterError):
-        partial_interleave(values, 3.5)
-    with pytest.raises(ParameterError):
-        partial_deinterleave(values, -3.5)
 
 
 def test_dummy_noop_without_slots():
@@ -295,7 +281,7 @@ def test_codec_roundtrip_each_scheme():
             for f in range(3):
                 bits = rng.integers(0, 2, size=cfg.payload_bits, dtype=np.uint8)
                 frame = codec.encrypt(bits, f)
-                assert frame.data.size == 80
+                assert frame.shape == (80,)
                 assert np.array_equal(codec.decrypt(frame, f), bits)
 
 
@@ -319,10 +305,35 @@ def test_keystream_discipline_across_frames():
     f0 = codec.encrypt(bits, 0)
     f0_again = codec.encrypt(bits, 0)
     f1 = codec.encrypt(bits, 1)
-    assert np.array_equal(f0.data, f0_again.data)
-    assert not np.array_equal(f0.data, f1.data)
+    assert np.array_equal(f0, f0_again)
+    assert not np.array_equal(f0, f1)
     with pytest.raises(ParameterError):
         codec.encrypt(bits, -1)
+
+
+def test_frame_indices_stop_before_the_block_counter_wraps():
+    # all six schemes read 15 blocks per frame; frame f reads blocks
+    # 15 f .. 15 f + 14 of a 2^64 counter, so the index 2^64 // 15 would
+    # wrap onto frame 0's blocks
+    cfg = wifi_like_config()
+    codec = PleCodec(cfg, SCHEME_ORDER, _seed(32))
+    limit = (1 << 64) // 15
+    bits = np.random.default_rng(33).integers(0, 2, (1, 96), dtype=np.uint8)
+    last = np.array([limit - 1], dtype=np.int64)
+    tx = codec.encrypt_batch(bits, last)
+    assert np.array_equal(codec.decrypt_batch(tx, last), bits)
+    assert np.array_equal(codec.decrypt(tx[0], limit - 1), bits[0])
+    for dtype in (np.int64, np.uint64):
+        over = np.array([limit], dtype=dtype)
+        with pytest.raises(ParameterError, match="frame_index"):
+            codec.encrypt_batch(bits, over)
+        with pytest.raises(ParameterError, match="frame_index"):
+            codec.decrypt_batch(tx, over)
+    # codecs that read no keystream accept any index
+    top = np.array([(1 << 64) - 1], dtype=np.uint64)
+    for stack in ((), ("partial_interleave",)):
+        plain = PleCodec(cfg, stack, _seed(34))
+        assert np.array_equal(plain.decrypt_batch(plain.encrypt_batch(bits, top), top), bits)
 
 
 def _eve_ber(stack, n_frames, alice=24, eve=25, payload_seed=26):

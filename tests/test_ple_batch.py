@@ -52,7 +52,7 @@ def test_batch_rows_equal_single_frames_for_every_subset(mapping):
         assert samples.shape == (frames.size, cfg.n_fft + cfg.cp_len)
         for row, f in enumerate(frames):
             single = codec.encrypt(bits[row], int(f))
-            assert np.array_equal(samples[row], single.data), (stack, f, nonce)
+            assert np.array_equal(samples[row], single), (stack, f, nonce)
             assert np.array_equal(codec.decrypt(single, int(f)), bits[row])
         assert np.array_equal(codec.decrypt_batch(samples, frames), bits), stack
 
