@@ -2,11 +2,11 @@
 
 The reconciliation layer only needs encode/decode_batch with a known
 correction radius, so codes are pluggable: any systematic code defined by
-its parity submatrix P (codeword = [message | message @ P]) works. Decoding looks the
-received word's syndrome up in a table of all error patterns of weight up to
-t_corr; a syndrome outside the table is a decode failure. For a perfect code
-such as Hamming(7,4) every syndrome is in the table, so decoding never fails
-and heavier errors mis-correct silently.
+its parity submatrix P (codeword = [message | message @ P]) works.
+Decoding looks each received word's syndrome up in a table of all error
+patterns of weight up to t_corr; a syndrome outside the table is a decode
+failure. For a perfect code such as Hamming(7,4) every syndrome is in the
+table, so decoding never fails and heavier errors mis-correct silently.
 """
 from __future__ import annotations
 

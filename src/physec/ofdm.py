@@ -4,9 +4,9 @@ The modem works on arrays with one OFDM symbol per row: ofdm_modulate and
 ofdm_demodulate are the DFT pair along the last axis, and attach_cp adds
 the cyclic prefix. On the link a frame is a row of n_fft + cp_len
 time-domain samples, prefix first; awgn_rows adds noise to a batch of such
-rows and awgn_link to one. The DFT pair is unitary (norm="ortho"), so scrambling
-stages and the modem itself preserve energy exactly and per-subcarrier
-noise variance equals the injected per-sample variance.
+rows and awgn_link to one. The DFT pair is unitary (norm="ortho"), so
+scrambling stages and the modem itself preserve energy exactly and
+per-subcarrier noise variance equals the injected per-sample variance.
 """
 from __future__ import annotations
 

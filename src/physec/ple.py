@@ -463,12 +463,14 @@ class PleCodec:
         return bits.reshape(n_frames, cfg.payload_bits)
 
     def encrypt(self, plain_bits, frame_index: int = 0) -> np.ndarray:
-        """encrypt_batch for one frame: bits[payload_bits] -> samples[n_fft + cp_len]."""
+        """encrypt_batch for one frame: bits[payload_bits] -> one row of
+        samples[n_fft + cp_len], cyclic prefix first."""
         bits = np.asarray(plain_bits, dtype=np.uint8)
         return self.encrypt_batch(bits[None], [frame_index])[0]
 
     def decrypt(self, samples, frame_index: int = 0) -> np.ndarray:
-        """decrypt_batch for one frame: samples[n_fft + cp_len] -> bits[payload_bits]."""
+        """decrypt_batch for one frame: one row of samples[n_fft + cp_len]
+        -> bits[payload_bits]."""
         return self.decrypt_batch(np.asarray(samples)[None], [frame_index])[0]
 
 

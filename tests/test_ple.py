@@ -333,7 +333,8 @@ def test_frame_indices_stop_before_the_block_counter_wraps():
     top = np.array([(1 << 64) - 1], dtype=np.uint64)
     for stack in ((), ("partial_interleave",)):
         plain = PleCodec(cfg, stack, _seed(34))
-        assert np.array_equal(plain.decrypt_batch(plain.encrypt_batch(bits, top), top), bits)
+        tx = plain.encrypt_batch(bits, top)
+        assert np.array_equal(plain.decrypt_batch(tx, top), bits)
 
 
 def _eve_ber(stack, n_frames, alice=24, eve=25, payload_seed=26):
