@@ -30,10 +30,11 @@ def _perfbench_module(monkeypatch, name):
     monkeypatch.setitem(sys.modules, spec.name, module)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read-only
     monkeypatch.syspath_prepend(bench_dir)
-    before = set(sys.modules)
+    siblings = {f[:-3] for f in os.listdir(bench_dir) if f.endswith(".py")}
+    loaded = siblings - set(sys.modules)
     spec.loader.exec_module(module)
-    for added in set(sys.modules) - before:
-        del sys.modules[added]
+    for sibling in loaded:
+        sys.modules.pop(sibling, None)
     return module
 
 
