@@ -52,8 +52,6 @@ from .errors import (
 )
 from .harness import (
     ExperimentConfig,
-    MetricsReport,
-    emit_report,
     load_config,
     load_trace_csv,
     run_experiment,
@@ -127,8 +125,6 @@ __all__ = [
     "PhysecError",
     "ReconcileFailure",
     "ExperimentConfig",
-    "MetricsReport",
-    "emit_report",
     "load_config",
     "load_trace_csv",
     "run_experiment",

@@ -24,7 +24,7 @@ from .blockcode import hamming74, repetition41
 from .channel import pearson_correlation
 from .distill import recover, sketch
 from .errors import ConfigError, DecodeFailure, DegenerateInputError, PhysecError
-from .harness import emit_report, load_config, report_bytes, run_experiment
+from .harness import load_config, report_bytes, run_experiment
 from .probing import align_timestamps, read_trace
 
 
@@ -87,35 +87,21 @@ def _resolve_out(out, scenario: str, fmt: str):
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = load_config(args.config, master_seed=args.seed)
-        report = run_experiment(config, jobs=_resolve_jobs(args.jobs))
-        path = _resolve_out(args.out, config.scenario, args.format)
-        if path is None:
-            sys.stdout.write(report_bytes(report, args.format).decode())
-        else:
-            emit_report(report, args.format, path)
-            print(f"wrote {path}")
-    except ConfigError as exc:
-        for violation in exc.violations:
-            print(f"config error: {violation}", file=sys.stderr)
-        return 1
-    except PhysecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = load_config(args.config, master_seed=args.seed)
+    report = run_experiment(config, jobs=_resolve_jobs(args.jobs))
+    data = report_bytes(report, args.format)
+    path = _resolve_out(args.out, config.scenario, args.format)
+    if path is None:
+        sys.stdout.write(data.decode())
+    else:
+        with open(path, "wb") as fh:
+            fh.write(data)
+        print(f"wrote {path}")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        for violation in exc.violations:
-            print(violation, file=sys.stderr)
-        return 1
+    config = load_config(args.config)
     print(
         f"ok: {args.config} sweeps {config.sweep_parameter} over "
         f"{len(config.sweep_values)} values x {config.trials} trials"
@@ -124,15 +110,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_trace_stats(args) -> int:
-    try:
-        alice, bob, tau = read_trace(args.trace)
-        x_a, x_b, _ = align_timestamps(alice, bob, tau)
-    except PhysecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    alice, bob, tau = read_trace(args.trace)
+    x_a, x_b, _ = align_timestamps(alice, bob, tau)
     print(f"probes kept: alice {len(alice)}, bob {len(bob)}")
     print(f"inferred tau: {tau:g}")
     print(f"aligned pairs: {x_a.size}")
@@ -226,7 +205,18 @@ def main(argv=None) -> int:
         "trace-stats": _cmd_trace_stats,
         "selftest": _cmd_selftest,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ConfigError as exc:
+        for violation in exc.violations:
+            print(f"config error: {violation}", file=sys.stderr)
+        return 1
+    except PhysecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

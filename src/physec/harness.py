@@ -7,7 +7,9 @@ resolves each sweep point once; any schema key but scenario and trials can be
 swept, hidden ones included. Per-trial seeds derive deterministically from
 the master seed, the sweep index and the trial index, so reports are
 byte-identical regardless of execution order or parallelism degree, and
-per-trial failures are recorded as data rather than aborting the run.
+per-trial failures are recorded as data rather than aborting the run. The
+report run_experiment returns is a plain JSON object, a dict, which
+report_bytes encodes as JSON or CSV.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import hashlib
 import math
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -276,6 +278,8 @@ def _resolve_point(cfg: dict) -> SweepPoint:
     snr_db = ebn0_db_to_snr_db(ple["ebn0_db"], ofdm.mapping)
     if SCHEME_PHASE not in schemes:  # no codec reads the phase config
         phase = None
+    elif not phase.noise_enabled:  # nor, with the noise off, its scale
+        phase = replace(phase, noise_scale=0.0)
     if ple["ber_bits"] == 0:  # no trial runs the link; only its cost counts
         ofdm = schemes = phase = snr_db = None
     return SweepPoint(
@@ -331,48 +335,6 @@ def _non_finite(node, path: str = ""):
             yield from _non_finite(sub, f"{path}[{i}]")
 
 
-def _resolve(raw, master_seed: int | None = None) -> tuple[dict, list, list[str]]:
-    """(merged config, one SweepPoint per sweep value, every violation);
-    master_seed replaces the config's own, unless master_seed is swept."""
-    if not isinstance(raw, dict):
-        return {}, [], ["config root must be a JSON object"]
-    out = [
-        f"{path} must be finite: JSON has no Infinity or NaN"
-        for path in _non_finite(raw)
-    ]
-    cfg = _complete(raw, _SCHEMA, out, hidden=False)
-    if master_seed is not None:
-        cfg["master_seed"] = int(master_seed)
-    _collect(cfg, out)
-    if any(v.startswith("sweep") for v in out):
-        return cfg, [], out  # a malformed sweep was replaced by the default sweep
-    param, values = cfg["sweep"]["parameter"], cfg["sweep"]["values"]
-    if param == "sweep" or param.startswith("sweep."):
-        return cfg, [], out + ["sweep.parameter cannot target the sweep itself"]
-    if param in ("scenario", "trials"):
-        return cfg, [], out + [f"sweep.parameter {param!r} is shared by every point"]
-    try:
-        swept = [_apply_sweep(cfg, param, value) for value in values]
-    except KeyError:
-        return cfg, [], out + [f"sweep.parameter {param!r} is not a config path"]
-    written = raw  # the value the config itself writes at the swept path
-    for part in param.split("."):
-        if not isinstance(written, dict) or part not in written:
-            break
-        written = written[part]
-    else:
-        if written not in values:
-            out.append(f"{param} is {written!r}, but the sweep runs it at {values!r}")
-    if cfg["trace_file"] is not None and param.startswith("channel."):
-        out.append("cannot sweep channel parameters of a trace file")
-    points = [_collect(c, out, f"sweep value {v!r}: ") for v, c in zip(values, swept)]
-    if len(points) > 1 and None not in points:
-        first, *rest = points
-        if all(p == first for p in rest):
-            out.append(f"sweep.parameter {param!r} changes no point")
-    return cfg, points, out
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment, its canonical JSON hash and its sweep points."""
@@ -411,14 +373,60 @@ def canonical_json_bytes(obj) -> bytes:
 def config_from_dict(raw: dict, master_seed: int | None = None) -> ExperimentConfig:
     """Validate raw and resolve each sweep point, once; raises ConfigError
     listing every violation. Infinity and NaN, which JSON cannot hold, are
-    rejected anywhere. Any key but scenario and trials may be swept, hidden
-    ones too, but a sweep of two or more values may not make equal points,
-    and a value the config writes at the swept path must be a sweep value."""
-    merged, points, violations = _resolve(raw, master_seed)
-    if violations:
-        raise ConfigError(violations)
+    rejected anywhere, each as the one violation of its path, before any
+    other check. Any key but scenario and trials may be swept, hidden ones
+    too, but a sweep of two or more values may not make equal points, and a
+    value the config writes at the swept path must be a sweep value.
+    master_seed replaces the config's own; it cannot be given when the
+    config sweeps master_seed, whose sweep values would replace it."""
+    if not isinstance(raw, dict):
+        raise ConfigError(["config root must be a JSON object"])
+    out = [
+        f"{path} must be finite: JSON has no Infinity or NaN"
+        for path in _non_finite(raw)
+    ]
+    if out:
+        raise ConfigError(out)
+    cfg = _complete(raw, _SCHEMA, out, hidden=False)
+    if master_seed is not None:
+        cfg["master_seed"] = int(master_seed)
+    _collect(cfg, out)
+    if any(v.startswith("sweep") for v in out):
+        raise ConfigError(out)  # a malformed sweep was replaced by the default sweep
+    param, values = cfg["sweep"]["parameter"], cfg["sweep"]["values"]
+    if param == "sweep" or param.startswith("sweep."):
+        raise ConfigError(out + ["sweep.parameter cannot target the sweep itself"])
+    if param in ("scenario", "trials"):
+        raise ConfigError(
+            out + [f"sweep.parameter {param!r} is shared by every point"]
+        )
+    try:
+        swept = [_apply_sweep(cfg, param, value) for value in values]
+    except KeyError:
+        raise ConfigError(
+            out + [f"sweep.parameter {param!r} is not a config path"]
+        ) from None
+    if param == "master_seed" and master_seed is not None:
+        out.append(f"master seed {master_seed} cannot override the master_seed sweep")
+    written = raw  # the value the config itself writes at the swept path
+    for part in param.split("."):
+        if not isinstance(written, dict) or part not in written:
+            break
+        written = written[part]
+    else:
+        if written not in values:
+            out.append(f"{param} is {written!r}, but the sweep runs it at {values!r}")
+    if cfg["trace_file"] is not None and param.startswith("channel."):
+        out.append("cannot sweep channel parameters of a trace file")
+    points = [_collect(c, out, f"sweep value {v!r}: ") for v, c in zip(values, swept)]
+    if len(points) > 1 and None not in points:
+        first, *rest = points
+        if all(p == first for p in rest):
+            out.append(f"sweep.parameter {param!r} changes no point")
+    if out:
+        raise ConfigError(out)
     config_hash = hashlib.sha256(canonical_json_bytes(raw)).hexdigest()
-    return ExperimentConfig(raw=merged, config_hash=config_hash, points=tuple(points))
+    return ExperimentConfig(raw=cfg, config_hash=config_hash, points=tuple(points))
 
 
 def load_config(path: str, master_seed: int | None = None) -> ExperimentConfig:
@@ -661,21 +669,6 @@ def run_single_trial(point: SweepPoint, sweep_index: int, trial_index: int) -> d
     return {"metrics": metrics, "error": result.error}
 
 
-@dataclass
-class MetricsReport:
-    """Aggregated experiment output: one entry per sweep value."""
-
-    scenario: str
-    sweep_parameter: str
-    config: dict
-    config_hash: str
-    seed: int
-    results: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def _aggregate(values: list[float]) -> dict:
     arr = np.asarray(values, dtype=float)
     finite = arr[~np.isnan(arr)]
@@ -689,14 +682,16 @@ def _aggregate(values: list[float]) -> dict:
     return {"mean": mean, "stderr": stderr, "count": count}
 
 
-def run_experiment(config: ExperimentConfig, jobs: int = 1) -> MetricsReport:
+def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
     """Execute every (sweep value, trial) cell and aggregate per sweep value.
 
-    The trials run the sweep points that config_from_dict resolved, and
-    each trace file is read once per run. Rates are means of per-trial
-    indicator variables and always land in [0, 1]; numeric metrics carry a
-    standard error when at least two trials produced a value. Per-trial
-    module errors are tallied per sweep point.
+    The report is a JSON object: scenario, sweep_parameter, config (the
+    merged config), config_hash, seed and results, one entry per sweep
+    value. The trials run the points config_from_dict resolved, and each
+    trace file is read once per run. Rates are means of per-trial indicator
+    variables and always land in [0, 1]; numeric metrics carry a standard
+    error when at least two trials produced a value. Per-trial module
+    errors are tallied per sweep point.
     """
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")
@@ -717,13 +712,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> MetricsReport:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(run_single_trial, *zip(*tasks)))
 
-    report = MetricsReport(
-        scenario=config.scenario,
-        sweep_parameter=config.sweep_parameter,
-        config=config.raw,
-        config_hash=config.config_hash,
-        seed=config.master_seed,
-    )
+    results = []
     for sweep_index, value in enumerate(config.sweep_values):
         point_outcomes = outcomes[sweep_index * trials : (sweep_index + 1) * trials]
         metrics = {
@@ -731,7 +720,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> MetricsReport:
             for name in METRIC_NAMES
         }
         errors = Counter(o["error"] for o in point_outcomes if o["error"])
-        report.results.append(
+        results.append(
             {
                 "sweep_value": value,
                 "trials": trials,
@@ -739,25 +728,32 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> MetricsReport:
                 "errors": dict(sorted(errors.items())),
             }
         )
-    return report
+    return {
+        "scenario": config.scenario,
+        "sweep_parameter": config.sweep_parameter,
+        "config": config.raw,
+        "config_hash": config.config_hash,
+        "seed": config.master_seed,
+        "results": results,
+    }
 
 
-def report_json_bytes(report: MetricsReport) -> bytes:
-    return canonical_json_bytes(report.to_dict()) + b"\n"
+def report_json_bytes(report: dict) -> bytes:
+    return canonical_json_bytes(report) + b"\n"
 
 
-def report_csv_text(report: MetricsReport) -> str:
+def report_csv_text(report: dict) -> str:
     """One row per (sweep value, metric); columns as in CSV_COLUMNS."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for entry in report.results:
+    for entry in report["results"]:
         for name in METRIC_NAMES:
             agg = entry["metrics"][name]
             writer.writerow(
                 [
-                    report.scenario,
-                    report.sweep_parameter,
+                    report["scenario"],
+                    report["sweep_parameter"],
                     entry["sweep_value"],
                     name,
                     "" if agg["mean"] is None else repr(agg["mean"]),
@@ -768,20 +764,13 @@ def report_csv_text(report: MetricsReport) -> str:
     return buf.getvalue()
 
 
-def report_bytes(report: MetricsReport, fmt: str) -> bytes:
+def report_bytes(report: dict, fmt: str) -> bytes:
     """The report as json or csv; identical inputs give identical bytes."""
     if fmt == "json":
         return report_json_bytes(report)
     if fmt == "csv":
         return report_csv_text(report).encode()
     raise ParameterError(f"unknown report format {fmt!r}")
-
-
-def emit_report(report: MetricsReport, fmt: str, path: str) -> None:
-    """Write report_bytes to path; an unknown format leaves no file."""
-    data = report_bytes(report, fmt)
-    with open(path, "wb") as fh:
-        fh.write(data)
 
 
 def load_trace_csv(path: str):

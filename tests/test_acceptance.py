@@ -159,7 +159,7 @@ def test_c06_end_to_end_key_agreement():
     assert cfg.raw["amplify_out_len"] == 128
     report = run_experiment(cfg)
     low, high = (
-        entry["metrics"]["key_agreement_rate"]["mean"] for entry in report.results
+        entry["metrics"]["key_agreement_rate"]["mean"] for entry in report["results"]
     )
     assert high >= 0.95
     assert low < high

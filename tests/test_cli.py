@@ -48,6 +48,7 @@ def test_validate_reports_all_violations(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
     err = capsys.readouterr().err
     assert "trials" in err and "golay" in err
+    assert all(line.startswith("config error: ") for line in err.splitlines())
 
 
 def test_run_to_stdout_deterministic(config_path, capsys):
@@ -127,6 +128,18 @@ def test_run_bad_config_exit_1(tmp_path, capsys):
     path.write_text(json.dumps({"trials": -3}))
     assert main(["run", str(path)]) == 1
     assert "config error:" in capsys.readouterr().err
+
+
+def test_run_seed_over_a_master_seed_sweep_exit_1(tmp_path, capsys):
+    path = tmp_path / "seeds.json"
+    sweep = {"parameter": "master_seed", "values": [1, 2]}
+    path.write_text(json.dumps({**FAST_CONFIG, "sweep": sweep}))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path), "--seed", "99"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: master seed 99 cannot override the master_seed sweep\n"
+    )
 
 
 def test_run_unwritable_out_exit_2(config_path, tmp_path, capsys):

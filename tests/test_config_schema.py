@@ -143,7 +143,7 @@ def test_trace_file_read_once_per_run(tmp_path, monkeypatch):
     )
     report = run_experiment(cfg)
     assert calls == [str(path)]
-    assert [entry["trials"] for entry in report.results] == [3, 3]
+    assert [entry["trials"] for entry in report["results"]] == [3, 3]
 
 
 @pytest.mark.parametrize(
@@ -156,13 +156,24 @@ def test_trace_file_read_once_per_run(tmp_path, monkeypatch):
             "sweep.values[1]",
         ),
         ('{"quantizer": {"alpha": NaN}}', "quantizer.alpha"),
+        ('{"loss": {"loss_probability": Infinity}}', "loss.loss_probability"),
+        ('{"ple": {"phase": {"noise_scale": Infinity}}}', "ple.phase.noise_scale"),
+        ('{"channel": {"temporal_correlation": NaN}}', "channel.temporal_correlation"),
     ],
-    ids=["infinity", "minus-infinity", "sweep-value", "nan"],
+    ids=[
+        "infinity",
+        "minus-infinity",
+        "sweep-value",
+        "nan",
+        "loss-infinity",
+        "noise-scale-infinity",
+        "correlation-nan",
+    ],
 )
 def test_non_finite_json_number_is_a_named_violation(text, field):
     raw = json.loads(text)
     out = validate_config(raw)
-    assert f"{field} must be finite: JSON has no Infinity or NaN" in out, out
+    assert out == [f"{field} must be finite: JSON has no Infinity or NaN"]
     with pytest.raises(ConfigError):
         config_from_dict(raw)
 
@@ -200,6 +211,8 @@ def test_sweep_over_a_key_every_point_shares_is_rejected(param, values):
         ),
         # the link runs, but the default schemes (xor) leave phase off
         ("mean_sigma", 96, "ple.phase.bits_per_angle", [1, 2]),
+        # phase is on, but no codec reads the scale of disabled noise
+        ("mean_sigma", 96, "ple.phase.noise_scale", [0.1, 0.2]),
     ],
     ids=[
         "alpha-under-cdf",
@@ -208,13 +221,17 @@ def test_sweep_over_a_key_every_point_shares_is_rejected(param, values):
         "ebn0-without-link",
         "ofdm-without-link",
         "phase-without-scheme",
+        "noise-scale-without-noise",
     ],
 )
 def test_sweep_that_changes_no_point_is_rejected(algorithm, ber_bits, param, values):
+    ple = {"ber_bits": ber_bits}
+    if param == "ple.phase.noise_scale":
+        ple["schemes"] = ["xor", "phase"]
     raw = {
         "quantizer": {"algorithm": algorithm},
         "channel": {"n_probes": 200},
-        "ple": {"ber_bits": ber_bits},
+        "ple": ple,
         "trials": 3,
         "sweep": {"parameter": param, "values": values},
     }
@@ -274,8 +291,22 @@ def test_value_the_sweep_runs_may_be_written():
             "ple.phase.bits_per_angle",
             [1, 2],
         ),
+        (
+            {
+                "ber_bits": 96,
+                "schemes": ["xor", "phase"],
+                "phase": {"noise_scale": 0.1},
+            },
+            "ple.phase.noise_enabled",
+            [False, True],
+        ),
     ],
-    ids=["schemes-without-link", "ebn0-with-link", "phase-with-scheme"],
+    ids=[
+        "schemes-without-link",
+        "ebn0-with-link",
+        "phase-with-scheme",
+        "noise-switch-with-scheme",
+    ],
 )
 def test_ple_sweep_that_changes_the_link_or_its_cost_is_accepted(ple, param, values):
     raw = {
@@ -300,7 +331,7 @@ def test_sweep_over_a_hidden_schema_key():
     assert [p.quantizer.quantization_level for p in cfg.points] == [1, 2]
     # the merged config still lists the hidden key only where the file sets it
     assert "quantization_level" not in cfg.raw["quantizer"]
-    kdr = [e["metrics"]["kdr"]["mean"] for e in run_experiment(cfg).results]
+    kdr = [e["metrics"]["kdr"]["mean"] for e in run_experiment(cfg)["results"]]
     assert kdr[0] != kdr[1]
     # a field of an OFDM object, hidden or not, needs an object to live in
     sweep = {"parameter": "ple.ofdm.n_fft", "values": [8]}

@@ -21,10 +21,10 @@ from physec.harness import (
     METRIC_NAMES,
     canonical_json_bytes,
     config_from_dict,
-    emit_report,
     key_generation_trial,
     load_config,
     load_trace_csv,
+    report_bytes,
     report_csv_text,
     report_json_bytes,
     run_experiment,
@@ -208,11 +208,14 @@ def test_master_seed_override_reaches_every_point():
     raw = _fast_cfg(sweep={"parameter": "channel.snr_db", "values": [10.0, 30.0]})
     assert [p.master_seed for p in config_from_dict(raw).points] == [0, 0]
     assert [p.master_seed for p in config_from_dict(raw, 7).points] == [7, 7]
-    # a master_seed sweep value wins over the override
+    # a master_seed sweep sets each point's seed, so an override is rejected
     raw = _fast_cfg(sweep={"parameter": "master_seed", "values": [3, 4]})
-    cfg = config_from_dict(raw, master_seed=7)
-    assert cfg.master_seed == 7
-    assert [p.master_seed for p in cfg.points] == [3, 4]
+    assert [p.master_seed for p in config_from_dict(raw).points] == [3, 4]
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw, master_seed=7)
+    assert err.value.violations == [
+        "master seed 7 cannot override the master_seed sweep"
+    ]
 
 
 def test_trace_roundtrip(tmp_path):
@@ -291,9 +294,9 @@ def test_high_snr_always_agrees():
         )
     )
     report = run_experiment(cfg)
-    agg = report.results[0]["metrics"]["key_agreement_rate"]
+    agg = report["results"][0]["metrics"]["key_agreement_rate"]
     assert agg == {"mean": 1.0, "stderr": 0.0, "count": 10}
-    assert report.results[0]["errors"] == {}
+    assert report["results"][0]["errors"] == {}
 
 
 def test_reports_byte_identical_across_jobs():
@@ -318,7 +321,7 @@ def test_kdr_monotone_in_snr():
         )
     )
     report = run_experiment(cfg)
-    kdrs = [entry["metrics"]["kdr"]["mean"] for entry in report.results]
+    kdrs = [entry["metrics"]["kdr"]["mean"] for entry in report["results"]]
     assert all(b <= a for a, b in zip(kdrs, kdrs[1:]))
     assert kdrs[0] > 0.1
 
@@ -331,14 +334,14 @@ def test_distant_eavesdropper_worse_than_bob():
             trials=30,
         )
     )
-    entry = run_experiment(cfg).results[0]["metrics"]
+    entry = run_experiment(cfg)["results"][0]["metrics"]
     assert entry["eve_kdr"]["mean"] > entry["kdr"]["mean"]
 
 
 def test_per_trial_errors_recorded_not_raised():
     cfg = config_from_dict(_fast_cfg(channel={"n_probes": 30}, trials=5))
     report = run_experiment(cfg)
-    entry = report.results[0]
+    entry = report["results"][0]
     assert entry["errors"]
     assert all("amplify" in msg for msg in entry["errors"])
     assert sum(entry["errors"].values()) == 5
@@ -356,7 +359,7 @@ def test_rates_stay_in_unit_interval():
     )
     report = run_experiment(cfg)
     rate_names = [n for n in METRIC_NAMES if n.endswith("rate")]
-    for entry in report.results:
+    for entry in report["results"]:
         for name in rate_names:
             agg = entry["metrics"][name]
             if agg["mean"] is not None:
@@ -373,10 +376,10 @@ def test_sweeping_ple_axis():
         )
     )
     report = run_experiment(cfg)
-    bers = [entry["metrics"]["bob_ber"]["mean"] for entry in report.results]
+    bers = [entry["metrics"]["bob_ber"]["mean"] for entry in report["results"]]
     assert bers[0] > bers[1]
     assert all(entry["metrics"]["key_to_data_ratio"]["mean"] == 1.0
-               for entry in report.results)
+               for entry in report["results"])
 
 
 def test_trace_file_experiment(tmp_path):
@@ -402,12 +405,12 @@ def test_trace_file_experiment(tmp_path):
         }
     )
     report = run_experiment(cfg)
-    for entry in report.results:
+    for entry in report["results"]:
         assert entry["metrics"]["key_agreement_rate"]["count"] == 4
         # no eavesdropper column in measured traces
         assert entry["metrics"]["eve_kdr"]["count"] == 0
     # same data every trial: kdr has zero spread
-    assert report.results[0]["metrics"]["kdr"]["stderr"] == 0.0
+    assert report["results"][0]["metrics"]["kdr"]["stderr"] == 0.0
 
 
 def test_trace_config_rejects_loss_and_channel_sweep(tmp_path):
@@ -503,29 +506,18 @@ def test_csv_report_shape():
     assert first[2] == "10.0"
 
 
-def test_json_report_reloads(tmp_path):
+def test_json_report_reloads():
     cfg = config_from_dict(_fast_cfg(trials=2))
     report = run_experiment(cfg)
     blob = report_json_bytes(report)
     parsed = json.loads(blob)
-    assert parsed == report.to_dict()
+    assert parsed == report
     assert parsed["config_hash"] == cfg.config_hash
     assert parsed["seed"] == 0
-    out = tmp_path / "report.json"
-    emit_report(report, "json", str(out))
-    assert out.read_bytes() == blob
-    emit_report(report, "csv", str(tmp_path / "report.csv"))
-    assert (tmp_path / "report.csv").read_text() == report_csv_text(report)
+    assert report_bytes(report, "json") == blob
+    assert report_bytes(report, "csv") == report_csv_text(report).encode()
     with pytest.raises(ParameterError):
-        emit_report(report, "yaml", str(out))
-
-
-def test_emit_report_unknown_format_leaves_no_file(tmp_path):
-    report = run_experiment(config_from_dict(_fast_cfg(trials=1)))
-    out = tmp_path / "report.xml"
-    with pytest.raises(ParameterError):
-        emit_report(report, "xml", str(out))
-    assert not out.exists()
+        report_bytes(report, "yaml")
 
 
 def test_jobs_validation():

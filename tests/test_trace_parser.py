@@ -75,7 +75,7 @@ def test_golden_trace_sweep_results(tmp_path):
             "trials": 2,
         }
     )
-    results = run_experiment(cfg).to_dict()["results"]
+    results = run_experiment(cfg)["results"]
     digest = hashlib.sha256(canonical_json_bytes(results)).hexdigest()
     assert digest == GOLDEN_SWEEP_RESULTS_SHA256
 
