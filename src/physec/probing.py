@@ -7,16 +7,21 @@ exchange is modeled as error-free. Each party's surviving probes are held
 as arrays (ProbeSide), whether they come from a simulated channel trace or
 from a measured trace file.
 
-A trace file is read once, in chunks of CHUNK_ROWS rows. Each chunk is split
-into cells and parsed column by column, and every check runs on whole
-columns; the first malformed row in file order is the one reported.
+Rounds are paired by timestamp to within TIME_ULPS ulps of the largest
+timestamp or tau, so the rounding of t + tau does not drop a round whose
+timestamps were written as decimals; pairs stay one-to-one.
+
+A trace file is read once, as bytes, in blocks of CHUNK_ROWS lines. A block's
+delimiter positions give the four-cells-per-row check in one pass; its
+cells are then split, stripped and parsed in one pass each, and every check
+runs on whole columns. The first malformed row in file order is the one
+reported.
 """
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -25,9 +30,10 @@ from .errors import ParameterError
 
 TRACE_HEADER = ("timestamp_a", "rss_a", "timestamp_b", "rss_b")
 CHUNK_ROWS = 4096  # data rows parsed at a time: bounds the parser's memory
+READ_BYTES = 1 << 16  # bytes read from the file at a time
+TIME_ULPS = 4  # alignment slack; t + tau missed by at most 1 ulp on 1- to 6-decimal traces
 CELL_LIMIT = 131_072  # longest cell accepted, in characters: csv's default field limit
 _NOT_UTF8 = "bytes that are not UTF-8"
-_ESCAPED = re.compile("[\udc80-\udcff]")  # such bytes, read with surrogateescape
 # what can be wrong with one side of a row, in the order a row is checked
 _FAULTS = (
     "half-empty {} probe",
@@ -96,25 +102,45 @@ def apply_loss(trace: ChannelTrace, loss: LossModel):
     return tuple(sides)
 
 
-def match_sorted(haystack: np.ndarray, needles: np.ndarray):
-    """Index pairs (i, j) with haystack[i] == needles[j], by exact equality.
+def match_sorted(haystack: np.ndarray, needles: np.ndarray, slack: float = 0.0):
+    """One-to-one index pairs (i, j), j increasing: haystack[i] is the first
+    value within slack of needles[j].
 
-    haystack must be strictly increasing; j comes out increasing.
+    haystack must be strictly increasing and needles non-decreasing. Where
+    several needles find one haystack value, the closest of them keeps it,
+    the first on a tie.
     """
-    i = np.searchsorted(haystack, needles)
+    i = np.searchsorted(haystack, needles - slack)
     j = np.flatnonzero(i < haystack.size)
-    j = j[haystack[i[j]] == needles[j]]
-    return i[j], j
+    i = i[j]
+    found = haystack[i] <= needles[j] + slack
+    i, j = i[found], j[found]
+    if (i[1:] == i[:-1]).any():
+        by_value = np.lexsort((np.abs(haystack[i] - needles[j]), i))
+        first = np.concatenate(([True], np.diff(i[by_value]) > 0))
+        keep = np.sort(by_value[first])
+        i, j = i[keep], j[keep]
+    return i, j
+
+
+def _rounds(alice: ProbeSide, bob: ProbeSide, tau: float):
+    """Index pairs (ia, ib) of the rounds both parties retained: Alice's
+    timestamp within TIME_ULPS ulps of Bob's plus tau, in ulps of the
+    largest timestamp or tau, which covers the rounding of t + tau."""
+    ends = [abs(float(side.t[k])) for side in (alice, bob) if side.t.size for k in (0, -1)]
+    slack = TIME_ULPS * math.ulp(max([abs(tau), *ends]))
+    return match_sorted(alice.t, bob.t + tau, slack)
 
 
 def paired_base_times(alice: ProbeSide, bob: ProbeSide, tau: float) -> np.ndarray:
     """Bob-side timestamps of the rounds both parties retained.
 
-    A round survives when Bob holds t and Alice holds t + tau. Equivalent to
-    the two-round exchange (Alice announces her list, Bob censors and
-    replies, Alice censors) regardless of which side starts.
+    A round survives when Bob holds t and Alice holds t + tau, to within
+    TIME_ULPS ulps (see _rounds). Equivalent to the two-round exchange
+    (Alice announces her list, Bob censors and replies, Alice censors)
+    regardless of which side starts.
     """
-    return bob.t[match_sorted(alice.t, bob.t + tau)[1]]
+    return bob.t[_rounds(alice, bob, tau)[1]]
 
 
 def align_timestamps(alice: ProbeSide, bob: ProbeSide, tau: float):
@@ -124,57 +150,86 @@ def align_timestamps(alice: ProbeSide, bob: ProbeSide, tau: float):
     order, pairing Alice's value at t + tau with Bob's at t, and the source
     rows of Bob's paired probes.
     """
-    ia, ib = match_sorted(alice.t, bob.t + tau)
+    ia, ib = _rounds(alice, bob, tau)
     return alice.x[ia], bob.x[ib], bob.rows[ib]
 
 
-def _floats(cells: list, present: np.ndarray):
-    """One column's values by row (NaN where absent or not a number) and
-    the mask of rows whose cell is a number."""
-    values = np.full(present.size, np.nan)
+def _chunks(pieces):
+    """The lines of a stream of byte pieces, CHUNK_ROWS at a time, as one
+    bytes block each in which every line ends in a newline."""
+    held, count = [], 0  # pieces of the open block, and the lines they end
+    for data in pieces:
+        is_end = np.frombuffer(data, np.uint8) == 10
+        lines = np.count_nonzero(is_end)
+        if count + lines < CHUNK_ROWS:
+            held.append(data)
+            count += lines
+            continue
+        cuts = (np.flatnonzero(is_end)[CHUNK_ROWS - count - 1 :: CHUNK_ROWS] + 1).tolist()
+        held.append(data[: cuts[0]])
+        yield b"".join(held)
+        yield from (data[a:b] for a, b in zip(cuts, cuts[1:]))
+        held, count = [data[cuts[-1] :]], (count + lines) % CHUNK_ROWS
+    tail = b"".join(held)
+    if tail:
+        yield tail if tail.endswith(b"\n") else tail + b"\n"
+
+
+def _pieces(fh):
+    """fh's bytes, READ_BYTES at a time, each CR LF and lone CR read as LF."""
+    while data := fh.read(READ_BYTES):
+        while data.endswith(b"\r") and (more := fh.read(1)):
+            data += more  # a CR LF split across reads stays one line end
+        yield data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+
+
+def _parse_rows(block: bytes, last: list, fail):
+    """Per-side (t, x, rows) of one block of data lines, and its tau.
+
+    The 4-cells-per-row check runs on the block's delimiter positions; the
+    cells of the rows before the first that fails it are then split,
+    stripped and parsed in one pass each. Every check runs on whole
+    columns; the first malformed row in file order raises fail(its index
+    in the block, what is wrong). rows count from the block's first line.
+    last holds each side's last timestamp before the block and is advanced
+    past it. tau is None when no row holds both probes.
+    """
+    codes = np.frombuffer(block, np.uint8)
+    delims = np.flatnonzero((codes == 44) | (codes == 10))
+    breaks = np.flatnonzero(codes[delims] == 10)  # each line end's index in delims
+    wrong = np.flatnonzero(breaks != np.arange(3, 4 * breaks.size, 4))
+    n = int(wrong[0]) if wrong.size else breaks.size  # rows with 4 cells
+    if not n:
+        raise fail(0, "expected 4 cells")
+    cells = block.decode("utf-8", "surrogateescape").replace("\n", ",").split(",", 4 * n)
+    cells = list(map(str.strip, cells))
+    cells.pop()  # the rest of the block: its last line end, or the rows after the nth
+    lengths = np.fromiter(map(len, cells), np.intp, 4 * n).reshape(n, 4)
+    present = lengths > 0
+    values = np.full((4, n), np.nan)  # by column, then row
     try:
-        values[present] = np.fromiter(
+        values.T[present] = np.fromiter(
             map(float, filter(None, cells)), float, np.count_nonzero(present)
         )
-        return values, present
+        numeric = present
     except ValueError:
         numeric = present.copy()
-        for i in np.flatnonzero(present):
+        for i, c in zip(*np.nonzero(present)):
             try:
-                values[i] = float(cells[i])
+                values[c, i] = float(cells[4 * i + c])
             except ValueError:
-                numeric[i] = False
-        return values, numeric
-
-
-def _parse_rows(lines: list, last: list, fail):
-    """Per-side (t, x, rows) of one chunk of data lines, and its tau.
-
-    Every check runs on whole columns; the first malformed row in file order
-    raises fail(its index in lines, what is wrong). rows count from the
-    chunk's first line. last holds each side's last timestamp before the
-    chunk and is advanced past it. tau is None when no row holds both probes.
-    """
-    wrong = np.flatnonzero(
-        np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines)) != 3
-    )
-    n = int(wrong[0]) if wrong.size else len(lines)  # rows with 4 cells
-    cells = list(map(str.strip, ",".join(lines[:n]).split(","))) if n else []
-    lengths = np.fromiter(map(len, cells), np.intp, len(cells)).reshape(n, 4)
-    present = lengths > 0
+                numeric[i, c] = False
     # faults[k, i]: side k's first fault in row i, as 1 + its _FAULTS index
     faults = np.zeros((2, n), np.int8)
-    sides, t_alls, oks = [], [], []
+    sides, oks = [], []
     for k, c in enumerate((0, 2)):
-        t_all, t_numeric = _floats(cells[c::4], present[:, c])
-        x_all, x_numeric = _floats(cells[c + 1 :: 4], present[:, c + 1])
         both = present[:, c] & present[:, c + 1]
-        ok = both & t_numeric & x_numeric
+        ok = both & numeric[:, c] & numeric[:, c + 1]
         rows = np.flatnonzero(ok)
-        t = t_all[rows]
+        t = values[c, rows]
+        x = values[c + 1, rows]
         prev = np.concatenate(([last[k]], t[:-1]))
         stale = t <= prev
-        x = x_all[rows]
         faults[k, rows[stale]] = np.where(t[stale] == prev[stale], 6, 5)
         faults[k, rows[~np.isfinite(x)]] = 4
         faults[k, rows[~np.isfinite(t)]] = 3
@@ -183,7 +238,6 @@ def _parse_rows(lines: list, last: list, fail):
         if t.size:
             last[k] = float(t[-1])
         sides.append((t, x, rows))
-        t_alls.append(t_all)
         oks.append(ok)
     too_long = (lengths > CELL_LIMIT).any(axis=1)
     bad = np.flatnonzero(too_long | faults.any(axis=0))
@@ -193,12 +247,20 @@ def _parse_rows(lines: list, last: list, fail):
             raise fail(i, f"cell longer than {CELL_LIMIT} characters")
         k = 0 if faults[0, i] else 1
         raise fail(i, _FAULTS[faults[k, i] - 1].format("ab"[k]))
-    if n < len(lines):
+    if n < breaks.size:
         raise fail(n, "expected 4 cells")
     both = np.flatnonzero(oks[0] & oks[1])
     if not both.size:
         return sides, None
-    return sides, float(t_alls[0][both[0]]) - float(t_alls[1][both[0]])
+    return sides, float(values[0, both[0]]) - float(values[2, both[0]])
+
+
+def _utf8(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def _parse_trace(path: str):
@@ -212,27 +274,33 @@ def _parse_trace(path: str):
     chunks = [((empty, empty, empty.astype(np.intp)),) * 2]
     last = [-math.inf, -math.inf]
     tau = None
-    first = 0  # data row of the chunk's first line, counting from 0
+    first = 0  # data row of the block's first line, counting from 0
 
     def fail(i: int, what: str) -> ParameterError:
-        if _ESCAPED.search(lines[i]):
+        if not _utf8(block.split(b"\n", i + 1)[i]):
             what = _NOT_UTF8
         return ParameterError(f"{path}:{first + i + 2}: {what}")
 
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        header = fh.readline()
-        if not header:
+    with open(path, "rb") as fh:
+        pieces = _pieces(fh)
+        head = b""
+        for data in pieces:
+            head += data
+            if b"\n" in head:
+                break
+        if not head:
             raise ParameterError(f"{path}: empty trace file")
-        if _ESCAPED.search(header):
+        header, _, rest = head.partition(b"\n")
+        if not _utf8(header):
             raise ParameterError(f"{path}:1: {_NOT_UTF8}")
-        if tuple(map(str.strip, header.split(","))) != TRACE_HEADER:
+        if tuple(h.strip() for h in header.decode().split(",")) != TRACE_HEADER:
             raise ParameterError(f"{path}: header must be {','.join(TRACE_HEADER)}")
-        while lines := list(islice(fh, CHUNK_ROWS)):
-            sides, chunk_tau = _parse_rows(lines, last, fail)
+        for block in _chunks(chain((rest,), pieces)):
+            sides, chunk_tau = _parse_rows(block, last, fail)
             chunks.append([(t, x, rows + first) for t, x, rows in sides])
             if tau is None:
                 tau = chunk_tau
-            first += len(lines)
+            first += CHUNK_ROWS  # every block but the last holds CHUNK_ROWS lines
     alice, bob = (ProbeSide(*map(np.concatenate, zip(*side))) for side in zip(*chunks))
     return alice, bob, tau
 
@@ -244,9 +312,9 @@ def read_trace(path: str):
     probing round of four plain numeric cells (no CSV quoting); an empty
     timestamp/value pair marks a lost probe on that side. Every timestamp
     and value must be finite, and each side's timestamps must increase
-    strictly from row to row. The file is read once, in chunks of CHUNK_ROWS
-    rows, and each chunk is parsed column by column; the first malformed row
-    is cited by its line number.
+    strictly from row to row. Lines may end in LF, CR LF or CR. The file is
+    read once, in blocks of CHUNK_ROWS lines, and each block is parsed column
+    by column; the first malformed row is cited by its line number.
 
     Returns (alice, bob, tau), tau from the first row holding both probes.
     """

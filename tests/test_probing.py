@@ -154,6 +154,39 @@ def test_match_sorted_past_both_ends():
     assert i.tolist() == [0, 2] and j.tolist() == [1, 2]
 
 
+def test_match_sorted_within_slack_is_one_to_one():
+    haystack = np.array([1.0, 2.0, 3.0])
+    needles = np.array([0.9, 1.05, 1.1, 2.0, 2.0, 2.95, 3.2])
+    i, j = match_sorted(haystack, needles, 0.1)
+    # 0.9 and 1.05 both find 1.0 and the closer keeps it; 2.0 twice, the
+    # first keeps it; 1.1 finds nothing left; 3.2 is out of reach
+    assert i.tolist() == [0, 1, 2] and j.tolist() == [1, 3, 5]
+    assert match_sorted(haystack[:0], needles, 0.1)[0].size == 0
+
+
+def _decimal_trace(path, n_rows, decimals):
+    """n_rows complete rows of decimal timestamps, Alice's 0.05 after Bob's."""
+    lines = [HEADER.strip()]
+    for i in range(n_rows):
+        t_b = round(0.1 * i + 0.013, decimals)
+        lines.append(f"{round(t_b + 0.05, decimals)!r},{-50.0 - i % 7!r},{t_b!r},{-49.0}")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("decimals", [3, 6])
+def test_align_decimal_timestamps_off_by_an_ulp(tmp_path, decimals):
+    # t_b + tau misses t_a by one ulp in about 3 rows of 10
+    alice, bob, tau = read_trace(_decimal_trace(tmp_path / "trace.csv", 1000, decimals))
+    assert (~np.isin(bob.t + tau, alice.t)).sum() > 100
+    x_a, x_b, rows = align_timestamps(alice, bob, tau)
+    assert rows.tolist() == list(range(1000))
+    assert np.array_equal(x_a, alice.x) and np.array_equal(x_b, bob.x)
+    assert np.array_equal(paired_base_times(alice, bob, tau), bob.t)
+    # a round is not paired with a neighbour, however loose the inferred tau
+    assert align_timestamps(alice, bob, tau + 1e-9)[0].size == 0
+
+
 def test_align_exchange_order_irrelevant():
     # the two-round censoring exchange lands on the same set no matter who
     # starts: simulate both directions explicitly, at an integer and a

@@ -3,6 +3,7 @@ csv.reader parser it replaced."""
 import csv
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,12 @@ import pytest
 from physec import probing
 from physec.channel import ChannelParams, generate_trace
 from physec.errors import ParameterError
-from physec.harness import canonical_json_bytes, config_from_dict, run_experiment
+from physec.harness import (
+    canonical_json_bytes,
+    config_from_dict,
+    load_trace_csv,
+    run_experiment,
+)
 from physec.probing import ProbeSide, TRACE_HEADER, read_trace
 
 GOLDEN_ROWS = 3000
@@ -32,18 +38,18 @@ GOLDEN_SWEEP_RESULTS_SHA256 = (
 )
 
 
-def write_golden_trace(path, seed=5):
+def write_golden_trace(path, seed=5, n_rows=GOLDEN_ROWS):
     """A seeded trace with independent per-side loss and repr(float) cells."""
     trace = generate_trace(
         ChannelParams(
-            temporal_correlation=0.99, snr_db=30.0, n_probes=GOLDEN_ROWS, rng_seed=seed
+            temporal_correlation=0.99, snr_db=30.0, n_probes=n_rows, rng_seed=seed
         )
     )
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7ACE)))
-    keep_a = rng.random(GOLDEN_ROWS) >= GOLDEN_LOSS
-    keep_b = rng.random(GOLDEN_ROWS) >= GOLDEN_LOSS
+    keep_a = rng.random(n_rows) >= GOLDEN_LOSS
+    keep_b = rng.random(n_rows) >= GOLDEN_LOSS
     lines = ["timestamp_a,rss_a,timestamp_b,rss_b"]
-    for i in range(GOLDEN_ROWS):
+    for i in range(n_rows):
         a = f"{float(trace.t_a[i])!r},{float(trace.x_a[i])!r}" if keep_a[i] else ","
         b = f"{float(trace.t_b[i])!r},{float(trace.x_b[i])!r}" if keep_b[i] else ","
         lines.append(f"{a},{b}")
@@ -78,6 +84,19 @@ def test_golden_trace_sweep_results(tmp_path):
     results = run_experiment(cfg)["results"]
     digest = hashlib.sha256(canonical_json_bytes(results)).hexdigest()
     assert digest == GOLDEN_SWEEP_RESULTS_SHA256
+
+
+def test_parse_memory_is_bounded_by_the_chunk(tmp_path):
+    # splitting the whole file at once took ~8 MiB; the parser holds one block
+    path = write_golden_trace(tmp_path / "trace.csv", n_rows=5 * probing.CHUNK_ROWS)
+    tracemalloc.start()
+    try:
+        x_a, x_b = load_trace_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x_a.size > 4 * probing.CHUNK_ROWS
+    assert peak < 4 * 2**20
 
 
 def _reference_parse(path: str):
@@ -145,20 +164,27 @@ def _outcome(parse, path):
     return arrays, None if tau is None else (type(tau), tau.hex())
 
 
-BLANKS = ("", " ", "\t", "  ")
-NOT_NUMBERS = ("x", "1.2.3", "--1", "1e", "0x10", "1;5", "¹")
-NON_FINITE = ("nan", "inf", "-inf", " NaN ", "Infinity", "-Infinity")
+# whitespace that str.strip removes, ASCII and not, some of which float()
+# itself would reject
+BLANKS = ("", " ", "\t", "  ", "\u00a0", "\u2003", "\x0c", "\x1f", " \x1f\u00a0")
+NOT_NUMBERS = ("x", "1.2.3", "--1", "1e", "0x10", "1;5", "¹", "1\u00a05", "١x")
+NON_FINITE = ("nan", "inf", "-inf", " NaN ", "Infinity", "-Infinity", "\u2003inf\x0c")
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
 
 def _number(rng, value):
     """value as a cell, in one of the spellings float() reads back exactly."""
-    style = rng.integers(8)
+    style = rng.integers(11)
     if style == 0:
         return f" {value!r}\t"
     if style == 1:
         return f"{value:.16e}"
     if style == 2:
         return f"{value:+.17g}"
+    if style == 3:
+        return f"{rng.choice(BLANKS)}{value!r}{rng.choice(BLANKS)}"
+    if style == 4:
+        return repr(value).translate(ARABIC_INDIC)
     return repr(value)
 
 
@@ -225,6 +251,21 @@ def test_chunked_parser_matches_row_by_row_reference(tmp_path, monkeypatch, chun
         if isinstance(want, str):
             errors.add(want.split(": ", 1)[1])
     assert len(errors) >= 10  # the draw hits most kinds of fault
+
+
+@pytest.mark.parametrize("read_bytes", [1, 2, 5, 64])
+def test_reads_split_anywhere_match_reference(tmp_path, monkeypatch, read_bytes):
+    # file reads that end inside a cell, a number, a UTF-8 sequence or a
+    # CR LF line end, with chunks of a few rows
+    monkeypatch.setattr(probing, "READ_BYTES", read_bytes)
+    monkeypatch.setattr(probing, "CHUNK_ROWS", 3)
+    rng = np.random.default_rng(100 + read_bytes)
+    path = tmp_path / "trace.csv"
+    for _ in range(60):
+        text = _random_trace(rng, int(rng.integers(0, 12)))
+        path.write_bytes(text.encode("utf-8"))
+        want = _outcome(_reference_parse, str(path))
+        assert _outcome(probing._parse_trace, str(path)) == want, text
 
 
 def _clean_rows(n):
