@@ -572,56 +572,72 @@ def _eve_distillation(x_e, quantizer_cfg, bits_a, common, sk, code, finish):
             return eve_kdr, None
 
 
-def _ber_trial(
-    alice_key: BitKey,
-    bob_key: BitKey | None,
-    eve_key: BitKey | None,
-    point: SweepPoint,
-    ber_seed: int,
-) -> tuple[float, float]:
-    """BER of Bob's and Eve's receivers, each decrypting with its own key.
+def _ber_trial(point: SweepPoint, trials: list) -> list[tuple[float, float]]:
+    """(Bob's BER, Eve's BER) of each trial of a link batch, each receiver
+    decrypting with its own key.
 
-    Alice encrypts with her final key; both receivers see the same noisy
-    transmission (AWGN at the configured Eb/N0). A receiver without a key
-    (failed reconciliation, no eavesdropper data) yields NaN. A receiver
-    whose key equals Alice's decrypts with her codec, which keeps the key
-    material it derived to encrypt.
+    A trial is (alice_key, bob_key, eve_key, ber_seed). Its payloads and its
+    frames' noise seeds come from ber_seed, and its frames are 0..n-1, as if
+    it crossed the link alone; the batch's frames cross as one batch, keyed
+    per row. Alice encrypts with her final key; both receivers see the same
+    noisy transmission (AWGN at the configured Eb/N0). A receiver without a
+    key (failed reconciliation, no eavesdropper data) yields NaN. Rows whose
+    receiver key equals Alice's read her codec's decryption, which keeps the
+    key material it derived to encrypt; each receiver's other rows go to
+    one codec.
     """
-    if point.ber_bits == 0:
-        return math.nan, math.nan
+    if point.ber_bits == 0 or not trials:
+        return [(math.nan, math.nan)] * len(trials)
     cfg = point.ofdm
-
-    def codec(key):
-        return PleCodec(cfg, point.schemes, KeystreamSeed(key), point.phase)
-
-    alice = codec(alice_key)
-    receivers = {
-        name: alice if key == alice_key else codec(key)
-        for name, key in (("bob", bob_key), ("eve", eve_key))
-        if key is not None
-    }
     n_frames = -(-point.ber_bits // cfg.payload_bits)
-    rng = np.random.default_rng(ber_seed)
-    payloads = np.empty((n_frames, cfg.payload_bits), dtype=np.uint8)
+    alice_keys, bob_keys, eve_keys, ber_seeds = zip(*trials)
+    payloads = np.empty((len(trials), n_frames, cfg.payload_bits), dtype=np.uint8)
     noise_seeds = []
-    for payload in payloads:
-        payload[:] = rng.integers(0, 2, cfg.payload_bits, dtype=np.uint8)
-        noise_seeds.append(int(rng.integers(1 << 62)))
-    frame_indices = np.arange(n_frames)
-    tx = alice.encrypt_batch(payloads, frame_indices)
+    for rows, ber_seed in zip(payloads, ber_seeds):
+        rng = np.random.default_rng(ber_seed)
+        for payload in rows:
+            payload[:] = rng.integers(0, 2, cfg.payload_bits, dtype=np.uint8)
+            noise_seeds.append(int(rng.integers(1 << 62)))
+    frames = np.tile(np.arange(n_frames), len(trials))
+
+    def codec(keys):
+        """A codec for len(keys) trials, trial t's frames keyed by keys[t]."""
+        seeds = [seed for key in keys for seed in [KeystreamSeed(key)] * n_frames]
+        return PleCodec(cfg, point.schemes, seeds, point.phase)
+
+    alice = codec(alice_keys)
+    tx = alice.encrypt_batch(payloads.reshape(frames.size, -1), frames)
     # each frame gets awgn_link's noise draw from that frame's own seed
     rx = awgn_rows(tx, point.snr_db, noise_seeds)
+    by_trial = rx.reshape(len(trials), n_frames, -1)
+    alice_plain = None
     total = n_frames * cfg.payload_bits
-    ber = {
-        name: int(np.count_nonzero(codec.decrypt_batch(rx, frame_indices) != payloads))
-        / total
-        for name, codec in receivers.items()
-    }
-    return ber.get("bob", math.nan), ber.get("eve", math.nan)
+    bers = []
+    for keys in (bob_keys, eve_keys):
+        same = [key is not None and key == a for key, a in zip(keys, alice_keys)]
+        other = [t for t, key in enumerate(keys) if key is not None and not same[t]]
+        plain = np.zeros_like(payloads)
+        if any(same):
+            if alice_plain is None:
+                alice_plain = alice.decrypt_batch(rx, frames).reshape(payloads.shape)
+            plain[same] = alice_plain[same]
+        if other:
+            rows = by_trial[other].reshape(len(other) * n_frames, -1)
+            decrypted = codec([keys[t] for t in other]).decrypt_batch(
+                rows, frames[: len(rows)]
+            )
+            plain[other] = decrypted.reshape(len(other), n_frames, -1)
+        wrong = np.count_nonzero(plain != payloads, axis=(1, 2)).tolist()
+        bers.append(
+            [math.nan if key is None else w / total for key, w in zip(keys, wrong)]
+        )
+    return list(zip(*bers))
 
 
 def run_single_trial(point: SweepPoint, sweep_index: int, trial_index: int) -> dict:
-    """One Monte-Carlo trial; returns metric values plus an optional error."""
+    """Key generation of one Monte-Carlo trial: metric values with the BERs
+    still NaN, an optional error, and link, the trial as _ber_trial takes
+    it, or None when Alice has no key."""
     seed_seq = np.random.SeedSequence((point.master_seed, sweep_index, trial_index))
     state = seed_seq.generate_state(16)
     channel_seed, loss_seed, sketch_seed, ber_seed = map(int, state[:4])
@@ -650,6 +666,7 @@ def run_single_trial(point: SweepPoint, sweep_index: int, trial_index: int) -> d
     metrics["reconcile_failure_rate"] = float(result.reconcile_failed)
     metrics["key_agreement_rate"] = float(result.agreed)
     metrics["key_generation_rate"] = point.out_len * float(result.agreed) / n_probes
+    link = None
     if result.alice_key is not None:
         try:
             metrics["monobit_pass_rate"] = float(
@@ -660,13 +677,58 @@ def run_single_trial(point: SweepPoint, sweep_index: int, trial_index: int) -> d
         runs = runs_test(result.alice_key.bits)
         if runs.applicable:
             metrics["runs_pass_rate"] = float(runs.passed)
-        try:
-            metrics["bob_ber"], metrics["eve_ber"] = _ber_trial(
-                result.alice_key, result.bob_key, result.eve_key, point, ber_seed
-            )
-        except PhysecError as exc:
-            result.error = result.error or f"ple: {exc}"
-    return {"metrics": metrics, "error": result.error}
+        link = (result.alice_key, result.bob_key, result.eve_key, ber_seed)
+    return {"metrics": metrics, "error": result.error, "link": link}
+
+
+# the most frames one _ber_trial link carries: a point's trials are linked
+# in batches of as many whole trials as fit. A frame costs less the larger
+# its batch, as most of a batch's cost is a fixed count of numpy calls, but
+# the process's peak memory grows with it: on the six-scheme stack (x86-64,
+# numpy 2.4) a 400-frame link raised peak RSS by 5.4-5.6 MiB more than a
+# 100-frame link, ~5% of the ple_link benchmark's 108.9 MiB, and a
+# 200-frame link by 1.8 MiB
+LINK_FRAMES = 256
+
+
+def _batches(point: SweepPoint, trials: int) -> list:
+    """A point's trial indices in order, cut into link batches of as many
+    whole trials as fit in LINK_FRAMES frames, at least one; one trial per
+    batch when the point runs no link, as there is nothing to share."""
+    if point.ber_bits == 0:
+        return [range(t, t + 1) for t in range(trials)]
+    n_frames = -(-point.ber_bits // point.ofdm.payload_bits)
+    size = max(1, LINK_FRAMES // n_frames)
+    return [range(t, min(t + size, trials)) for t in range(0, trials, size)]
+
+
+def _run_batch(point: SweepPoint, sweep_index: int, trial_indices) -> list[dict]:
+    """The outcomes, metrics and error, of a batch of one point's trials:
+    each trial's key generation, then one _ber_trial link of the trials
+    with keys. If that link raises, its trials are linked one at a time,
+    and a trial that raises records it as its ple: error."""
+    outcomes = [run_single_trial(point, sweep_index, t) for t in trial_indices]
+    keyed = [o for o in outcomes if o["link"] is not None]
+    try:
+        bers = _ber_trial(point, [o["link"] for o in keyed])
+    except PhysecError:
+        bers = [_ber_or_error(point, o["link"]) for o in keyed]
+    for outcome, ber in zip(keyed, bers):
+        if isinstance(ber, PhysecError):
+            outcome["error"] = outcome["error"] or f"ple: {ber}"
+        else:
+            outcome["metrics"]["bob_ber"], outcome["metrics"]["eve_ber"] = ber
+    for outcome in outcomes:
+        del outcome["link"]
+    return outcomes
+
+
+def _ber_or_error(point: SweepPoint, link: tuple):
+    """_ber_trial of one trial alone, or the PhysecError it raised."""
+    try:
+        return _ber_trial(point, [link])[0]
+    except PhysecError as exc:
+        return exc
 
 
 def _aggregate(values: list[float]) -> dict:
@@ -688,7 +750,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
     The report is a JSON object: scenario, sweep_parameter, config (the
     merged config), config_hash, seed and results, one entry per sweep
     value. The trials run the points config_from_dict resolved, and each
-    trace file is read once per run. Rates are means of per-trial indicator
+    trace file is read once per run. Each point's trials run in link
+    batches (_batches): every trial generates its keys, then the batch's
+    keyed trials cross one _ber_trial link. jobs=1 runs the batches in
+    order; more jobs map them over min(jobs, batches) worker processes,
+    with the same report bytes. Rates are means of per-trial indicator
     variables and always land in [0, 1]; numeric metrics carry a standard
     error when at least two trials produced a value. Per-trial module
     errors are tallied per sweep point.
@@ -699,9 +765,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
     paths = dict.fromkeys(p.trace_file for p in config.points if p.trace_file)
     traces = {path: load_trace_csv(path) for path in paths}
     points = [replace(p, trace=traces.get(p.trace_file)) for p in config.points]
-    tasks = [(p, s, t) for s, p in enumerate(points) for t in range(trials)]
+    tasks = [
+        (p, s, batch) for s, p in enumerate(points) for batch in _batches(p, trials)
+    ]
     if jobs == 1:
-        outcomes = [run_single_trial(*task) for task in tasks]
+        batches = [_run_batch(*task) for task in tasks]
     else:
         # imported here: the pool machinery costs ~35 ms that serial runs
         # and config or trace tools would otherwise pay at start-up
@@ -709,8 +777,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
 
         if any(point.trace_file is None for point in points):
             load_filter()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_single_trial, *zip(*tasks)))
+        # the pool forks all its workers at the first task, so it gets no
+        # more than there are batches
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            batches = list(pool.map(_run_batch, *zip(*tasks)))
+    outcomes = [outcome for batch in batches for outcome in batch]
 
     results = []
     for sweep_index, value in enumerate(config.sweep_values):

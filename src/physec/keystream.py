@@ -6,7 +6,10 @@ consumer states its bit budget up front; running past the handed-out slice
 raises KeystreamExhausted rather than silently reusing bits.
 
 keystream() hashes every block of the slices it returns, one row per block
-offset when given several. keyed_permutation and keyed_subset take a bit
+offset when given several. The key material of a batch of rows is one
+KeystreamSeed for every row or a tuple of one seed per row; either way each
+row hashes from its own seed's key state, which a call builds once per seed
+object. keyed_permutation and keyed_subset take a bit
 vector, a batch of bit rows, or a KeystreamRegions batch, and read each row
 as a stream of (value, width) chunks: a bit row is one chunk, a region row
 yields its blocks one by one, each hashed only when a draw reaches it. A
@@ -52,29 +55,58 @@ class KeystreamSeed:
             raise ParameterError("nonce must fit in 64 bits")
 
 
-def keystream(seed: KeystreamSeed, n_bits: int, block_offset=0) -> np.ndarray:
+def keystream(seed, n_bits: int, block_offset=0) -> np.ndarray:
     """Generate n_bits keystream bits starting at the given block offset.
 
     Deterministic and seekable: bits [256 i, 256 (i+1)) depend only on the
     seed and on block index nonce + block_offset + i (mod 2^64). A 1-D
     sequence of block offsets gives one row of n_bits bits per offset,
-    shape [len(block_offset), n_bits], all hashed from one key state.
+    shape [len(block_offset), n_bits]; seed is then one KeystreamSeed for
+    every row or a tuple of one per row, and row r equals
+    keystream(seed[r], n_bits, block_offset[r]).
     """
     if n_bits < 0:
         raise ParameterError("n_bits must be >= 0")
     batch = np.ndim(block_offset) == 1
-    firsts = [seed.nonce + int(b) for b in (block_offset if batch else [block_offset])]
-    if n_bits == 0 or not firsts:
-        out = np.zeros((len(firsts), n_bits), dtype=np.uint8)
+    rows = _row_keys(seed, block_offset if batch else [block_offset])
+    if n_bits == 0 or not rows:
+        out = np.zeros((len(rows), n_bits), dtype=np.uint8)
         return out if batch else out[0]
-    state = _key_state(seed)
     n_blocks = -(-n_bits // BLOCK_BITS)
     digests = b"".join(
-        _block_digest(state, first + i) for first in firsts for i in range(n_blocks)
+        _block_digest(state, first + i)
+        for state, first in rows
+        for i in range(n_blocks)
     )
-    packed = np.frombuffer(digests, dtype=np.uint8).reshape(len(firsts), -1)
+    packed = np.frombuffer(digests, dtype=np.uint8).reshape(len(rows), -1)
     out = np.unpackbits(packed, axis=1, count=n_bits)
     return out if batch else out[0]
+
+
+def _row_seeds(seed, rows: int) -> tuple:
+    """seed as one KeystreamSeed per row of a batch of rows: a single seed
+    repeated, or a per-row sequence, which must hold rows seeds."""
+    if isinstance(seed, KeystreamSeed):
+        return (seed,) * rows
+    seeds = tuple(seed)
+    if not all(isinstance(s, KeystreamSeed) for s in seeds):
+        raise ParameterError("per-row key material must be KeystreamSeed objects")
+    if len(seeds) != rows:
+        raise ParameterError(f"need one seed per row: {rows} rows, {len(seeds)} seeds")
+    return seeds
+
+
+def _row_keys(seed, offsets) -> list:
+    """(key state, first block) of each row: its seed's state, built once
+    per seed object, and the block its nonce and offset address."""
+    states = {}
+    keys = []
+    for s, offset in zip(_row_seeds(seed, len(offsets)), offsets):
+        state = states.get(id(s))  # the seeds outlive the call, so ids are unique
+        if state is None:
+            state = states[id(s)] = _key_state(s)
+        keys.append((state, s.nonce + int(offset)))
+    return keys
 
 
 def xor_encrypt(plain, ks) -> np.ndarray:
@@ -102,14 +134,15 @@ def _block_digest(state, block: int) -> bytes:
 class KeystreamRegions:
     """A batch of keystream rows whose blocks are hashed as draws reach them.
 
-    Row f holds the bits keystream(seed, n_bits, first_blocks[f]) returns.
+    Row f holds the bits keystream(seed, n_bits, first_blocks[f]) returns,
+    seed being one KeystreamSeed for every row or a tuple of one per row.
     keyed_permutation and keyed_subset take it in place of that
     [F, n_bits] bit array and give the same rows, but hash each row only as
     far as its draws read; a batch of LOCKSTEP_MIN_ROWS rows or more may
     hash a row up to one window of attempts further, never past its end.
     """
 
-    seed: KeystreamSeed
+    seed: KeystreamSeed | tuple
     n_bits: int
     first_blocks: tuple
 
@@ -117,6 +150,10 @@ class KeystreamRegions:
         if self.n_bits < 0:
             raise ParameterError("n_bits must be >= 0")
         object.__setattr__(self, "first_blocks", tuple(map(int, self.first_blocks)))
+        if not isinstance(self.seed, KeystreamSeed):
+            object.__setattr__(
+                self, "seed", _row_seeds(self.seed, len(self.first_blocks))
+            )
 
 
 def _region_blocks(state, first: int, n_bits: int):
@@ -169,8 +206,10 @@ def _draw(items: list, plan, count: int, ks) -> np.ndarray:
             drawn = _lockstep_swaps(items, plan, ks)
             if drawn is not None:
                 return drawn[:, :count]
-        state, nonce, n_bits = _key_state(ks.seed), ks.seed.nonce, ks.n_bits
-        rows = (_region_blocks(state, nonce + b, n_bits) for b in ks.first_blocks)
+        rows = (
+            _region_blocks(state, first, ks.n_bits)
+            for state, first in _row_keys(ks.seed, ks.first_blocks)
+        )
         batch = True
     else:
         bits = np.asarray(ks, dtype=np.uint8)
@@ -279,7 +318,7 @@ def _lockstep_swaps(items: list, plan, ks: KeystreamRegions):
     rows, n_bits = len(ks.first_blocks), ks.n_bits
     n_blocks = -(-n_bits // BLOCK_BITS)
     block_bytes = BLOCK_BITS // 8
-    state, firsts = _key_state(ks.seed), [ks.seed.nonce + b for b in ks.first_blocks]
+    states, firsts = zip(*_row_keys(ks.seed, ks.first_blocks))
     # each row's region bytes, then the byte after its end that a window at
     # the end reads
     stride = n_blocks * block_bytes + 2
@@ -289,7 +328,9 @@ def _lockstep_swaps(items: list, plan, ks: KeystreamRegions):
     floor = -(-sum(width * count for width, _, count, *_ in groups) // BLOCK_BITS)
     floor = min(floor, n_blocks)
     digests = b"".join(
-        _block_digest(state, f + i) for f in firsts for i in range(floor)
+        _block_digest(state, first + i)
+        for state, first in zip(states, firsts)
+        for i in range(floor)
     )
     buf[:, : floor * block_bytes] = np.frombuffer(digests, np.uint8).reshape(rows, -1)
     hashed = np.full(rows, floor)
@@ -311,7 +352,7 @@ def _lockstep_swaps(items: list, plan, ks: KeystreamRegions):
                 for b in range(hashed[r], need[r]):
                     at = b * block_bytes
                     buf[r, at : at + block_bytes] = np.frombuffer(
-                        _block_digest(state, firsts[r] + b), np.uint8
+                        _block_digest(states[r], firsts[r] + b), np.uint8
                     )
                 hashed[r] = need[r]
             bit = pos + width * np.arange(tried, tried + attempts)[:, None]

@@ -23,6 +23,14 @@ can derive any stage's bits independently of the others. The scramble
 regions come last and are hashed about as far as their draws read; both
 scrambles' regions of a batch are drawn in one keyed_permutation call.
 
+A codec's key material is one KeystreamSeed for every frame, or a tuple of
+one seed per frame, which fixes its batches' frame count; each frame's
+stages read only its own seed's keystream, so a batch of frames under many
+keys gives the rows those keys' own codecs give. A batch's scramble
+permutations, F rows per scramble scheme, reach keystream's lockstep
+kernel from LOCKSTEP_MIN_ROWS rows: 64 frames with one scramble scheme, 32
+with both.
+
 The codec runs ofdm's array modem (ofdm_modulate, attach_cp,
 ofdm_demodulate) between the stages; PleCodec(cfg, (), seed), with no
 schemes, is the plain modem. On the link a frame is a row of n_fft + cp_len
@@ -312,19 +320,20 @@ class PleCodec:
 
     The codec works on batches of frames: encrypt_batch and decrypt_batch
     take one row per frame plus each row's frame index, and run each
-    enabled stage function once per batch.
+    enabled stage function once per batch. seed is one KeystreamSeed for
+    every row, or a tuple of one per row, which every batch must match.
     """
 
     def __init__(
         self,
         cfg: OfdmConfig,
         schemes,
-        seed: KeystreamSeed,
+        seed: KeystreamSeed | tuple,
         phase_cfg: PhaseEncryptConfig | None = None,
     ):
         self.cfg = cfg
         self.schemes = _ordered_schemes(schemes)
-        self.seed = seed
+        self.seed = seed if isinstance(seed, KeystreamSeed) else tuple(seed)
         self.phase_cfg = phase_cfg or PhaseEncryptConfig()
         if SCHEME_PHASE in self.schemes:
             self.phase_cfg.check_mapping(cfg.mapping)
@@ -353,8 +362,8 @@ class PleCodec:
         dummy it stops before the dummy stage's block, which only encryption
         reads. perms maps each enabled scramble scheme to its permutations,
         all drawn in one _perm call. Both are read-only; the codec keeps the
-        last batch's, keyed by the indices' bytes, so decrypting the batch
-        it has just encrypted derives nothing again.
+        last batch's, keyed by the indices' bytes (its seeds are fixed), so
+        decrypting the batch it has just encrypted derives nothing again.
         """
         idx = np.asarray(frame_indices)
         if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
@@ -392,7 +401,10 @@ class PleCodec:
         scheme's regions, one per frame, go to one keyed_permutation call:
         both scrambles budget permutation_allocation_bits(n_fft)."""
         firsts = [s + self._region_offset[scheme] for scheme in schemes for s in starts]
-        regions = KeystreamRegions(self.seed, self._budgets[schemes[0]], firsts)
+        seed = self.seed
+        if not isinstance(seed, KeystreamSeed):
+            seed *= len(schemes)
+        regions = KeystreamRegions(seed, self._budgets[schemes[0]], firsts)
         perms = keyed_permutation(self.cfg.n_fft, regions)
         perms.flags.writeable = False
         by_scheme = perms.reshape(len(schemes), len(starts), self.cfg.n_fft)

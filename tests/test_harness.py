@@ -461,32 +461,126 @@ def test_ber_trial_matches_per_frame_link(ebn0_db):
     copy = BitKey(alice.bits.copy(), STAGE_AMPLIFIED)
     off = alice.bits.copy()
     off[17] ^= 1
-    # (bob, eve): Alice's own key, an equal copy of it, or one bit off it
-    for bob, eve_key in (
-        (alice, eve),
-        (copy, eve),
-        (alice, copy),
-        (BitKey(off, STAGE_AMPLIFIED), eve),
-    ):
-        bers = _ber_trial(alice, bob, eve_key, point, ber_seed=31)
-        assert bers == _per_frame_ber((alice, bob, eve_key), raw, 31)
-        for key, ber in zip((bob, eve_key), bers):
-            if key != alice:
+    # (alice, bob, eve): Bob or Eve holds Alice's own key, an equal copy of
+    # it, or one bit off it; Alice's key differs between trials, and no
+    # receiver has a key in the last. The trials cross as one link batch.
+    cases = [
+        (alice, alice, eve),
+        (alice, copy, eve),
+        (alice, alice, copy),
+        (alice, BitKey(off, STAGE_AMPLIFIED), eve),
+        (eve, eve, alice),
+        (alice, None, None),
+    ]
+    trials = [(*keys, 31 + i) for i, keys in enumerate(cases)]
+    batch = _ber_trial(point, trials)
+    assert len(batch) == len(cases)
+    for (*keys, ber_seed), bers in zip(trials[:-1], batch):
+        assert bers == _per_frame_ber(keys, raw, ber_seed)
+        for key, ber in zip(keys[1:], bers):
+            if key != keys[0]:
                 assert 0.4 < ber < 0.6
             elif ebn0_db == math.inf:
                 assert ber == 0.0
-    assert all(math.isnan(ber) for ber in _ber_trial(alice, None, None, point, 31))
+    assert all(math.isnan(ber) for ber in batch[-1])
+    assert all(math.isnan(ber) for ber in _ber_trial(point, trials[-1:])[0])
 
 
 def test_run_single_trial_shape():
     point = _resolve_point(config_from_dict(_fast_cfg()).raw)
     out = run_single_trial(point, 0, 0)
-    assert set(out) == {"metrics", "error"}
+    assert set(out) == {"metrics", "error", "link"}
     assert set(out["metrics"]) == set(METRIC_NAMES)
+    # key generation only: the link batch fills in the BERs
+    assert math.isnan(out["metrics"]["bob_ber"])
     again = run_single_trial(point, 0, 0)
     assert out == again
     other = run_single_trial(point, 0, 1)
     assert out != other
+
+
+# 10 dB with hamming74: some trials' keys disagree, and 50 frames a trial
+# make five trials a link batch, so each point's 12 trials run in 3 batches
+BATCHED = _fast_cfg(
+    channel={"n_probes": 600},
+    ple={"schemes": ["xor", "phase", "scramble_freq"], "ber_bits": 4800},
+    sweep={"parameter": "channel.snr_db", "values": [10.0, 30.0]},
+    trials=12,
+)
+
+
+def test_batched_link_reports_equal_trial_by_trial_at_any_jobs(monkeypatch):
+    cfg = config_from_dict(BATCHED)
+    assert [len(b) for b in harness._batches(cfg.points[0], cfg.trials)] == [5, 5, 2]
+    report = run_experiment(cfg)
+    agreed = report["results"][0]["metrics"]["key_agreement_rate"]["mean"]
+    assert 0 < agreed < 1
+    assert report["results"][0]["metrics"]["bob_ber"]["count"] == cfg.trials
+    expected = report_json_bytes(report)
+    for jobs in (2, 3):
+        assert report_json_bytes(run_experiment(cfg, jobs=jobs)) == expected
+    # every trial linked alone
+    monkeypatch.setattr(harness, "LINK_FRAMES", 1)
+    assert all(len(b) == 1 for b in harness._batches(cfg.points[0], cfg.trials))
+    assert report_json_bytes(run_experiment(cfg)) == expected
+
+
+def test_a_trial_failing_in_the_batched_link_keeps_its_own_error(monkeypatch):
+    point = config_from_dict(BATCHED).points[1]
+    want = harness._run_batch(point, 1, range(5))
+    assert not any(o["error"] for o in want)
+    doomed = run_single_trial(point, 1, 3)["link"][0]
+    real = harness.PleCodec
+
+    def codec(cfg, schemes, seeds, phase):
+        if any(seed.key == doomed for seed in seeds):
+            raise PhysecError("no link for this key")
+        return real(cfg, schemes, seeds, phase)
+
+    monkeypatch.setattr(harness, "PleCodec", codec)
+    got = harness._run_batch(point, 1, range(5))
+    assert got[3]["error"] == "ple: no link for this key"
+    assert math.isnan(got[3]["metrics"]["bob_ber"])
+    assert math.isnan(got[3]["metrics"]["eve_ber"])
+    want[3]["error"] = got[3]["error"]
+    for name in ("bob_ber", "eve_ber"):
+        want[3]["metrics"][name] = got[3]["metrics"][name]
+    assert got == want
+
+
+def test_pool_starts_no_more_workers_than_batches(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class InlinePool:
+        """Records its worker count and runs its tasks in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    # 2 points of 12 trials in 3 link batches each; 2 points of 4 trials
+    # that run no link, one trial per batch
+    linked = config_from_dict(BATCHED)
+    unlinked = config_from_dict(
+        _fast_cfg(sweep={"parameter": "channel.snr_db", "values": [10.0, 30.0]})
+    )
+    for cfg, batches in ((linked, 6), (unlinked, 8)):
+        expected = report_json_bytes(run_experiment(cfg))
+        for jobs in (2, batches, 500):
+            started.clear()
+            assert report_json_bytes(run_experiment(cfg, jobs=jobs)) == expected
+            assert started == [min(jobs, batches)]
 
 
 def test_csv_report_shape():

@@ -141,6 +141,31 @@ def test_keystream_lengths_and_validation():
         keystream(s, -1)
 
 
+def test_keystream_rows_take_one_seed_per_row():
+    # repeated seeds, an equal seed as another object, odd nonces, and one
+    # counter that wraps past 2^64
+    base = [_seed(7, nonce=3), _seed(8, nonce=(1 << 64) - 2), _seed(9)]
+    seeds = (base[0], base[1], base[0], _seed(7, nonce=3), base[2], base[1])
+    offsets = [0, 1, 5, 2, 0, 40]
+    for n_bits in (0, 1, 300, 600):
+        rows = keystream(seeds, n_bits, offsets)
+        assert rows.shape == (len(seeds), n_bits)
+        for row, seed, offset in zip(rows, seeds, offsets):
+            assert np.array_equal(row, keystream(seed, n_bits, offset))
+    rows = keystream(seeds, 300, offsets)
+    assert np.array_equal(keystream(list(seeds), 300, offsets), rows)
+    assert keystream((), 300, []).shape == (0, 300)
+    with pytest.raises(ParameterError, match="one seed per row"):
+        keystream(seeds[:-1], 300, offsets)
+    assert np.array_equal(keystream(seeds[:1], 300, 5), keystream(seeds[0], 300, 5))
+    with pytest.raises(ParameterError, match="one seed per row"):
+        keystream(seeds[:2], 300, 5)
+    with pytest.raises(ParameterError, match="KeystreamSeed"):
+        keystream(seeds[:-1] + (base[0].key,), 300, offsets)
+    with pytest.raises(ParameterError, match="one seed per row"):
+        KeystreamRegions(seeds, 300, offsets[:-1])
+
+
 def test_seed_stage_enforcement():
     rng = np.random.default_rng(6)
     raw = BitKey(rng.integers(0, 2, size=128, dtype=np.uint8), STAGE_QUANTIZED)
@@ -577,6 +602,27 @@ def test_lockstep_kernel_matches_per_row_kernel(monkeypatch, case, rows):
         assert calls == ([(rows, not ran_dry)] if rows >= MIN_ROWS else [])
         drawn.append(not ran_dry)
     assert drawn[0] or drawn[1]
+
+
+@pytest.mark.parametrize("rows", [MIN_ROWS - 1, MIN_ROWS + 1])
+@pytest.mark.parametrize("case", [5, 8, 10], ids=["perm64", "perm140", "subset48of4"])
+def test_region_rows_keyed_per_row_match_single_seed_draws(monkeypatch, case, rows):
+    draw, budget = LOCKSTEP_CASES[case]
+    calls = _lockstep_spy(monkeypatch)
+    rng = np.random.default_rng(3050 + 10 * case + rows)
+    keys = [
+        _seed(int(rng.integers(1 << 31)), nonce=int(rng.integers(1, 1 << 62)))
+        for _ in range(4)
+    ]
+    # runs of a key, keys that come back, and frames that several keys share
+    seeds = tuple(keys[i] for i in np.repeat(rng.integers(0, 4, rows), 3)[:rows])
+    firsts = ((np.arange(rows) % 11) * 15 + 3).tolist()
+    got = draw(KeystreamRegions(seeds, budget, firsts)).tolist()
+    assert len(set(seeds)) == 4
+    assert calls == ([(rows, True)] if rows >= MIN_ROWS else [])
+    for row, seed, first in zip(got, seeds, firsts):
+        alone = draw(KeystreamRegions(seed, budget, [first])).tolist()
+        assert alone == [row] == [draw(keystream(seed, budget, first)).tolist()]
 
 
 def test_lockstep_kernel_matches_on_mostly_ones_rows(monkeypatch):

@@ -57,6 +57,32 @@ def test_batch_rows_equal_single_frames_for_every_subset(mapping):
         assert np.array_equal(codec.decrypt_batch(samples, frames), bits), stack
 
 
+@pytest.mark.parametrize("rows", [5, ks_module.LOCKSTEP_MIN_ROWS + 6])
+@pytest.mark.parametrize("mapping", [QPSK, QAM16])
+def test_rows_keyed_per_row_equal_single_key_codecs(mapping, rows):
+    cfg = wifi_like_config(mapping)
+    keys = [_seed(40 + i, nonce=[0, 9, (1 << 64) - 30][i % 3]) for i in range(3)]
+    # runs of a key, a key that comes back, frames that several keys share
+    seeds = tuple(keys[(r // 2) % 3] for r in range(rows))
+    frames = np.arange(rows) % 4
+    bits = _payloads(cfg, rows, 41)
+    codec = PleCodec(cfg, SCHEME_ORDER, seeds)
+    samples = codec.encrypt_batch(bits, frames)
+    for row, (seed, f) in enumerate(zip(seeds, frames.tolist())):
+        alone = PleCodec(cfg, SCHEME_ORDER, seed)
+        assert np.array_equal(samples[row], alone.encrypt(bits[row], f)), row
+        assert np.array_equal(alone.decrypt(samples[row], f), bits[row])
+    assert np.array_equal(codec.decrypt_batch(samples, frames), bits)
+    fresh = PleCodec(cfg, SCHEME_ORDER, list(seeds))
+    assert np.array_equal(fresh.decrypt_batch(samples, frames), bits)
+    for n in (rows - 1, rows + 1):
+        with pytest.raises(ParameterError, match="one seed per row"):
+            codec.encrypt_batch(_payloads(cfg, n, 42), np.arange(n))
+    plain = PleCodec(cfg, (), seeds)
+    with pytest.raises(ParameterError, match="one seed per row"):
+        plain.encrypt_batch(bits[1:], frames[1:])
+
+
 # SHA-256 of six-scheme encrypt_batch ciphertext (key default_rng(2026), 128
 # bits, nonce 11; payload default_rng(7)), computed before the keyed draws
 # moved into one kernel and frame runs into one keystream call each
@@ -143,6 +169,18 @@ def test_kept_material_never_serves_another_batch():
     want = _fresh_codec(cfg).encrypt_batch(bits_a, np.arange(10, 16))
     assert np.array_equal(codec.encrypt_batch(bits_a, idx), want)
     assert np.array_equal(codec.decrypt_batch(want, idx), bits_a)
+    # two codecs keyed per row, with equal indices: rows 0 and 2 share a
+    # seed (as another object), rows 1, 3 and 4 do not
+    keyed_a = PleCodec(cfg, SCHEME_ORDER, [_seed(s) for s in (1, 2, 1, 3, 4)])
+    keyed_b = PleCodec(cfg, SCHEME_ORDER, [_seed(s) for s in (1, 5, 1, 6, 7)])
+    samples_a = keyed_a.encrypt_batch(bits_b, batch_b)
+    samples_b = keyed_b.encrypt_batch(bits_b, batch_b)
+    same = [(a == b).all() for a, b in zip(samples_a, samples_b)]
+    assert same == [True, False, True, False, False]
+    assert np.array_equal(keyed_a.decrypt_batch(samples_a, batch_b), bits_b)
+    assert np.array_equal(keyed_b.decrypt_batch(samples_b, batch_b), bits_b)
+    wrong = keyed_a.decrypt_batch(samples_b, batch_b) != bits_b
+    assert [bool(w.any()) for w in wrong] == [not s for s in same]
 
 
 def test_batch_hashes_only_the_keystream_blocks_it_reads(monkeypatch):
