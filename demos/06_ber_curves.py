@@ -12,37 +12,38 @@ import numpy as np
 from physec.bits import BitKey
 from physec.keystream import KeystreamSeed
 from physec.modulation import QPSK
-from physec.ofdm import awgn_link, ebn0_db_to_snr_db, wifi_like_config
+from physec.ofdm import awgn_rows, ebn0_db_to_snr_db, wifi_like_config
 from physec.ple import SCHEME_ORDER, PleCodec
 
 cfg = wifi_like_config()
 rng = np.random.default_rng(13)
 seed = KeystreamSeed(BitKey(rng.integers(0, 2, size=128, dtype=np.uint8),
                             "amplified"))
-plain_codec = PleCodec(cfg, (), seed)  # no schemes: the bare modem
-phase_codec = PleCodec(cfg, ("phase",), seed)
-full_codec = PleCodec(cfg, SCHEME_ORDER, seed)
+codecs = {
+    "plain": PleCodec(cfg, (), seed),  # no schemes: the bare modem
+    "phase": PleCodec(cfg, ("phase",), seed),
+    "full": PleCodec(cfg, SCHEME_ORDER, seed),
+}
 
 N_FRAMES = 400  # 38400 bits per point; the floor is ~3e-5
 
 
 def run_point(ebn0_db):
     snr_db = ebn0_db_to_snr_db(ebn0_db, QPSK)
-    errs = {"plain": 0, "phase": 0, "full": 0}
-    for f in range(N_FRAMES):
-        bits = rng.integers(0, 2, size=cfg.payload_bits, dtype=np.uint8)
-        noise_seed = int(rng.integers(1 << 62))
-
-        rx = awgn_link(plain_codec.encrypt(bits, f), snr_db, noise_seed)
-        errs["plain"] += int(np.sum(plain_codec.decrypt(rx, f) != bits))
-
-        rx = awgn_link(phase_codec.encrypt(bits, f), snr_db, noise_seed)
-        errs["phase"] += int(np.sum(phase_codec.decrypt(rx, f) != bits))
-
-        rx = awgn_link(full_codec.encrypt(bits, f), snr_db, noise_seed)
-        errs["full"] += int(np.sum(full_codec.decrypt(rx, f) != bits))
-    total = N_FRAMES * cfg.payload_bits
-    return {k: v / total for k, v in errs.items()}
+    # each frame draws its payload, then its noise seed; all three links
+    # carry the same frames through the same noise, in one batch each
+    frames = np.arange(N_FRAMES)
+    bits = np.empty((N_FRAMES, cfg.payload_bits), dtype=np.uint8)
+    noise_seeds = []
+    for f in frames:
+        bits[f] = rng.integers(0, 2, size=cfg.payload_bits, dtype=np.uint8)
+        noise_seeds.append(int(rng.integers(1 << 62)))
+    total = bits.size
+    errs = {}
+    for name, codec in codecs.items():
+        rx = awgn_rows(codec.encrypt_batch(bits, frames), snr_db, noise_seeds)
+        errs[name] = int(np.sum(codec.decrypt_batch(rx, frames) != bits)) / total
+    return errs
 
 
 print(f"{'ebn0_db':>7} {'analytic':>10} {'plain':>10} {'phase':>10} {'all six':>10}")

@@ -9,19 +9,17 @@ keystream() hashes every block of the slices it returns, one row per block
 offset when given several. The key material of a batch of rows is one
 KeystreamSeed for every row or a tuple of one seed per row; either way each
 row hashes from its own seed's key state, which a call builds once per seed
-object. keyed_permutation and keyed_subset take a bit
-vector, a batch of bit rows, or a KeystreamRegions batch, and read each row
-as a stream of (value, width) chunks: a bit row is one chunk, a region row
-yields its blocks one by one, each hashed only when a draw reaches it. A
-64-point permutation reads about a third of its budget, so most of its
-region is never hashed.
+object.
 
-A KeystreamRegions batch of LOCKSTEP_MIN_ROWS rows or more is drawn by a
-second kernel that runs every row's draws at once in numpy, with the same
-results. It hashes each row's blocks in order up to the end of its current
-window of attempts, at most one window past its last draw and never past
-its region's end. A batch in which a row runs dry goes back to the per-row
-kernel, which raises the same KeystreamExhausted.
+keyed_permutation and keyed_subset take a bit vector, a batch of bit rows,
+or a KeystreamRegions batch, and one kernel runs every row's Fisher-Yates
+draws at once in numpy, whatever the input form or row count. A bit row is
+packed to bytes up front. A region row's blocks are hashed in order as its
+draws reach them, at most one window of attempts past its last draw and
+never past its region's end; a 64-point permutation reads about a third of
+its budget, so most of its region is never hashed. A row that runs dry
+raises KeystreamExhausted, naming the bits its next draw needed and the
+bits left.
 """
 from __future__ import annotations
 
@@ -138,8 +136,8 @@ class KeystreamRegions:
     seed being one KeystreamSeed for every row or a tuple of one per row.
     keyed_permutation and keyed_subset take it in place of that
     [F, n_bits] bit array and give the same rows, but hash each row only as
-    far as its draws read; a batch of LOCKSTEP_MIN_ROWS rows or more may
-    hash a row up to one window of attempts further, never past its end.
+    far as its draws read, or up to one window of attempts further, never
+    past its end.
     """
 
     seed: KeystreamSeed | tuple
@@ -154,15 +152,6 @@ class KeystreamRegions:
             object.__setattr__(
                 self, "seed", _row_seeds(self.seed, len(self.first_blocks))
             )
-
-
-def _region_blocks(state, first: int, n_bits: int):
-    """(value, width) of each block of a region, hashed only when a draw
-    asks for it, the last cut to the region's end."""
-    for start in range(0, n_bits, BLOCK_BITS):
-        width = min(BLOCK_BITS, n_bits - start)
-        digest = _block_digest(state, first + start // BLOCK_BITS)
-        yield int.from_bytes(digest, "big") >> (BLOCK_BITS - width), width
 
 
 def keyed_permutation(n: int, ks) -> np.ndarray:
@@ -196,21 +185,13 @@ def _draw(items: list, plan, count: int, ks) -> np.ndarray:
     """Run plan on a copy of items per keystream row and keep the first
     count items of each: [F, count] for a batch of rows, else one row.
 
-    A KeystreamRegions batch of at least LOCKSTEP_MIN_ROWS rows is drawn
-    by _lockstep_swaps when it can; otherwise each row reaches the
-    per-row kernel as (value, width) chunks: a bit-array row is one chunk,
-    and a KeystreamRegions row yields its blocks in order.
+    _lockstep_swaps draws every row: a bit array reaches it packed to
+    bytes, and a KeystreamRegions batch as each row's key state and first
+    block.
     """
     if isinstance(ks, KeystreamRegions):
-        if len(ks.first_blocks) >= LOCKSTEP_MIN_ROWS:
-            drawn = _lockstep_swaps(items, plan, ks)
-            if drawn is not None:
-                return drawn[:, :count]
-        rows = (
-            _region_blocks(state, first, ks.n_bits)
-            for state, first in _row_keys(ks.seed, ks.first_blocks)
-        )
-        batch = True
+        batch, n_bits = True, ks.n_bits
+        source = _row_keys(ks.seed, ks.first_blocks)
     else:
         bits = np.asarray(ks, dtype=np.uint8)
         if bits.ndim not in (1, 2):
@@ -218,11 +199,8 @@ def _draw(items: list, plan, count: int, ks) -> np.ndarray:
                 f"keystream must be 1-D or 2-D, got shape {bits.shape}"
             )
         batch, n_bits = bits.ndim == 2, bits.shape[-1]
-        packed = np.packbits(np.atleast_2d(bits), axis=1)
-        pad = 8 * packed.shape[1] - n_bits
-        rows = [[(int.from_bytes(r.tobytes(), "big") >> pad, n_bits)] for r in packed]
-    drawn = [_keyed_swaps(items.copy(), plan, row)[:count] for row in rows]
-    out = np.array(drawn, dtype=np.intp).reshape(len(drawn), count)
+        source = np.packbits(np.atleast_2d(bits), axis=1)
+    out = _lockstep_swaps(items, plan, n_bits, source)[:, :count]
     return out if batch else out[0]
 
 
@@ -242,40 +220,6 @@ def _swap_plan(size: int, count: int, from_back: bool) -> tuple:
         slot, low = (m - 1, 0) if from_back else (k, k)
         plan.append((slot, low, m, width, (1 << width) - 1))
     return tuple(plan)
-
-
-def _keyed_swaps(items: list, plan, chunks) -> list:
-    """Run a swap plan on items in place, each draw rejection-sampled from
-    a keystream row given as (value, width) chunks, read MSB first.
-
-    A chunk is taken only when a draw runs past the bits already taken. A
-    draw that runs past the row's end raises KeystreamExhausted with the
-    bits it needed and the bits left.
-    """
-    chunks = iter(chunks)
-    word = left = 0
-    for slot, low, m, width, mask in plan:
-        while True:
-            if left < width:
-                word, left = _extend(word, left, width, chunks)
-            left -= width
-            draw = (word >> left) & mask
-            if draw < m:
-                break
-        draw += low
-        items[slot], items[draw] = items[draw], items[slot]
-    return items
-
-
-# the fewest region rows that _draw hands to _lockstep_swaps. Most of its
-# cost is a fixed count of numpy calls per batch: on 64-point permutations
-# (2-vCPU x86-64, numpy 2.4) it breaks even with the per-row kernel at
-# about 48 rows, and 64 is the smallest measured batch it drew faster in
-# every run (about 1.2x; 2x at 200 rows)
-LOCKSTEP_MIN_ROWS = 64
-# _lockstep_swaps reads each draw through a 16-bit big-endian window, so
-# it takes draws of at most 16 - 7 bits
-_WINDOW_BITS = 16
 
 
 @functools.lru_cache(maxsize=64)
@@ -299,92 +243,120 @@ def _lockstep_groups(plan) -> tuple:
     return tuple(groups)
 
 
-def _lockstep_swaps(items: list, plan, ks: KeystreamRegions):
-    """Run plan on a copy of items per region row, all rows in lockstep:
-    the rows _keyed_swaps gives, shape [F, len(items)], or None when a row
-    would read past its region.
+def _lockstep_swaps(items: list, plan, n_bits: int, source) -> np.ndarray:
+    """Run plan on a copy of items per keystream row of n_bits bits, all
+    rows in lockstep: shape [F, len(items)].
 
-    Within a run of equal-width steps every attempt moves a row's read
-    position on by the width, so a row's candidate words for the run are a
-    strided read from its start. They are read a window of attempts at a
-    time, and a scan over each window keeps each row's bound m - k, k its
-    draws accepted so far: attempt i is accepted when its word is below
-    the bound. A row's blocks are hashed in order, as far as the window of
-    a run it has not finished reaches, never past its region's end.
+    source is the rows packed to bytes, [F, ceil(n_bits / 8)], or each
+    region row's (key state, first block). Within a run of equal-width
+    steps every attempt moves a row's read position on by the width, so a
+    row's candidate words for the run are a strided read from its start,
+    each through as many bytes as the plan's widest draw can straddle.
+    They are read a window of attempts at a time, and a scan over each
+    window keeps each row's bound m - k, k its draws accepted so far:
+    attempt i is accepted when its word is below the bound. A region row's
+    blocks are hashed in order, as far as the window of a run it has not
+    finished reaches, never past its region's end.
+
+    A word that ends past its row's end is never accepted. The first row
+    in row order that runs short of words raises KeystreamExhausted with
+    the bits its next word needed and the bits left.
     """
     groups = _lockstep_groups(plan)
-    if any(width > _WINDOW_BITS - 7 for width, *_ in groups):
-        return None
-    rows, n_bits = len(ks.first_blocks), ks.n_bits
+    rows = len(source)
     n_blocks = -(-n_bits // BLOCK_BITS)
     block_bytes = BLOCK_BITS // 8
-    states, firsts = zip(*_row_keys(ks.seed, ks.first_blocks))
-    # each row's region bytes, then the byte after its end that a window at
-    # the end reads
-    stride = n_blocks * block_bytes + 2
-    buf = np.zeros((rows, stride), dtype=np.uint8)
+    # the bytes a word spans: w bits from bit 7 of a byte reach ceil((w + 7) / 8)
+    span = (max((width for width, *_ in groups), default=0) + 14) // 8
+    word_type = np.min_scalar_type((1 << 8 * span) - 1)
+    keys = None if isinstance(source, np.ndarray) else source
+    # each row's bytes, then the span bytes past its end that a word read
+    # at the end reaches
+    if keys is None:
+        buf = np.zeros((rows, source.shape[1] + span), dtype=np.uint8)
+        buf[:, : source.shape[1]] = source
+    else:
+        # every row reads at least its no-rejection need
+        floor = -(-sum(width * count for width, _, count, *_ in groups) // BLOCK_BITS)
+        floor = min(floor, n_blocks)
+        buf = np.zeros((rows, n_blocks * block_bytes + span), dtype=np.uint8)
+        digests = b"".join(
+            _block_digest(state, first + i)
+            for state, first in keys
+            for i in range(floor)
+        )
+        buf[:, : floor * block_bytes] = np.frombuffer(digests, np.uint8).reshape(
+            rows, floor * block_bytes
+        )
+        hashed = np.full(rows, floor)
     flat = buf.ravel()
-    # every row reads at least its no-rejection need
-    floor = -(-sum(width * count for width, _, count, *_ in groups) // BLOCK_BITS)
-    floor = min(floor, n_blocks)
-    digests = b"".join(
-        _block_digest(state, first + i)
-        for state, first in zip(states, firsts)
-        for i in range(floor)
-    )
-    buf[:, : floor * block_bytes] = np.frombuffer(digests, np.uint8).reshape(rows, -1)
-    hashed = np.full(rows, floor)
-    row_starts = np.arange(rows) * stride
+    row_starts = np.arange(rows) * buf.shape[1]
     pos = np.zeros(rows, dtype=np.int64)
+    # per row, the width and bits left of the first word it ran short of
+    dry_width = np.zeros(rows, dtype=np.int64)
+    dry_left = np.zeros(rows, dtype=np.int64)
     draws = [np.zeros((0, rows), dtype=np.intp)]  # [steps, F] per run
     for width, m, count, first, more in groups:
         if width == 0:
             draws.append(np.zeros((count, rows), dtype=np.intp))
             continue
-        bound = np.full(rows, m, dtype=np.uint16)
+        avail = (n_bits - pos) // width  # the words each row has left
+        bound = np.full(rows, m, dtype=word_type)
         windows, accepts = [], []
         tried = 0
         while True:
             attempts = more if windows else first
-            end = np.where(bound > m - count, pos + width * (tried + attempts), 0)
-            need = np.minimum(-(-end // BLOCK_BITS), n_blocks)
-            for r in np.flatnonzero(need > hashed).tolist():
-                for b in range(hashed[r], need[r]):
-                    at = b * block_bytes
-                    buf[r, at : at + block_bytes] = np.frombuffer(
-                        _block_digest(states[r], firsts[r] + b), np.uint8
-                    )
-                hashed[r] = need[r]
-            bit = pos + width * np.arange(tried, tried + attempts)[:, None]
-            np.minimum(bit, n_bits, out=bit)
+            if keys:
+                end = np.where(bound > m - count, pos + width * (tried + attempts), 0)
+                need = np.minimum(-(-end // BLOCK_BITS), n_blocks)
+                for r in np.flatnonzero(need > hashed).tolist():
+                    state, first_block = keys[r]
+                    for b in range(hashed[r], need[r]):
+                        at = b * block_bytes
+                        buf[r, at : at + block_bytes] = np.frombuffer(
+                            _block_digest(state, first_block + b), np.uint8
+                        )
+                    hashed[r] = need[r]
+            tries = np.arange(tried, tried + attempts)[:, None]
+            bit = np.minimum(pos + width * tries, n_bits)
             byte = (bit >> 3) + row_starts
-            pair = (flat[byte].astype(np.uint16) << 8) | flat[byte + 1]
-            shift = (_WINDOW_BITS - width) - (bit & 7).astype(np.uint16)
-            words = (pair >> shift) & ((1 << width) - 1)
+            window = flat[byte].astype(word_type)
+            for k in range(1, span):
+                window = (window << 8) | flat[byte + k]
+            shift = (8 * span - width) - (bit & 7).astype(word_type)
+            words = (window >> shift) & ((1 << width) - 1)
+            # a word that ends past its row's end is never accepted
+            np.putmask(words, tries >= avail, 1 << width)
             accepted = np.empty(words.shape, dtype=bool)
-            for i in range(attempts):
-                np.less(words[i], bound, out=accepted[i])
-                bound -= accepted[i]
+            for word, accept in zip(words, accepted):
+                np.less(word, bound, out=accept)
+                bound -= accept
             windows.append(words)
             accepts.append(accepted)
             tried += attempts
+            # go on while a row short of draws has words left
             short = bound > m - count
-            if not short.any():
+            if not (short & (avail > tried)).any():
                 break
-            # a row short of draws whose next word ends past its region
-            # runs dry; the per-row kernel raises its error
-            if (pos[short] + width * (tried + 1) > n_bits).any():
-                return None
         # a row's draws are its first count accepted words, and the
         # count-th ends its run
         words, accepted = np.concatenate(windows), np.concatenate(accepts)
         taken = np.cumsum(accepted, axis=0)
         keep = accepted & (taken <= count)
+        step = width * ((taken < count).sum(axis=0) + 1)
+        if short.any():
+            # a row that ran dry keeps its first error, takes any count
+            # words and ends at its end
+            ran_dry = short & (dry_width == 0)
+            dry_width[ran_dry] = width
+            dry_left[ran_dry] = (n_bits - pos[ran_dry]) % width
+            keep[:, short] = np.arange(len(keep))[:, None] < count
+            step[short] = n_bits - pos[short]
+        pos += step
         draws.append(words.T[keep.T].reshape(rows, count).T)
-        pos += width * ((taken < count).sum(axis=0) + 1)
-        # a word that ends past the region was read from the bits beyond it
-        if pos.max() > n_bits:
-            return None
+    if dry_width.any():
+        r = int(np.flatnonzero(dry_width)[0])
+        raise KeystreamExhausted(f"needed {dry_width[r]} bits, {dry_left[r]} left")
     # the swaps, on items[size, F]: slot s of every row is row s
     lows = np.array([low for _, low, *_ in plan], dtype=np.intp)[:, None]
     partners = (np.concatenate(draws) + lows) * rows + np.arange(rows)
@@ -395,18 +367,6 @@ def _lockstep_swaps(items: list, plan, ks: KeystreamRegions):
         cells[partner] = out[slot]
         out[slot] = held
     return out.T.copy()
-
-
-def _extend(word: int, left: int, width: int, chunks) -> tuple[int, int]:
-    """The unread bits of word followed by further chunks, until there are
-    at least width of them."""
-    word &= (1 << left) - 1
-    for value, bits in chunks:
-        word = (word << bits) | value
-        left += bits
-        if left >= width:
-            return word, left
-    raise KeystreamExhausted(f"needed {width} bits, {left} left")
 
 
 def permutation_allocation_bits(n: int) -> int:

@@ -27,9 +27,9 @@ A codec's key material is one KeystreamSeed for every frame, or a tuple of
 one seed per frame, which fixes its batches' frame count; each frame's
 stages read only its own seed's keystream, so a batch of frames under many
 keys gives the rows those keys' own codecs give. A batch's scramble
-permutations, F rows per scramble scheme, reach keystream's lockstep
-kernel from LOCKSTEP_MIN_ROWS rows: 64 frames with one scramble scheme, 32
-with both.
+permutations, F rows per scramble scheme, are one keyed_permutation call,
+and its decoy slots one keyed_subset call: keystream's draw kernel costs
+about as much for one row as for dozens, so large batches amortise it.
 
 The codec runs ofdm's array modem (ofdm_modulate, attach_cp,
 ofdm_demodulate) between the stages; PleCodec(cfg, (), seed), with no

@@ -16,7 +16,7 @@ from physec.distill import recover, sketch
 from physec.harness import config_from_dict, report_json_bytes, run_experiment
 from physec.keystream import KeystreamSeed
 from physec.modulation import QPSK
-from physec.ofdm import awgn_link, ebn0_db_to_snr_db, wifi_like_config
+from physec.ofdm import awgn_rows, ebn0_db_to_snr_db, wifi_like_config
 from physec.ple import SCHEME_ORDER, PhaseEncryptConfig, PleCodec, key_to_data_ratio
 from physec.quantize import (
     CdfConfig,
@@ -176,13 +176,14 @@ def test_c07_ple_roundtrip_all_subsets():
         tuple(s for s in SCHEME_ORDER if (mask >> SCHEME_ORDER.index(s)) & 1)
         for mask in range(64)
     ]
+    frames = np.arange(100)
     failures = 0
     for mask, stack in enumerate(subsets):
         codec = PleCodec(cfg, stack, _amp_seed(mask))
-        for f in range(100):
-            bits = rng.integers(0, 2, size=96, dtype=np.uint8)
-            if not np.array_equal(codec.decrypt(codec.encrypt(bits, f), f), bits):
-                failures += 1
+        # frame f carries the subset's f-th 96-bit payload draw
+        bits = rng.integers(0, 2, size=(frames.size, 96), dtype=np.uint8)
+        decoded = codec.decrypt_batch(codec.encrypt_batch(bits, frames), frames)
+        failures += int((decoded != bits).any(axis=1).sum())
     assert failures == 0
     print(
         "PASS criterion 7: all 64 scheme subsets x 100 payloads, "
@@ -199,12 +200,11 @@ def test_c08_eavesdropper_ber():
         codec_a = PleCodec(cfg, stack, _amp_seed(10))
         codec_e = PleCodec(cfg, stack, _amp_seed(11))
         rng = np.random.default_rng(5)
-        wrong = total = 0
-        for f in range(n_frames):
-            bits = rng.integers(0, 2, size=96, dtype=np.uint8)
-            wrong += int(np.sum(codec_e.decrypt(codec_a.encrypt(bits, f), f) != bits))
-            total += 96
-        ber = wrong / total
+        # frame f carries the f-th 96-bit payload draw
+        frames = np.arange(n_frames)
+        bits = rng.integers(0, 2, size=(n_frames, 96), dtype=np.uint8)
+        samples = codec_a.encrypt_batch(bits, frames)
+        ber = np.sum(codec_e.decrypt_batch(samples, frames) != bits) / bits.size
         results[stack[0]] = ber
         assert 0.45 <= ber <= 0.55
     summary = ", ".join(f"{k} {v:.4f}" for k, v in results.items())
@@ -223,13 +223,16 @@ def test_c09_awgn_qpsk_oracle():
     for name, schemes, rng_seed in (("plain", (), 6), ("phase", ("phase",), 7)):
         codec = PleCodec(cfg, schemes, _amp_seed(12))
         rng = np.random.default_rng(rng_seed)
-        errors = total = 0
-        for f in range(n_frames):
-            bits = rng.integers(0, 2, size=96, dtype=np.uint8)
-            rx = awgn_link(codec.encrypt(bits, f), snr_db, int(rng.integers(1 << 62)))
-            errors += int(np.sum(codec.decrypt(rx, f) != bits))
-            total += 96
-        ber[name] = errors / total
+        # each frame draws its 96-bit payload, then its noise seed
+        frames = np.arange(n_frames)
+        bits = np.empty((n_frames, 96), dtype=np.uint8)
+        noise_seeds = []
+        for f in frames:
+            bits[f] = rng.integers(0, 2, size=96, dtype=np.uint8)
+            noise_seeds.append(int(rng.integers(1 << 62)))
+        rx = awgn_rows(codec.encrypt_batch(bits, frames), snr_db, noise_seeds)
+        errors = int(np.sum(codec.decrypt_batch(rx, frames) != bits))
+        ber[name] = errors / bits.size
         assert abs(ber[name] - oracle) <= 0.1 * oracle
     print(
         f"PASS criterion 9: QPSK BER at 4 dB Eb/N0: plain {ber['plain']:.5f}, "

@@ -223,11 +223,10 @@ def test_permutation_uniform_n4():
     budget = permutation_allocation_bits(4)
     counts = {}
     n_draws = 10_000
-    # one long stream, chopped into per-draw slices
+    # one long stream, chopped into per-draw slices: one row each
     blob = keystream(s, budget * n_draws)
-    for i in range(n_draws):
-        p = tuple(keyed_permutation(4, blob[i * budget : (i + 1) * budget]))
-        counts[p] = counts.get(p, 0) + 1
+    for p in keyed_permutation(4, blob.reshape(n_draws, budget)).tolist():
+        counts[tuple(p)] = counts.get(tuple(p), 0) + 1
     assert len(counts) == 24
     for c in counts.values():
         assert abs(c / n_draws - 1 / 24) < 0.02
@@ -393,22 +392,49 @@ def _outcome(draw, ks):
         return f"exhausted: {exc}"
 
 
+def _reference_rows(reference, rows):
+    """The reference draw loop over each keystream row in turn: the rows it
+    draws, or the KeystreamExhausted text of the first row that runs dry."""
+    drawn = []
+    for bits in rows:
+        outcome = _outcome(reference, bits)
+        if isinstance(outcome, str):
+            return outcome
+        drawn.append(outcome)
+    return drawn
+
+
+def _perm_case(n):
+    """(kernel, reference, budget) of keyed_permutation(n)."""
+    return (
+        functools.partial(keyed_permutation, n),
+        functools.partial(_loop_permutation, n),
+        permutation_allocation_bits(n),
+    )
+
+
+def _subset_case(pool, count):
+    """(kernel, reference, budget) of keyed_subset(pool, count)."""
+    return (
+        functools.partial(keyed_subset, pool, count),
+        functools.partial(_loop_subset, pool, count),
+        subset_allocation_bits(len(pool), count),
+    )
+
+
 @pytest.mark.parametrize(
     "size, count",
     [(1, None), (2, None), (3, None), (5, None), (16, None), (64, None),
-     (48, 4), (5, 5), (1, 1)],
+     (48, 4), (5, 5), (1, 1), (1000, 8), (2000, 8)],
 )
 def test_draw_kernel_matches_reference_reader(size, count):
-    # count None: keyed_permutation(size); else keyed_subset of a size pool
+    # count None: keyed_permutation(size); else keyed_subset of a size pool;
+    # the last two draw 10 and 11 bits a word, and 11-bit words start at
+    # every bit offset of a byte, so some of them straddle three bytes
     if count is None:
-        budget = permutation_allocation_bits(size)
-        kernel = functools.partial(keyed_permutation, size)
-        reference = functools.partial(_loop_permutation, size)
+        kernel, reference, budget = _perm_case(size)
     else:
-        pool = np.arange(100, 100 + size)
-        budget = subset_allocation_bits(size, count)
-        kernel = functools.partial(keyed_subset, pool, count)
-        reference = functools.partial(_loop_subset, pool, count)
+        kernel, reference, budget = _subset_case(np.arange(100, 100 + size), count)
     rng = np.random.default_rng(size * 100 + (count or 0))
     random = [rng.integers(0, 2, budget, dtype=np.uint8) for _ in range(20)]
     # mostly ones: draws land at or above m and are rejected again and again
@@ -423,36 +449,38 @@ def test_draw_kernel_matches_reference_reader(size, count):
     assert exhausted < len(outcomes)
     # a draw needs bits exactly when some step has more than one choice
     assert (exhausted > 0) == (budget > 0)
+    # the same rows as [F, n_bits] batches: one draw per row, or the first
+    # row's error that runs dry
+    for rows in (np.array(random + heavy), np.array(heavy + random)):
+        assert _outcome(kernel, rows) == _reference_rows(reference, rows)
+    for cut in range(0, budget + 1, max(1, budget // 20)):
+        rows = np.array([random[0][:cut], heavy[0][:cut], random[1][:cut]])
+        assert _outcome(kernel, rows) == _reference_rows(reference, rows)
+    assert _outcome(kernel, np.zeros((0, budget), dtype=np.uint8)) == []
 
 
-
-def _eager_rows(draw, seed, n_bits, firsts):
-    """Each row drawn alone from keystream(seed, n_bits, first): the rows,
-    or the first failing row's KeystreamExhausted text and its index."""
-    rows = []
-    for row, first in enumerate(firsts):
-        outcome = _outcome(draw, keystream(seed, n_bits, first))
-        if isinstance(outcome, str):
-            return outcome, row
-        rows.append(outcome)
-    return rows, None
-
-
-# (draw, region bits): 64-point permutations over their six-block budget,
-# whose 6th block holds 4 bits, and longer plans over the same region,
-# whose draws reach its 3rd to 6th blocks and run past its end; the
-# codec's decoy-slot subsets
-PERM_BITS = permutation_allocation_bits(64)
-LAZY_CASES = [
-    (functools.partial(keyed_permutation, 64), PERM_BITS),
-    (functools.partial(keyed_permutation, 100), PERM_BITS),
-    (functools.partial(keyed_permutation, 130), PERM_BITS),
-    (functools.partial(keyed_permutation, 140), PERM_BITS),
-    (functools.partial(keyed_subset, np.arange(16, 64), 4), subset_allocation_bits(48, 4)),
-]
+def _blocks_by_row(hashed, regions):
+    """The blocks hashed for each row of regions, whose regions start 15
+    blocks apart, asserting that each row's are the first blocks of its
+    region in order, none past its end, and that every hashed block
+    belongs to a row."""
+    n_blocks = -(-regions.n_bits // BLOCK_BITS)
+    seeds = regions.seed
+    if isinstance(seeds, KeystreamSeed):
+        seeds = (seeds,) * len(regions.first_blocks)
+    by_row = []
+    for seed, first in zip(seeds, regions.first_blocks):
+        start = seed.nonce + first
+        own = [b for b in hashed if (b - start) % (1 << 64) < 15]
+        assert own == [(start + i) % (1 << 64) for i in range(len(own))]
+        assert len(own) <= n_blocks
+        by_row.append(own)
+    assert sum(map(len, by_row)) == len(hashed)
+    return by_row
 
 
-def test_lazy_regions_match_eager_keystream_row_by_row(monkeypatch):
+def _record_hashes(monkeypatch):
+    """The list of block counters _block_digest hashes from now on."""
     hashed = []
     digest = ks_module._block_digest
 
@@ -461,11 +489,26 @@ def test_lazy_regions_match_eager_keystream_row_by_row(monkeypatch):
         return digest(state, block)
 
     monkeypatch.setattr(ks_module, "_block_digest", recording_digest)
+    return hashed
+
+
+# (kernel, reference, region bits): 64-point permutations over their
+# six-block budget, whose 6th block holds 4 bits, and longer plans over the
+# same region, whose draws reach its 3rd to 6th blocks and run past its
+# end; the codec's decoy-slot subsets
+PERM_BITS = permutation_allocation_bits(64)
+LAZY_CASES = [
+    _perm_case(n)[:2] + (PERM_BITS,) for n in (64, 100, 130, 140)
+] + [_subset_case(np.arange(16, 64), 4)]
+
+
+def test_lazy_regions_match_eager_keystream_row_by_row(monkeypatch):
+    hashed = _record_hashes(monkeypatch)
     rng = np.random.default_rng(2027)
     reached = Counter()  # blocks hashed by a row whose draws succeeded
     ran_dry = Counter()  # full or cut budget
     for case in range(1200):
-        draw, n_bits = LAZY_CASES[case % len(LAZY_CASES)]
+        draw, reference, n_bits = LAZY_CASES[case % len(LAZY_CASES)]
         cut = case % 7 == 6
         if cut:
             n_bits = int(rng.integers(0, n_bits))
@@ -474,32 +517,26 @@ def test_lazy_regions_match_eager_keystream_row_by_row(monkeypatch):
         seed = _seed(int(rng.integers(1 << 31)), nonce=nonce)
         frames = rng.choice(1000, size=int(rng.integers(1, 5)), replace=False)
         firsts = (frames * 15 + 3).tolist()
-        want, bad_row = _eager_rows(draw, seed, n_bits, firsts)
-        hashed.clear()
-        got = _outcome(draw, KeystreamRegions(seed, n_bits, firsts))
-        lazy = list(hashed)
-        by_row = [
-            [b for b in lazy if (b - seed.nonce - first) % (1 << 64) < 6]
-            for first in firsts
-        ]
-        assert got == want
         # the eager batch form: one keystream call, one row per offset
-        assert _outcome(draw, keystream(seed, n_bits, firsts)) == got
-        # each row hashes its own blocks in order, and stops at the first
-        # failing row, which hashed its whole region
-        assert sum(map(len, by_row)) == len(lazy)
-        for first, blocks in zip(firsts, by_row):
-            start = seed.nonce + first
-            assert blocks == [(start + i) % (1 << 64) for i in range(len(blocks))]
-        if bad_row is None:
+        eager = keystream(seed, n_bits, firsts)
+        want = _reference_rows(reference, eager)
+        regions = KeystreamRegions(seed, n_bits, firsts)
+        hashed.clear()
+        got = _outcome(draw, regions)
+        by_row = _blocks_by_row(hashed, regions)
+        assert got == want
+        assert _outcome(draw, eager) == got
+        if not isinstance(want, str):
             reached.update(len(blocks) for blocks in by_row)
             continue
-        assert len(by_row[bad_row]) == -(-n_bits // BLOCK_BITS)
-        assert not any(by_row[bad_row + 1 :])
-        # the rows before the failing one draw as they do alone
+        # the rows before the first that runs dry draw as they do alone
+        bad_row = next(
+            row for row in range(len(firsts))
+            if isinstance(_outcome(reference, eager[row]), str)
+        )
         prefix = firsts[:bad_row]
         assert _outcome(draw, KeystreamRegions(seed, n_bits, prefix)) == (
-            _eager_rows(draw, seed, n_bits, prefix)[0]
+            _reference_rows(reference, eager[:bad_row])
         )
         ran_dry["cut" if cut else "full"] += 1
     assert {1, 2, 3, 4, 5, 6} <= set(reached)
@@ -528,22 +565,11 @@ def test_large_region_batch_golden_hash():
     assert digest.hexdigest() == LARGE_BATCH_SHA256
 
 
-# Batches of at least LOCKSTEP_MIN_ROWS region rows are drawn by the
-# lockstep kernel; the per-row kernel is the reference it must match.
-MIN_ROWS = ks_module.LOCKSTEP_MIN_ROWS
-LOCKSTEP_CASES = [
-    (functools.partial(keyed_permutation, n), permutation_allocation_bits(n))
-    for n in (1, 2, 3, 5, 16, 64, 100, 130, 140, 256)
-] + [
+# Region batches of every size against the reference draw loop, row by row
+LOCKSTEP_CASES = [_perm_case(n) for n in (1, 2, 3, 5, 16, 64, 100, 130, 140, 256)] + [
     # the codec's decoy slots; a full shuffle whose last step has one choice
-    (
-        functools.partial(keyed_subset, np.arange(16, 64), 4),
-        subset_allocation_bits(48, 4),
-    ),
-    (
-        functools.partial(keyed_subset, np.arange(100, 105), 5),
-        subset_allocation_bits(5, 5),
-    ),
+    _subset_case(np.arange(16, 64), 4),
+    _subset_case(np.arange(100, 105), 5),
 ]
 LOCKSTEP_IDS = [f"perm{n}" for n in (1, 2, 3, 5, 16, 64, 100, 130, 140, 256)] + [
     "subset48of4",
@@ -551,64 +577,63 @@ LOCKSTEP_IDS = [f"perm{n}" for n in (1, 2, 3, 5, 16, 64, 100, 130, 140, 256)] + 
 ]
 
 
-def _lockstep_spy(monkeypatch):
-    """Record, per _lockstep_swaps call, its row count and whether it
-    drew the batch (False: it handed the batch to the per-row kernel)."""
-    calls = []
-    lockstep = ks_module._lockstep_swaps
-
-    def spy(items, plan, ks):
-        out = lockstep(items, plan, ks)
-        calls.append((len(ks.first_blocks), out is not None))
-        return out
-
-    monkeypatch.setattr(ks_module, "_lockstep_swaps", spy)
-    return calls
-
-
-def _per_row_outcome(monkeypatch, draw, regions):
-    with monkeypatch.context() as patch:
-        patch.setattr(ks_module, "LOCKSTEP_MIN_ROWS", math.inf)
-        return _outcome(draw, regions)
-
-
 def _random_regions(rng, n_bits, rows, wrap=False):
     """rows regions 15 blocks apart from a random frame; wrap puts the
     block counter past 2^64 mid-batch."""
-    nonce = (1 << 64) - 7 * rows if wrap else int(rng.integers(1 << 62))
+    nonce = (1 << 64) - 7 * max(rows, 1) if wrap else int(rng.integers(1 << 62))
     seed = _seed(int(rng.integers(1 << 31)), nonce=nonce)
     firsts = (int(rng.integers(1000)) + np.arange(rows)) * 15 + 3
     return KeystreamRegions(seed, n_bits, firsts.tolist())
 
 
-@pytest.mark.parametrize("rows", [MIN_ROWS - 1, MIN_ROWS, 3 * MIN_ROWS])
+def _eager(regions):
+    """The [F, n_bits] bit array a KeystreamRegions batch stands for."""
+    return keystream(regions.seed, regions.n_bits, regions.first_blocks)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 63, 64, 192])
 @pytest.mark.parametrize("case", range(len(LOCKSTEP_CASES)), ids=LOCKSTEP_IDS)
-def test_lockstep_kernel_matches_per_row_kernel(monkeypatch, case, rows):
-    draw, budget = LOCKSTEP_CASES[case]
-    calls = _lockstep_spy(monkeypatch)
+def test_lockstep_kernel_matches_per_row_kernel(case, rows):
+    draw, reference, budget = LOCKSTEP_CASES[case]
     rng = np.random.default_rng(3000 + 10 * case + rows)
     # full budgets, one of them with a wrapping counter, then budgets cut
     # to nothing and to a random length, most of which some row runs dry on
     n_bits = [budget, budget, 0] + rng.integers(0, budget + 1, 4).tolist()
-    drawn = []  # per batch, whether no row ran dry
+    outcomes = []
     for i, bits in enumerate(n_bits):
         regions = _random_regions(rng, bits, rows, wrap=i == 1)
-        want = _per_row_outcome(monkeypatch, draw, regions)
-        calls.clear()
+        want = _reference_rows(reference, _eager(regions))
         assert _outcome(draw, regions) == want
-        # the lockstep kernel runs at MIN_ROWS rows and above, and draws
-        # every batch no row runs dry on
-        ran_dry = isinstance(want, str)
-        assert calls == ([(rows, not ran_dry)] if rows >= MIN_ROWS else [])
-        drawn.append(not ran_dry)
-    assert drawn[0] or drawn[1]
+        outcomes.append(want)
+    assert not all(isinstance(o, str) for o in outcomes[:2])
 
 
-@pytest.mark.parametrize("rows", [MIN_ROWS - 1, MIN_ROWS + 1])
+@pytest.mark.parametrize("rows", [1, 2, 40])
+@pytest.mark.parametrize("size, count", [(600, None), (1000, 8), (2000, 8)])
+def test_wide_plans_on_region_batches_match_reference(size, count, rows):
+    # draws of 10 and 11 bits, read through three bytes; full budgets, then
+    # one bit short of the no-rejection need, on which every row runs dry,
+    # and a little over it
+    if count is None:
+        draw, reference, budget = _perm_case(size)
+    else:
+        draw, reference, budget = _subset_case(np.arange(size), count)
+    rng = np.random.default_rng(3300 + size + rows)
+    need = budget // 4
+    n_bits = [budget, budget, need - 1, need + int(rng.integers(32))]
+    outcomes = []
+    for i, bits in enumerate(n_bits):
+        regions = _random_regions(rng, bits, rows, wrap=i == 1)
+        want = _reference_rows(reference, _eager(regions))
+        assert _outcome(draw, regions) == want
+        outcomes.append(isinstance(want, str))
+    assert outcomes[:2] == [False, False] and any(outcomes)
+
+
+@pytest.mark.parametrize("rows", [63, 65])
 @pytest.mark.parametrize("case", [5, 8, 10], ids=["perm64", "perm140", "subset48of4"])
-def test_region_rows_keyed_per_row_match_single_seed_draws(monkeypatch, case, rows):
-    draw, budget = LOCKSTEP_CASES[case]
-    calls = _lockstep_spy(monkeypatch)
+def test_region_rows_keyed_per_row_match_single_seed_draws(case, rows):
+    draw, reference, budget = LOCKSTEP_CASES[case]
     rng = np.random.default_rng(3050 + 10 * case + rows)
     keys = [
         _seed(int(rng.integers(1 << 31)), nonce=int(rng.integers(1, 1 << 62)))
@@ -619,10 +644,10 @@ def test_region_rows_keyed_per_row_match_single_seed_draws(monkeypatch, case, ro
     firsts = ((np.arange(rows) % 11) * 15 + 3).tolist()
     got = draw(KeystreamRegions(seeds, budget, firsts)).tolist()
     assert len(set(seeds)) == 4
-    assert calls == ([(rows, True)] if rows >= MIN_ROWS else [])
     for row, seed, first in zip(got, seeds, firsts):
-        alone = draw(KeystreamRegions(seed, budget, [first])).tolist()
-        assert alone == [row] == [draw(keystream(seed, budget, first)).tolist()]
+        assert row == reference(keystream(seed, budget, first)).tolist()
+    one = draw(KeystreamRegions(seeds[-1], budget, firsts[-1:])).tolist()
+    assert one == got[-1:] == [draw(keystream(seeds[-1], budget, firsts[-1])).tolist()]
 
 
 def test_lockstep_kernel_matches_on_mostly_ones_rows(monkeypatch):
@@ -640,58 +665,37 @@ def test_lockstep_kernel_matches_on_mostly_ones_rows(monkeypatch):
         return out
 
     monkeypatch.setattr(ks_module, "_block_digest", biased_digest)
-    calls = _lockstep_spy(monkeypatch)
     rng = np.random.default_rng(3100)
-    drawn = Counter()
+    ran_dry = Counter()
     for case in range(40):
-        draw, budget = LOCKSTEP_CASES[case % len(LOCKSTEP_CASES)]
-        regions = _random_regions(rng, budget, MIN_ROWS)
-        rows = range(MIN_ROWS) if case % 2 else [int(rng.integers(MIN_ROWS))]
+        draw, reference, budget = LOCKSTEP_CASES[case % len(LOCKSTEP_CASES)]
+        regions = _random_regions(rng, budget, 64)
+        rows = range(64) if case % 2 else [int(rng.integers(64))]
         biased_blocks.clear()
         for row in rows:
             start = regions.seed.nonce + regions.first_blocks[row]
             biased_blocks.update(start + b for b in range(-(-budget // BLOCK_BITS)))
-        want = _per_row_outcome(monkeypatch, draw, regions)
-        calls.clear()
+        want = _reference_rows(reference, _eager(regions))
         assert _outcome(draw, regions) == want
-        drawn[calls[0][1], isinstance(want, str)] += 1
-    # some batches drawn in lockstep, some handed over and run dry
-    assert drawn[True, False] and drawn[False, True]
-    assert not drawn[True, True]
+        ran_dry[isinstance(want, str)] += 1
+    # some batches drawn, some run dry
+    assert ran_dry[True] and ran_dry[False]
 
 
 def test_lockstep_kernel_hashes_a_prefix_of_each_region(monkeypatch):
-    hashed = []
-    digest = ks_module._block_digest
-
-    def recording_digest(state, block):
-        hashed.append(block % (1 << 64))
-        return digest(state, block)
-
-    monkeypatch.setattr(ks_module, "_block_digest", recording_digest)
-    calls = _lockstep_spy(monkeypatch)
+    hashed = _record_hashes(monkeypatch)
     rng = np.random.default_rng(3200)
     reached = Counter()
     for case in range(3 * len(LOCKSTEP_CASES)):
-        draw, budget = LOCKSTEP_CASES[case % len(LOCKSTEP_CASES)]
+        draw, _, budget = LOCKSTEP_CASES[case % len(LOCKSTEP_CASES)]
         # full budgets, and budgets cut to about the no-rejection need
         n_bits = budget if case % 3 else budget // 4 + int(rng.integers(64))
-        regions = _random_regions(rng, n_bits, 2 * MIN_ROWS, wrap=case % 5 == 0)
+        regions = _random_regions(rng, n_bits, 128, wrap=case % 5 == 0)
         hashed.clear()
-        calls.clear()
         _outcome(draw, regions)
-        if not calls[0][1]:
-            continue
         n_blocks = -(-n_bits // BLOCK_BITS)
-        owned = 0
-        for first in regions.first_blocks:
-            start = regions.seed.nonce + first
-            own = [b for b in hashed if (b - start) % (1 << 64) < 15]
-            assert own == [(start + i) % (1 << 64) for i in range(len(own))]
-            assert len(own) <= n_blocks
+        for own in _blocks_by_row(hashed, regions):
             reached[len(own) == n_blocks] += 1
-            owned += len(own)
-        assert owned == len(hashed)
-    # the lockstep kernel drew batches whose rows stopped short of their
-    # region's end, and batches in which some row hashed all of it
+    # rows that stopped short of their region's end, and rows that hashed
+    # all of it
     assert reached[False] and reached[True]

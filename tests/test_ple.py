@@ -9,7 +9,7 @@ from physec.keystream import KeystreamSeed, keystream
 from physec.modulation import QAM16, QPSK, map_symbols, min_decision_distance
 from physec.ofdm import (
     OfdmConfig,
-    awgn_link,
+    awgn_rows,
     ebn0_db_to_snr_db,
     ofdm_demodulate,
     ofdm_modulate,
@@ -342,11 +342,11 @@ def _eve_ber(stack, n_frames, alice=24, eve=25, payload_seed=26):
     codec_a = PleCodec(cfg, stack, _seed(alice))
     codec_e = PleCodec(cfg, stack, _seed(eve))
     rng = np.random.default_rng(payload_seed)
-    wrong = 0
-    for f in range(n_frames):
-        bits = rng.integers(0, 2, size=96, dtype=np.uint8)
-        frame = codec_a.encrypt(bits, f)
-        wrong += int(np.sum(codec_e.decrypt(frame, f) != bits))
+    # frame f carries the f-th 96-bit payload draw
+    frames = np.arange(n_frames)
+    bits = rng.integers(0, 2, size=(n_frames, 96), dtype=np.uint8)
+    samples = codec_a.encrypt_batch(bits, frames)
+    wrong = int(np.sum(codec_e.decrypt_batch(samples, frames) != bits))
     return wrong / (n_frames * 96)
 
 
@@ -364,11 +364,12 @@ def test_full_stack_degradation_within_half_db():
     snr = ebn0_db_to_snr_db(8.0, QPSK)
     rng = np.random.default_rng(28)
     n_frames = 5000
-    errors = 0
-    for f in range(n_frames):
-        bits = rng.integers(0, 2, size=96, dtype=np.uint8)
-        noisy = awgn_link(codec.encrypt(bits, f), snr, rng_seed=10_000 + f)
-        errors += int(np.sum(codec.decrypt(noisy, f) != bits))
+    # frame f: the f-th 96-bit payload draw, noise seeded with 10_000 + f
+    frames = np.arange(n_frames)
+    bits = rng.integers(0, 2, size=(n_frames, 96), dtype=np.uint8)
+    seeds = (10_000 + frames).tolist()
+    noisy = awgn_rows(codec.encrypt_batch(bits, frames), snr, seeds)
+    errors = int(np.sum(codec.decrypt_batch(noisy, frames) != bits))
     ber = errors / (n_frames * 96)
     bound = 0.5 * math.erfc(math.sqrt(10 ** (7.5 / 10)))
     assert ber <= bound

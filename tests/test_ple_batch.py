@@ -57,7 +57,7 @@ def test_batch_rows_equal_single_frames_for_every_subset(mapping):
         assert np.array_equal(codec.decrypt_batch(samples, frames), bits), stack
 
 
-@pytest.mark.parametrize("rows", [5, ks_module.LOCKSTEP_MIN_ROWS + 6])
+@pytest.mark.parametrize("rows", [5, 70])
 @pytest.mark.parametrize("mapping", [QPSK, QAM16])
 def test_rows_keyed_per_row_equal_single_key_codecs(mapping, rows):
     cfg = wifi_like_config(mapping)
