@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
+from .rng import check_seed
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,8 @@ class ChannelParams:
         and the legitimate channel, in [-1, 1]. 0 models an eavesdropper
         beyond spatial decorrelation distance.
     n_probes: number of probing rounds.
-    rng_seed: seed for the simulation; identical params reproduce identical
-        traces bit for bit.
+    rng_seed: seed for the simulation, an integer in [0, 2^128); identical
+        params reproduce identical traces bit for bit.
     """
 
     temporal_correlation: float = 0.99
@@ -54,6 +55,7 @@ class ChannelParams:
             raise ParameterError("eve_correlation must be in [-1, 1]")
         if self.n_probes < 1:
             raise ParameterError("n_probes must be >= 1")
+        check_seed(self.rng_seed, "rng_seed")
 
     @property
     def noise_std(self) -> float:

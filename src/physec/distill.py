@@ -31,6 +31,7 @@ from .errors import (
     ParameterError,
     ReconcileFailure,
 )
+from .rng import check_seed
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ def _blocks(key: BitKey, code: LinearBlockCode) -> np.ndarray:
 def sketch(k_a: BitKey, code: LinearBlockCode, rng_seed: int) -> SecureSketch:
     """Build the public sketch s = k_a XOR c, one random codeword per block."""
     blocks = _blocks(k_a, code)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(check_seed(rng_seed, "rng_seed"))
     msgs = rng.integers(0, 2, size=(blocks.shape[0], code.k_code), dtype=np.uint8)
     codewords = code.encode(msgs)
     return SecureSketch(

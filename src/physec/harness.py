@@ -67,6 +67,7 @@ from .quantize import (
     quantize_cdf,
     quantize_mean_sigma,
 )
+from .rng import generators
 
 METRIC_NAMES = (
     "kdr",
@@ -593,8 +594,7 @@ def _ber_trial(point: SweepPoint, trials: list) -> list[tuple[float, float]]:
     alice_keys, bob_keys, eve_keys, ber_seeds = zip(*trials)
     payloads = np.empty((len(trials), n_frames, cfg.payload_bits), dtype=np.uint8)
     noise_seeds = []
-    for rows, ber_seed in zip(payloads, ber_seeds):
-        rng = np.random.default_rng(ber_seed)
+    for rows, rng in zip(payloads, generators(ber_seeds)):
         for payload in rows:
             payload[:] = rng.integers(0, 2, cfg.payload_bits, dtype=np.uint8)
             noise_seeds.append(int(rng.integers(1 << 62)))

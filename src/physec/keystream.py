@@ -71,11 +71,7 @@ def keystream(seed, n_bits: int, block_offset=0) -> np.ndarray:
         out = np.zeros((len(rows), n_bits), dtype=np.uint8)
         return out if batch else out[0]
     n_blocks = -(-n_bits // BLOCK_BITS)
-    digests = b"".join(
-        _block_digest(state, first + i)
-        for state, first in rows
-        for i in range(n_blocks)
-    )
+    digests = _hash_blocks(rows, n_blocks)
     packed = np.frombuffer(digests, dtype=np.uint8).reshape(len(rows), -1)
     out = np.unpackbits(packed, axis=1, count=n_bits)
     return out if batch else out[0]
@@ -121,11 +117,18 @@ def _key_state(seed: KeystreamSeed):
     return hashlib.sha256(pack_bits(seed.key.bits))
 
 
-def _block_digest(state, block: int) -> bytes:
-    """Digest of one keystream block: the key state plus its 64-bit counter."""
-    h = state.copy()
-    h.update((block % (1 << 64)).to_bytes(8, "big"))
-    return h.digest()
+def _hash_blocks(rows, count: int) -> bytes:
+    """Digests of count blocks of each (key state, first block) row, row
+    after row: block first + i is a copy of the key state fed the 64-bit
+    counter (first + i) mod 2^64, big-endian."""
+    digests = []
+    for state, first in rows:
+        copy = state.copy
+        for block in range(first, first + count):
+            h = copy()
+            h.update((block % (1 << 64)).to_bytes(8, "big"))
+            digests.append(h.digest())
+    return b"".join(digests)
 
 
 @dataclass(frozen=True)
@@ -280,11 +283,7 @@ def _lockstep_swaps(items: list, plan, n_bits: int, source) -> np.ndarray:
         floor = -(-sum(width * count for width, _, count, *_ in groups) // BLOCK_BITS)
         floor = min(floor, n_blocks)
         buf = np.zeros((rows, n_blocks * block_bytes + span), dtype=np.uint8)
-        digests = b"".join(
-            _block_digest(state, first + i)
-            for state, first in keys
-            for i in range(floor)
-        )
+        digests = _hash_blocks(keys, floor)
         buf[:, : floor * block_bytes] = np.frombuffer(digests, np.uint8).reshape(
             rows, floor * block_bytes
         )
@@ -311,11 +310,10 @@ def _lockstep_swaps(items: list, plan, n_bits: int, source) -> np.ndarray:
                 need = np.minimum(-(-end // BLOCK_BITS), n_blocks)
                 for r in np.flatnonzero(need > hashed).tolist():
                     state, first_block = keys[r]
-                    for b in range(hashed[r], need[r]):
-                        at = b * block_bytes
-                        buf[r, at : at + block_bytes] = np.frombuffer(
-                            _block_digest(state, first_block + b), np.uint8
-                        )
+                    done, todo = int(hashed[r]), int(need[r] - hashed[r])
+                    digests = _hash_blocks([(state, first_block + done)], todo)
+                    at = done * block_bytes
+                    buf[r, at : at + len(digests)] = np.frombuffer(digests, np.uint8)
                     hashed[r] = need[r]
             tries = np.arange(tried, tried + attempts)[:, None]
             bit = np.minimum(pos + width * tries, n_bits)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import modulation
 from .errors import ParameterError
+from .rng import check_seed, generators
 
 
 @dataclass(frozen=True)
@@ -116,16 +117,19 @@ def awgn_link(samples, snr_db: float, rng_seed: int) -> np.ndarray:
     Per-sample noise variance is 10^(-snr_db/10) relative to unit signal
     power; +inf leaves the samples unchanged.
     """
+    check_seed(rng_seed, "rng_seed")
     return awgn_rows(np.asarray(samples)[None], snr_db, [rng_seed])[0]
 
 
 def awgn_rows(samples, snr_db: float, seeds) -> np.ndarray:
     """Add circularly symmetric complex Gaussian noise to each row of
-    samples[F, n], row f from a generator seeded with seeds[f].
+    samples[F, n], row f from np.random.default_rng(seeds[f]).
 
     Per-sample noise variance is 10^(-snr_db/10) relative to unit signal
-    power, drawn as n real parts then n imaginary parts (one
-    standard_normal(2 n) call per row); +inf returns the samples unchanged.
+    power, drawn as n real parts then n imaginary parts: row f's noise is
+    default_rng(seeds[f]).standard_normal(2 n), though rng.generators seeds
+    every row's generator at once. Seeds are integers in [0, 2^128); +inf
+    returns the samples unchanged.
     """
     if np.isnan(snr_db) or snr_db == -np.inf:
         raise ParameterError("snr_db must be a real value or +inf")
@@ -133,13 +137,16 @@ def awgn_rows(samples, snr_db: float, seeds) -> np.ndarray:
     if x.ndim != 2 or len(seeds) != x.shape[0]:
         raise ParameterError(f"need one seed per row of samples, got {x.shape}")
     if snr_db == np.inf:
+        for seed in seeds:
+            check_seed(seed, "seeds")
         return x
     sigma = 10.0 ** (-snr_db / 20.0)
     n = x.shape[1]
+    draws = np.empty((x.shape[0], 2 * n))
+    for gen, row in zip(generators(seeds), draws):
+        gen.standard_normal(out=row)
     noise = np.empty_like(x)
-    for row, seed in zip(noise, seeds):
-        draw = np.random.default_rng(seed).standard_normal(2 * n)
-        row.real, row.imag = draw[:n], draw[n:]
+    noise.real, noise.imag = draws[:, :n], draws[:, n:]
     return x + noise * (sigma / np.sqrt(2))
 
 

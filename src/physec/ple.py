@@ -6,8 +6,9 @@ that row's keystream bits; PleCodec calls them in this order:
 
 * xor (keystream.xor_encrypt): bit-level stream cipher on the payload.
 * phase (phase_encrypt / phase_decrypt): per-symbol rotation by keyed
-  angles (2 pi v / 2^q), optionally with a keyed bounded perturbation the
-  receiver subtracts exactly; flattened symbols.
+  angles (2 pi v / 2^q, each rotation looked up in a table of the 2^q),
+  optionally with a keyed bounded perturbation the receiver subtracts
+  exactly; flattened symbols.
 * partial_interleave (partial_interleave / partial_deinterleave): swap
   Re/Im of the data symbols[F, n_data] whose phase exceeds the public
   INTERLEAVE_THRESHOLD.
@@ -15,7 +16,8 @@ that row's keystream bits; PleCodec calls them in this order:
   place, with keyed constellation symbols; ks[F, budget].
 * scramble_freq / scramble_time (scramble_* / unscramble_*): keyed index
   permutations perm[F, n_fft] of the subcarrier grid[F, n_fft] and of the
-  prefix-free post-IFFT samples core[F, n_fft].
+  prefix-free post-IFFT samples core[F, n_fft]; each call checks its
+  perm rows, except those the codec drew, which it checks once per batch.
 
 Each enabled scheme owns a fixed region of keystream blocks per frame, so
 budgets are deterministic, frames never reuse keystream, and the receiver
@@ -38,6 +40,7 @@ time-domain samples, cyclic prefix first.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,8 +123,20 @@ class PhaseEncryptConfig:
             )
 
 
+@functools.lru_cache(maxsize=32)
+def _rotations(q: int, sign: int) -> np.ndarray:
+    """exp(sign i theta) for each angle word v of q bits, theta = 2 pi v / 2^q:
+    the rotation phase_encrypt (sign 1) or phase_decrypt (sign -1) applies
+    to a symbol whose angle word is v. Read-only."""
+    theta = 2.0 * math.pi * np.arange(1 << q) / (1 << q)
+    table = np.exp(sign * 1j * theta)
+    table.flags.writeable = False
+    return table
+
+
 def _phase_terms(n_symbols: int, ks, cfg: PhaseEncryptConfig):
-    """Keyed rotation angles and perturbations for n_symbols symbols.
+    """Keyed angle words v (rotation 2 pi v / 2^q) and perturbations for
+    n_symbols symbols.
 
     Layout per symbol: q angle bits, then (when noise is enabled) 8 radius
     bits and 8 perturbation-angle bits, all big-endian.
@@ -134,28 +149,27 @@ def _phase_terms(n_symbols: int, ks, cfg: PhaseEncryptConfig):
     words = bits[:need].reshape(n_symbols, per)
     q = cfg.bits_per_angle
     v = words[:, :q] @ (1 << np.arange(q - 1, -1, -1))
-    theta = 2.0 * math.pi * v / (1 << q)
     noise = np.zeros(n_symbols, dtype=complex)
     if cfg.noise_enabled:
         byte_weights = 1 << np.arange(7, -1, -1)
         radius = cfg.noise_scale * (words[:, q : q + 8] @ byte_weights) / 256.0
         angle = 2.0 * math.pi * (words[:, q + 8 : q + 16] @ byte_weights) / 256.0
         noise = radius * np.exp(1j * angle)
-    return theta, noise
+    return v, noise
 
 
 def phase_encrypt(symbols, ks, cfg: PhaseEncryptConfig) -> np.ndarray:
     """Rotate each symbol by its keyed angle and add the keyed perturbation."""
     sym = np.asarray(symbols, dtype=complex)
-    theta, noise = _phase_terms(sym.size, ks, cfg)
-    return sym * np.exp(1j * theta) + noise
+    v, noise = _phase_terms(sym.size, ks, cfg)
+    return sym * _rotations(cfg.bits_per_angle, 1)[v] + noise
 
 
 def phase_decrypt(symbols, ks, cfg: PhaseEncryptConfig) -> np.ndarray:
     """Exact inverse: subtract the perturbation, then derotate."""
     sym = np.asarray(symbols, dtype=complex)
-    theta, noise = _phase_terms(sym.size, ks, cfg)
-    return (sym - noise) * np.exp(-1j * theta)
+    v, noise = _phase_terms(sym.size, ks, cfg)
+    return (sym - noise) * _rotations(cfg.bits_per_angle, -1)[v]
 
 
 def _principal_angle(values: np.ndarray) -> np.ndarray:
@@ -233,16 +247,28 @@ def insert_dummy(grids: np.ndarray, ks, cfg: OfdmConfig) -> None:
     np.put_along_axis(grids, slots, values.reshape(-1, count), axis=1)
 
 
+class _CheckedPerms(np.ndarray):
+    """Permutation rows PleCodec._perm has drawn and checked, which
+    _permute takes without sorting them again."""
+
+
+def _check_perms(perm: np.ndarray, shape: tuple) -> None:
+    """Raise ParameterError unless perm[F, n] has the given shape and each
+    row sorts to 0..n-1; one check covers the whole batch."""
+    n = shape[-1]
+    if perm.shape != shape or not (np.sort(perm, axis=-1) == np.arange(n)).all():
+        raise ParameterError(f"not a permutation of 0..{n - 1} per row")
+
+
 def _permute(data: np.ndarray, perm, inverse: bool = False) -> np.ndarray:
     """Permute data[F, n] along the last axis, one perm row per data row:
     output i = input perm[i]; inverse undoes it (output perm[i] = input i).
 
-    perm is checked once for the whole batch: each row must sort to 0..n-1.
+    perm is checked as _check_perms does, unless the codec drew it.
     """
     p = np.asarray(perm, dtype=np.intp)
-    n = data.shape[-1]
-    if p.shape != data.shape or not (np.sort(p, axis=-1) == np.arange(n)).all():
-        raise ParameterError(f"not a permutation of 0..{n - 1} per row")
+    if not isinstance(perm, _CheckedPerms):
+        _check_perms(p, data.shape)
     if not inverse:
         return np.take_along_axis(data, p, axis=-1)
     out = np.empty_like(data)
@@ -399,13 +425,17 @@ class PleCodec:
         """Each scramble scheme's keyed permutation per frame, {scheme:
         [F, n_fft]}, read-only; starts are the frames' first blocks. Every
         scheme's regions, one per frame, go to one keyed_permutation call:
-        both scrambles budget permutation_allocation_bits(n_fft)."""
+        both scrambles budget permutation_allocation_bits(n_fft). The
+        permutations are checked here, once, and the scramble stages take
+        them unchecked."""
         firsts = [s + self._region_offset[scheme] for scheme in schemes for s in starts]
         seed = self.seed
         if not isinstance(seed, KeystreamSeed):
             seed *= len(schemes)
         regions = KeystreamRegions(seed, self._budgets[schemes[0]], firsts)
         perms = keyed_permutation(self.cfg.n_fft, regions)
+        _check_perms(perms, (len(firsts), self.cfg.n_fft))
+        perms = perms.view(_CheckedPerms)
         perms.flags.writeable = False
         by_scheme = perms.reshape(len(schemes), len(starts), self.cfg.n_fft)
         return dict(zip(schemes, by_scheme))

@@ -27,6 +27,7 @@ import numpy as np
 
 from .channel import ChannelTrace
 from .errors import ParameterError
+from .rng import check_seed
 
 TRACE_HEADER = ("timestamp_a", "rss_a", "timestamp_b", "rss_b")
 CHUNK_ROWS = 4096  # data rows parsed at a time: bounds the parser's memory
@@ -84,6 +85,7 @@ class LossModel:
     def __post_init__(self):
         if not 0.0 <= self.loss_probability < 1.0:
             raise ParameterError("loss_probability must be in [0, 1)")
+        check_seed(self.rng_seed, "rng_seed")
 
 
 def apply_loss(trace: ChannelTrace, loss: LossModel):

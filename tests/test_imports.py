@@ -93,6 +93,15 @@ def test_config_and_trace_tools_load_no_scipy_or_pool(script, argv, trace_path):
     assert _heavy(_run(script + MODULES, *argv(trace_path))) == []
 
 
+def test_importing_physec_loads_numpy_random_only_if_numpy_does():
+    # numpy 2 loads numpy.random at first use, ~30 ms that a fresh
+    # interpreter loading a config need not pay; physec.rng imports it when
+    # it first seeds generators
+    numpy_alone = _run("import numpy" + MODULES)
+    package = _run("import physec" + MODULES)
+    assert ("numpy.random" in package) == ("numpy.random" in numpy_alone)
+
+
 def test_simulating_a_channel_loads_the_filter():
     # scipy.signal imports scipy.special itself, so only the filter's
     # module is checked here

@@ -479,16 +479,21 @@ def _blocks_by_row(hashed, regions):
     return by_row
 
 
+def _hashed_counters(rows, count) -> list:
+    """The block counters _hash_blocks(rows, count) hashes, in its order."""
+    return [(first + i) % (1 << 64) for _, first in rows for i in range(count)]
+
+
 def _record_hashes(monkeypatch):
-    """The list of block counters _block_digest hashes from now on."""
+    """The list of block counters _hash_blocks hashes from now on."""
     hashed = []
-    digest = ks_module._block_digest
+    hash_blocks = ks_module._hash_blocks
 
-    def recording_digest(state, block):
-        hashed.append(block % (1 << 64))
-        return digest(state, block)
+    def recording_hash_blocks(rows, count):
+        hashed.extend(_hashed_counters(rows, count))
+        return hash_blocks(rows, count)
 
-    monkeypatch.setattr(ks_module, "_block_digest", recording_digest)
+    monkeypatch.setattr(ks_module, "_hash_blocks", recording_hash_blocks)
     return hashed
 
 
@@ -653,18 +658,23 @@ def test_region_rows_keyed_per_row_match_single_seed_draws(case, rows):
 def test_lockstep_kernel_matches_on_mostly_ones_rows(monkeypatch):
     # rows of three-quarters ones reject most draws, so they read window
     # after window and many run dry; one such row among fair rows
-    digest = ks_module._block_digest
+    hash_blocks = ks_module._hash_blocks
     biased_blocks = set()
 
-    def biased_digest(state, block):
-        out = digest(state, block)
-        if block % (1 << 64) in biased_blocks:
+    def biased_digest(out, block):
+        if block in biased_blocks:
             more = hashlib.sha256(out).digest()
             out = bytes(a | b for a, b in zip(out, hashlib.sha256(more).digest()))
             out = bytes(a | b for a, b in zip(out, more))
         return out
 
-    monkeypatch.setattr(ks_module, "_block_digest", biased_digest)
+    def biased_hash_blocks(rows, count):
+        out = hash_blocks(rows, count)
+        digests = [out[at : at + 32] for at in range(0, len(out), 32)]
+        blocks = _hashed_counters(rows, count)
+        return b"".join(map(biased_digest, digests, blocks))
+
+    monkeypatch.setattr(ks_module, "_hash_blocks", biased_hash_blocks)
     rng = np.random.default_rng(3100)
     ran_dry = Counter()
     for case in range(40):

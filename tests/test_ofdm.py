@@ -153,6 +153,24 @@ def test_awgn_rows_equal_awgn_link_per_row_seed():
         awgn_rows(samples, 8.0, seeds[:5])
 
 
+def test_awgn_rows_equal_per_row_default_rng_draws():
+    # rows seeded across the seed domain, each against its own generator's
+    # standard_normal(2 n) draw, as the per-row loop drew it
+    rng = np.random.default_rng(43)
+    samples = rng.standard_normal((300, 80)) + 1j * rng.standard_normal((300, 80))
+    seeds = [int(s) for s in rng.integers(1 << 62, size=297)]
+    seeds += [0, (1 << 64) + 5, (1 << 128) - 1]
+    n = samples.shape[1]
+    for snr_db in (8.0, 0.0):
+        sigma = 10.0 ** (-snr_db / 20.0)
+        noise = np.empty_like(samples)
+        for row, seed in zip(noise, seeds):
+            draw = np.random.default_rng(seed).standard_normal(2 * n)
+            row.real, row.imag = draw[:n], draw[n:]
+        want = samples + noise * (sigma / np.sqrt(2))
+        assert awgn_rows(samples, snr_db, seeds).tobytes() == want.tobytes()
+
+
 def test_ebn0_conversion():
     assert ebn0_db_to_snr_db(4.0, QPSK) == pytest.approx(4.0 + 10 * np.log10(2))
     assert ebn0_db_to_snr_db(4.0, QAM16) == pytest.approx(4.0 + 10 * np.log10(4))

@@ -241,6 +241,30 @@ def test_scramble_time_refreshes_prefix():
         assert np.array_equal(tx[:, : cfg.cp_len], tx[:, -cfg.cp_len :])
 
 
+@pytest.mark.parametrize("noise", [False, True])
+def test_phase_stage_equals_rotation_formula_bit_for_bit(noise):
+    # the table lookup against sym * exp(1j theta) + noise and its inverse,
+    # theta = 2 pi v / 2^q computed per symbol
+    rng = np.random.default_rng(44)
+    sym = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+    for q in range(1, 17):
+        cfg = PhaseEncryptConfig(q, noise, 0.1 if noise else 0.0)
+        ks = rng.integers(0, 2, cfg.bits_per_symbol() * sym.size, dtype=np.uint8)
+        words = ks.reshape(sym.size, -1)
+        v = words[:, :q] @ (1 << np.arange(q - 1, -1, -1))
+        theta = 2.0 * math.pi * v / (1 << q)
+        perturbation = np.zeros(sym.size, dtype=complex)
+        if noise:
+            weights = 1 << np.arange(7, -1, -1)
+            radius = 0.1 * (words[:, q : q + 8] @ weights) / 256.0
+            angle = 2.0 * math.pi * (words[:, q + 8 : q + 16] @ weights) / 256.0
+            perturbation = radius * np.exp(1j * angle)
+        want = sym * np.exp(1j * theta) + perturbation
+        assert phase_encrypt(sym, ks, cfg).tobytes() == want.tobytes()
+        back = (want - perturbation) * np.exp(-1j * theta)
+        assert phase_decrypt(want, ks, cfg).tobytes() == back.tobytes()
+
+
 def test_scramble_rejects_non_permutation():
     grid = _qpsk_grid(wifi_like_config(), seed=16)[None]
     with pytest.raises(ParameterError):

@@ -185,18 +185,19 @@ def test_kept_material_never_serves_another_batch():
 
 def test_batch_hashes_only_the_keystream_blocks_it_reads(monkeypatch):
     hashed, calls = [], []
-    digest, keystream = ks_module._block_digest, ple.keystream
+    hash_blocks, keystream = ks_module._hash_blocks, ple.keystream
 
-    def recording_digest(state, block):
-        hashed.append(block)
-        return digest(state, block)
+    def recording_hash_blocks(rows, count):
+        for _, first in rows:
+            hashed.extend(range(first, first + count))
+        return hash_blocks(rows, count)
 
     # positional-only, as the benchmark's trace hook reads the bits as args[1]
     def counting_keystream(seed, n_bits, /, block_offset=0):
         calls.append((n_bits, list(block_offset)))
         return keystream(seed, n_bits, block_offset)
 
-    monkeypatch.setattr(ks_module, "_block_digest", recording_digest)
+    monkeypatch.setattr(ks_module, "_hash_blocks", recording_hash_blocks)
     monkeypatch.setattr(ple, "keystream", counting_keystream)
     cfg = wifi_like_config()
     codec = _fresh_codec(cfg)
@@ -260,6 +261,33 @@ def test_each_scramble_permutation_derived_once_per_batch(monkeypatch):
         for f in frames.tolist()
     ]
     assert calls == [(cfg.n_fft, tuple(firsts))]
+
+
+def test_derived_permutations_checked_once_per_batch(monkeypatch):
+    checks = []
+    check_perms = ple._check_perms
+
+    def counting_check(perm, shape):
+        checks.append(shape)
+        return check_perms(perm, shape)
+
+    monkeypatch.setattr(ple, "_check_perms", counting_check)
+    cfg = wifi_like_config()
+    frames = np.array([5, 6, 1])
+    bits = _payloads(cfg, frames.size, 16)
+    codec = _fresh_codec(cfg)
+    samples = codec.encrypt_batch(bits, frames)
+    assert np.array_equal(codec.decrypt_batch(samples, frames), bits)
+    assert np.array_equal(_fresh_codec(cfg).decrypt_batch(samples, frames), bits)
+    # once per codec that draws them, both scrambles' rows at once, and
+    # never in the four scramble and unscramble calls
+    assert checks == [(2 * frames.size, cfg.n_fft)] * 2
+    # a plain copy of them, handed to a stage from outside, is checked
+    perms = codec._kept[2]["scramble_freq"]
+    grid = np.zeros((frames.size, cfg.n_fft), dtype=complex)
+    checks.clear()
+    ple.scramble_freq(grid, np.array(perms))
+    assert checks == [grid.shape]
 
 
 STAGES = (
