@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
-from .rng import check_seed
+from .rng import check_seed, spawned
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ def _sampling_grid(n: int, rho: float, tau: float) -> _SamplingGrid:
     )
 
 
-def generate_trace(params: ChannelParams) -> ChannelTrace:
+def generate_trace(params: ChannelParams, rngs=None) -> ChannelTrace:
     """Simulate one probing session.
 
     Bob samples the fading process h at integer times, Alice at the same
@@ -208,12 +208,19 @@ def generate_trace(params: ChannelParams) -> ChannelTrace:
     The sample times and the fading process's step terms depend only on
     (n_probes, rho_t, tau): they are built once per such grid and reused by
     every trial on it, which draws only its own noise.
+
+    The draws come from the five generators of
+    SeedSequence(params.rng_seed).spawn(5), in spawn order: the fading
+    process, Eve's copy of it, then Alice's, Bob's and Eve's noise. rngs,
+    when given, are those five in place of params.rng_seed's, as a caller
+    that seeds many trials at once builds them (physec.rng.spawned).
     """
     n = params.n_probes
     grid = _sampling_grid(n, params.temporal_correlation, params.sampling_delay)
 
-    seeds = np.random.SeedSequence(params.rng_seed).spawn(5)
-    rng_h, rng_g, rng_wa, rng_wb, rng_we = (np.random.default_rng(s) for s in seeds)
+    if rngs is None:
+        rngs = spawned([params.rng_seed], 5)[0]
+    rng_h, rng_g, rng_wa, rng_wb, rng_we = rngs
 
     h_union = _gauss_markov(rng_h.standard_normal(grid.union.size), grid.union_steps)
     h_b = h_union[grid.idx_b]

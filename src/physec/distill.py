@@ -31,7 +31,7 @@ from .errors import (
     ParameterError,
     ReconcileFailure,
 )
-from .rng import check_seed
+from .rng import check_seed, generators
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,16 @@ def _blocks(key: BitKey, code: LinearBlockCode) -> np.ndarray:
     return key.bits.reshape(-1, code.n_code)
 
 
-def sketch(k_a: BitKey, code: LinearBlockCode, rng_seed: int) -> SecureSketch:
-    """Build the public sketch s = k_a XOR c, one random codeword per block."""
+def sketch(k_a: BitKey, code: LinearBlockCode, rng_seed) -> SecureSketch:
+    """Build the public sketch s = k_a XOR c, one random codeword per block.
+
+    The codewords' messages are drawn from default_rng(rng_seed), or from
+    rng_seed itself when it is a np.random.Generator the caller built.
+    """
     blocks = _blocks(k_a, code)
-    rng = np.random.default_rng(check_seed(rng_seed, "rng_seed"))
+    rng = rng_seed
+    if not isinstance(rng, np.random.Generator):
+        rng = generators([check_seed(rng_seed, "rng_seed")])[0]
     msgs = rng.integers(0, 2, size=(blocks.shape[0], code.k_code), dtype=np.uint8)
     codewords = code.encode(msgs)
     return SecureSketch(

@@ -22,6 +22,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +68,7 @@ from .quantize import (
     quantize_cdf,
     quantize_mean_sigma,
 )
-from .rng import generators
+from .rng import generators, spawned, trial_states
 
 METRIC_NAMES = (
     "kdr",
@@ -183,7 +184,7 @@ _SCHEMA = {
         "values": _Leaf("a nonempty list", [30.0]),
     },
     "trials": _Leaf("an integer >= 1", 20),
-    "master_seed": _Leaf("an integer", 0),
+    "master_seed": _Leaf("an integer >= 0", 0),
 }
 
 
@@ -476,13 +477,14 @@ def key_generation_trial(
     quantizer_cfg,
     code: LinearBlockCode,
     out_len: int,
-    sketch_seed: int,
+    sketch_seed,
     salt: bytes,
     x_e=None,
 ) -> KeyGenResult:
     """Quantize, reconcile and amplify one aligned measurement pair.
 
-    Keys are truncated to a whole number of code blocks before sketching.
+    Keys are truncated to a whole number of code blocks before sketching;
+    sketch_seed is the sketch's seed or generator, as sketch takes it.
     An eavesdropper observation vector, when given, is distilled the same
     way, including the attempt to exploit the public sketch; it holds one
     observation per entry of x_a, else ParameterError is raised.
@@ -634,15 +636,40 @@ def _ber_trial(point: SweepPoint, trials: list) -> list[tuple[float, float]]:
     return list(zip(*bers))
 
 
-def run_single_trial(point: SweepPoint, sweep_index: int, trial_index: int) -> dict:
-    """Key generation of one Monte-Carlo trial: metric values with the BERs
-    still NaN, an optional error, and link, the trial as _ber_trial takes
-    it, or None when Alice has no key."""
-    seed_seq = np.random.SeedSequence((point.master_seed, sweep_index, trial_index))
-    state = seed_seq.generate_state(16)
-    channel_seed, loss_seed, sketch_seed, ber_seed = map(int, state[:4])
-    salt = state[8:16].tobytes()
+class _TrialSeeds(NamedTuple):
+    """One trial's seed material, from the 16 words of
+    SeedSequence((master_seed, sweep_index, trial_index)).generate_state(16)
+    (state): generate_trace's five generators, spawned from state[0], and
+    apply_loss's two, from state[1] (both None on a trace file); the
+    sketch's generator, default_rng(state[2]); the link's ber_seed,
+    state[3]; and the amplification salt, state[8:16]'s bytes."""
 
+    channel: list | None
+    loss: list | None
+    sketch: np.random.Generator
+    ber_seed: int
+    salt: bytes
+
+
+def _trial_seeds(point: SweepPoint, sweep_index: int, trial_indices) -> list:
+    """The _TrialSeeds of each of a point's trials, every generator of them
+    seeded in one pass (physec.rng)."""
+    states = trial_states(point.master_seed, sweep_index, trial_indices)
+    if point.trace_file is None:
+        channel = spawned(states[:, 0], 5)
+        loss = spawned(states[:, 1], 2)
+    else:
+        channel = loss = [None] * len(states)
+    return [
+        _TrialSeeds(*seeds, int(state[3]), state[8:16].tobytes())
+        for *seeds, state in zip(channel, loss, generators(states[:, 2]), states)
+    ]
+
+
+def run_single_trial(point: SweepPoint, seeds: _TrialSeeds) -> dict:
+    """Key generation of one Monte-Carlo trial, seeded by seeds: metric
+    values with the BERs still NaN, an optional error, and link, the trial
+    as _ber_trial takes it, or None when Alice has no key."""
     metrics = {name: math.nan for name in METRIC_NAMES}
     metrics["key_to_data_ratio"] = point.key_to_data_ratio
 
@@ -651,15 +678,22 @@ def run_single_trial(point: SweepPoint, sweep_index: int, trial_index: int) -> d
         x_e = None
         n_probes = max(len(x_a), 1)
     else:
-        params = replace(point.channel, rng_seed=channel_seed)
-        trace = generate_trace(params)
-        alice, bob = apply_loss(trace, replace(point.loss, rng_seed=loss_seed))
+        params = point.channel
+        trace = generate_trace(params, seeds.channel)
+        alice, bob = apply_loss(trace, point.loss, seeds.loss)
         x_a, x_b, rows = align_timestamps(alice, bob, params.sampling_delay)
         x_e = trace.x_e[rows]
         n_probes = params.n_probes
 
     result = key_generation_trial(
-        x_a, x_b, point.quantizer, point.code, point.out_len, sketch_seed, salt, x_e=x_e
+        x_a,
+        x_b,
+        point.quantizer,
+        point.code,
+        point.out_len,
+        seeds.sketch,
+        seeds.salt,
+        x_e=x_e,
     )
     metrics["kdr"] = result.kdr
     metrics["eve_kdr"] = result.eve_kdr
@@ -677,7 +711,7 @@ def run_single_trial(point: SweepPoint, sweep_index: int, trial_index: int) -> d
         runs = runs_test(result.alice_key.bits)
         if runs.applicable:
             metrics["runs_pass_rate"] = float(runs.passed)
-        link = (result.alice_key, result.bob_key, result.eve_key, ber_seed)
+        link = (result.alice_key, result.bob_key, result.eve_key, seeds.ber_seed)
     return {"metrics": metrics, "error": result.error, "link": link}
 
 
@@ -689,14 +723,23 @@ def run_single_trial(point: SweepPoint, sweep_index: int, trial_index: int) -> d
 # 100-frame link, ~5% of the ple_link benchmark's 108.9 MiB, and a
 # 200-frame link by 1.8 MiB
 LINK_FRAMES = 256
+# the most trials one batch seeds at once: a trial's eight generators take
+# ~6.5 KB (x86-64, numpy 2.4), so seeding a 20,000-trial point without a
+# link in one batch raised peak RSS by ~130 MiB over batches of 256
+BATCH_TRIALS = 256
 
 
-def _batches(point: SweepPoint, trials: int) -> list:
-    """A point's trial indices in order, cut into link batches of as many
-    whole trials as fit in LINK_FRAMES frames, at least one; one trial per
-    batch when the point runs no link, as there is nothing to share."""
+def _batches(point: SweepPoint, trials: int, jobs: int = 1) -> list:
+    """A point's trial indices in order, cut into batches that are seeded
+    at once. A point that runs a link is cut into link batches of as many
+    whole trials as fit in LINK_FRAMES frames, at least one. One that runs
+    none is cut into min(jobs, trials) batches of near-equal size, so that
+    its trials spread over every worker, or more where a batch would
+    exceed BATCH_TRIALS trials."""
     if point.ber_bits == 0:
-        return [range(t, t + 1) for t in range(trials)]
+        count = max(min(jobs, trials), -(-trials // BATCH_TRIALS))
+        cuts = [trials * k // count for k in range(count + 1)]
+        return [range(a, b) for a, b in zip(cuts, cuts[1:])]
     n_frames = -(-point.ber_bits // point.ofdm.payload_bits)
     size = max(1, LINK_FRAMES // n_frames)
     return [range(t, min(t + size, trials)) for t in range(0, trials, size)]
@@ -704,10 +747,12 @@ def _batches(point: SweepPoint, trials: int) -> list:
 
 def _run_batch(point: SweepPoint, sweep_index: int, trial_indices) -> list[dict]:
     """The outcomes, metrics and error, of a batch of one point's trials:
-    each trial's key generation, then one _ber_trial link of the trials
-    with keys. If that link raises, its trials are linked one at a time,
-    and a trial that raises records it as its ple: error."""
-    outcomes = [run_single_trial(point, sweep_index, t) for t in trial_indices]
+    the batch's seeds, then each trial's key generation, then one
+    _ber_trial link of the trials with keys. If that link raises, its
+    trials are linked one at a time, and a trial that raises records it as
+    its ple: error."""
+    seeds = _trial_seeds(point, sweep_index, trial_indices)
+    outcomes = [run_single_trial(point, trial) for trial in seeds]
     keyed = [o for o in outcomes if o["link"] is not None]
     try:
         bers = _ber_trial(point, [o["link"] for o in keyed])
@@ -750,14 +795,14 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
     The report is a JSON object: scenario, sweep_parameter, config (the
     merged config), config_hash, seed and results, one entry per sweep
     value. The trials run the points config_from_dict resolved, and each
-    trace file is read once per run. Each point's trials run in link
-    batches (_batches): every trial generates its keys, then the batch's
-    keyed trials cross one _ber_trial link. jobs=1 runs the batches in
-    order; more jobs map them over min(jobs, batches) worker processes,
-    with the same report bytes. Rates are means of per-trial indicator
-    variables and always land in [0, 1]; numeric metrics carry a standard
-    error when at least two trials produced a value. Per-trial module
-    errors are tallied per sweep point.
+    trace file is read once per run. Each point's trials run in batches
+    (_batches): a batch's trials are seeded at once, every trial generates
+    its keys, then the batch's keyed trials cross one _ber_trial link.
+    jobs=1 runs the batches in order; more jobs map them over
+    min(jobs, batches) worker processes, with the same report bytes. Rates
+    are means of per-trial indicator variables and always land in [0, 1];
+    numeric metrics carry a standard error when at least two trials
+    produced a value. Per-trial module errors are tallied per sweep point.
     """
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")
@@ -766,7 +811,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
     traces = {path: load_trace_csv(path) for path in paths}
     points = [replace(p, trace=traces.get(p.trace_file)) for p in config.points]
     tasks = [
-        (p, s, batch) for s, p in enumerate(points) for batch in _batches(p, trials)
+        (p, s, batch)
+        for s, p in enumerate(points)
+        for batch in _batches(p, trials, jobs)
     ]
     if jobs == 1:
         batches = [_run_batch(*task) for task in tasks]

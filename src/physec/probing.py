@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import ChannelTrace
 from .errors import ParameterError
-from .rng import check_seed
+from .rng import check_seed, spawned
 
 TRACE_HEADER = ("timestamp_a", "rss_a", "timestamp_b", "rss_b")
 CHUNK_ROWS = 4096  # data rows parsed at a time: bounds the parser's memory
@@ -88,17 +88,20 @@ class LossModel:
         check_seed(self.rng_seed, "rng_seed")
 
 
-def apply_loss(trace: ChannelTrace, loss: LossModel):
+def apply_loss(trace: ChannelTrace, loss: LossModel, rngs=None):
     """Drop each probe independently per direction.
 
     Returns Alice's and Bob's surviving probes (ProbeSide), with their
     original timestamps, values and trace indices. Deterministic for a fixed
-    LossModel seed.
+    LossModel seed: Alice's side draws from the first generator of
+    SeedSequence(loss.rng_seed).spawn(2), Bob's from the second. rngs, when
+    given, are those two in place of loss.rng_seed's (physec.rng.spawned).
     """
-    seeds = np.random.SeedSequence(loss.rng_seed).spawn(2)
+    if rngs is None:
+        rngs = spawned([loss.rng_seed], 2)[0]
     sides = []
-    for seed, t, x in zip(seeds, (trace.t_a, trace.t_b), (trace.x_a, trace.x_b)):
-        keep = np.random.default_rng(seed).random(x.size) >= loss.loss_probability
+    for rng, t, x in zip(rngs, (trace.t_a, trace.t_b), (trace.x_a, trace.x_b)):
+        keep = rng.random(x.size) >= loss.loss_probability
         rows = np.flatnonzero(keep)
         sides.append(ProbeSide(t[rows], x[rows], rows))
     return tuple(sides)

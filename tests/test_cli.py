@@ -142,6 +142,18 @@ def test_run_seed_over_a_master_seed_sweep_exit_1(tmp_path, capsys):
     )
 
 
+def test_run_negative_master_seed_exit_1(tmp_path, config_path, capsys):
+    """A negative seed is one config error, from the file or from --seed,
+    not a failure at the first trial."""
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({**FAST_CONFIG, "master_seed": -1}))
+    for argv in (["run", str(path)], ["run", config_path, "--seed", "-3"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "config error: master_seed must be an integer >= 0\n"
+        )
+
+
 def test_run_unwritable_out_exit_2(config_path, tmp_path, capsys):
     missing_dir = tmp_path / "no-such-dir" / "report.json"
     assert main(["run", config_path, "--out", str(missing_dir)]) == 2

@@ -49,6 +49,12 @@ BAD_CONFIGS = [
     ),
     ("trials-bool", {"trials": True}, "trials"),
     ("master_seed-bool", {"master_seed": True}, "master_seed"),
+    ("master_seed-negative", {"master_seed": -1}, "master_seed must be an integer >= 0"),
+    (
+        "sweep-master_seed-negative",
+        {"sweep": {"parameter": "master_seed", "values": [1, -2]}},
+        "sweep value -2: master_seed must be an integer >= 0",
+    ),
     ("ple.ber_bits-bool", {"ple": {"ber_bits": True}}, "ple.ber_bits"),
     (
         "ple.phase.noise_enabled-int",

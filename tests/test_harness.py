@@ -308,8 +308,9 @@ def test_reports_byte_identical_across_jobs():
         )
     )
     serial = report_json_bytes(run_experiment(cfg, jobs=1))
-    parallel = report_json_bytes(run_experiment(cfg, jobs=2))
-    assert serial == parallel
+    # no link: each point runs in min(jobs, 3) batches, seeded at once
+    for jobs in (2, 3):
+        assert report_json_bytes(run_experiment(cfg, jobs=jobs)) == serial
 
 
 def test_kdr_monotone_in_snr():
@@ -486,16 +487,22 @@ def test_ber_trial_matches_per_frame_link(ebn0_db):
     assert all(math.isnan(ber) for ber in _ber_trial(point, trials[-1:])[0])
 
 
+def _trial(point, sweep_index, trial_index):
+    """run_single_trial of one trial, seeded alone."""
+    (seeds,) = harness._trial_seeds(point, sweep_index, [trial_index])
+    return run_single_trial(point, seeds)
+
+
 def test_run_single_trial_shape():
     point = _resolve_point(config_from_dict(_fast_cfg()).raw)
-    out = run_single_trial(point, 0, 0)
+    out = _trial(point, 0, 0)
     assert set(out) == {"metrics", "error", "link"}
     assert set(out["metrics"]) == set(METRIC_NAMES)
     # key generation only: the link batch fills in the BERs
     assert math.isnan(out["metrics"]["bob_ber"])
-    again = run_single_trial(point, 0, 0)
+    again = _trial(point, 0, 0)
     assert out == again
-    other = run_single_trial(point, 0, 1)
+    other = _trial(point, 0, 1)
     assert out != other
 
 
@@ -529,7 +536,7 @@ def test_a_trial_failing_in_the_batched_link_keeps_its_own_error(monkeypatch):
     point = config_from_dict(BATCHED).points[1]
     want = harness._run_batch(point, 1, range(5))
     assert not any(o["error"] for o in want)
-    doomed = run_single_trial(point, 1, 3)["link"][0]
+    doomed = _trial(point, 1, 3)["link"][0]
     real = harness.PleCodec
 
     def codec(cfg, schemes, seeds, phase):
@@ -569,18 +576,34 @@ def test_pool_starts_no_more_workers_than_batches(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    # 2 points of 12 trials in 3 link batches each; 2 points of 4 trials
-    # that run no link, one trial per batch
+    # 2 points of 12 trials in 3 link batches each, at any jobs; 2 points
+    # of 4 trials that run no link, in min(jobs, 4) batches each; and 1
+    # point of 7 such trials, which spreads over every worker
     linked = config_from_dict(BATCHED)
     unlinked = config_from_dict(
         _fast_cfg(sweep={"parameter": "channel.snr_db", "values": [10.0, 30.0]})
     )
-    for cfg, batches in ((linked, 6), (unlinked, 8)):
+    single = config_from_dict(_fast_cfg(trials=7))
+    for cfg, batches in (
+        (linked, {2: 6, 6: 6, 500: 6}),
+        (unlinked, {2: 4, 8: 8, 500: 8}),
+        (single, {3: 3}),
+    ):
         expected = report_json_bytes(run_experiment(cfg))
-        for jobs in (2, batches, 500):
+        for jobs in batches:
             started.clear()
             assert report_json_bytes(run_experiment(cfg, jobs=jobs)) == expected
-            assert started == [min(jobs, batches)]
+            assert started == [min(jobs, batches[jobs])]
+
+
+def test_unlinked_point_is_one_batch_at_one_job_and_spreads_over_jobs(monkeypatch):
+    point = config_from_dict(_fast_cfg()).points[0]
+    assert harness._batches(point, 7) == [range(0, 7)]
+    assert harness._batches(point, 7, jobs=3) == [range(0, 2), range(2, 4), range(4, 7)]
+    assert harness._batches(point, 2, jobs=3) == [range(0, 1), range(1, 2)]
+    # a batch seeds at most BATCH_TRIALS trials
+    monkeypatch.setattr(harness, "BATCH_TRIALS", 3)
+    assert harness._batches(point, 7) == [range(0, 2), range(2, 4), range(4, 7)]
 
 
 def test_csv_report_shape():
@@ -701,6 +724,24 @@ def test_eve_observations_must_pair_with_alice_samples():
     with pytest.raises(ParameterError, match="one observation per entry of x_a"):
         key_generation_trial(trace.x_a, trace.x_b, *args, x_e=trace.x_e[:-1])
     assert key_generation_trial(trace.x_a, trace.x_b, *args, x_e=trace.x_e).agreed
+
+
+# report SHA-256 of a two-point linked config at master seed 2^130, whose
+# trial entropy runs past SeedSequence's pool, computed while each trial
+# built its own SeedSequence
+BIG_SEED_REPORT_SHA256 = "a5287ceb386d875cc44b5b9cf6acaaa6dd788d5c7e0afb26695e39c51ce5a7c9"
+
+
+def test_master_seed_past_2_to_the_128_keeps_its_report():
+    raw = _fast_cfg(
+        scenario="big-seed",
+        ple={"ber_bits": 960},
+        sweep={"parameter": "channel.snr_db", "values": [10.0, 30.0]},
+        trials=3,
+        master_seed=1 << 130,
+    )
+    report = report_json_bytes(run_experiment(config_from_dict(raw)))
+    assert hashlib.sha256(report).hexdigest() == BIG_SEED_REPORT_SHA256
 
 
 # report SHA-256s of perfbench/configs/keygen.json, computed before the
