@@ -64,6 +64,16 @@ class ChannelParams:
         return 10.0 ** (-self.snr_db / 20.0)
 
 
+TIME_ULPS = 4  # pairing slack; t + tau misses by <= 1 ulp on 1- to 6-decimal traces
+
+
+def pairing_slack(tau: float, *times: float) -> float:
+    """How far apart a round's two timestamps may lie and still pair:
+    TIME_ULPS ulps of the largest of |tau| and |times|, which covers the
+    rounding of t + tau."""
+    return TIME_ULPS * math.ulp(max([abs(tau), *map(abs, times)]))
+
+
 @dataclass(frozen=True)
 class ChannelTrace:
     """One probing session: measurement and timestamp vectors.
@@ -71,6 +81,8 @@ class ChannelTrace:
     x_b[i] is Bob's measurement at time t_b[i] = i, x_a[i] is Alice's at
     t_a[i] = i + tau, and x_e[i] is the eavesdropper's at t_b[i]. t_a and
     t_b are read-only: every trace with the same n_probes and tau shares them.
+    A trace of many trials (generate_traces) holds x_a, x_b and x_e as
+    [trials, n_probes] arrays, one row per trial.
     """
 
     x_a: np.ndarray
@@ -132,21 +144,20 @@ def _markov_steps(times: np.ndarray, rho: float) -> _Steps | None:
 
 
 def _gauss_markov(z: np.ndarray, steps: _Steps | None) -> np.ndarray:
-    """Run the process of steps, driven by one standard normal z per time."""
+    """Run the process of steps along each row of z, [rows, times], driven
+    by one standard normal per time; z is overwritten."""
     if steps is None:
         return z
+    z[:, 1:] *= steps.sigma
     if steps.constant:
         # constant probe spacing: the recursion is a first-order IIR filter
-        drive = np.empty(z.size)
-        drive[0] = z[0]
-        drive[1:] = steps.sigma * z[1:]
-        return load_filter()([1.0], [1.0, -steps.phi], drive)
-    phi, sigma = steps.phi, steps.sigma
-    out = np.empty(z.size)
-    out[0] = z[0]
-    for i in range(1, z.size):
-        out[i] = phi[i - 1] * out[i - 1] + sigma[i - 1] * z[i]
-    return out
+        return load_filter()([1.0], [1.0, -steps.phi], z, axis=1)
+    # one step at a time, every row at once: time-major, so that each step
+    # reads and writes one contiguous row
+    h = np.ascontiguousarray(z.T)
+    for prev, cur, phi in zip(h[:-1], h[1:], steps.phi.tolist()):
+        cur += phi * prev
+    return h.T
 
 
 def _merge_sorted(a: np.ndarray, b: np.ndarray):
@@ -185,15 +196,61 @@ class _SamplingGrid(NamedTuple):
 @functools.lru_cache(maxsize=8)
 def _sampling_grid(n: int, rho: float, tau: float) -> _SamplingGrid:
     """The sampling grid of n probes at delay tau under rho, built at the
-    first trial that needs it; every array in it is read-only."""
+    first trial that needs it; every array in it is read-only.
+
+    Raises ParameterError when two of Alice's sample times lie within
+    twice pairing_slack of each other: rounds that close could pair with a
+    neighbour's timestamp, so no trial on the grid is run.
+    """
     t_b = np.arange(n, dtype=float)
     t_a = t_b + tau
+    slack = pairing_slack(tau, t_b[-1], t_a[-1])
+    if n > 1 and np.diff(t_a).min() <= 2.0 * slack:
+        raise ParameterError(
+            f"sampling_delay {tau!r} leaves Alice's {n} probe times within "
+            f"twice the {slack!r} timestamp pairing slack of each other"
+        )
     union, idx_b, idx_a = _merge_sorted(t_b, t_a)
     return _SamplingGrid(
         *map(_read_only, (t_b, t_a, union, idx_b, idx_a)),
         union_steps=_markov_steps(union, rho),
         b_steps=_markov_steps(t_b, rho),
     )
+
+
+def generate_traces(params: ChannelParams, rngs) -> ChannelTrace:
+    """generate_trace of len(rngs) trials at once: x_a, x_b and x_e are
+    [len(rngs), n_probes] arrays, row r drawn from rngs[r], the five
+    generators generate_trace takes, with the bytes generate_trace gives.
+
+    Each row's normals are drawn into its row of a shared buffer; the
+    fading recursion then runs once for all rows, and the measurements are
+    summed in place. A delay at which Alice's rounds cannot be told apart
+    raises ParameterError (_sampling_grid).
+    """
+    n = params.n_probes
+    grid = _sampling_grid(n, params.temporal_correlation, params.sampling_delay)
+    h = np.empty((len(rngs), grid.union.size))
+    g, x_a, x_b, x_e = np.empty((4, len(rngs), n))
+    for trial, *rows in zip(rngs, h, g, x_a, x_b, x_e):
+        for rng, row in zip(trial, rows):
+            rng.standard_normal(out=row)
+    h = _gauss_markov(h, grid.union_steps)
+    g = _gauss_markov(g, grid.b_steps)
+
+    h_b = h.take(grid.idx_b, axis=1)
+    sw = params.noise_std
+    x_a *= sw
+    x_a += h.take(grid.idx_a, axis=1)
+    x_b *= sw
+    x_b += h_b
+    # x_e = rho_E h_b + sqrt(1 - rho_E^2) g + sw w_e, summed in that order
+    rho_e = params.eve_correlation
+    g *= math.sqrt(1.0 - rho_e**2)
+    g += rho_e * h_b
+    x_e *= sw
+    x_e += g
+    return ChannelTrace(x_a=x_a, x_b=x_b, x_e=x_e, t_a=grid.t_a, t_b=grid.t_b)
 
 
 def generate_trace(params: ChannelParams, rngs=None) -> ChannelTrace:
@@ -213,28 +270,13 @@ def generate_trace(params: ChannelParams, rngs=None) -> ChannelTrace:
     SeedSequence(params.rng_seed).spawn(5), in spawn order: the fading
     process, Eve's copy of it, then Alice's, Bob's and Eve's noise. rngs,
     when given, are those five in place of params.rng_seed's, as a caller
-    that seeds many trials at once builds them (physec.rng.spawned).
+    that seeds many trials at once builds them (physec.rng.spawned). This is
+    the one-row case of generate_traces.
     """
-    n = params.n_probes
-    grid = _sampling_grid(n, params.temporal_correlation, params.sampling_delay)
-
     if rngs is None:
         rngs = spawned([params.rng_seed], 5)[0]
-    rng_h, rng_g, rng_wa, rng_wb, rng_we = rngs
-
-    h_union = _gauss_markov(rng_h.standard_normal(grid.union.size), grid.union_steps)
-    h_b = h_union[grid.idx_b]
-    h_a = h_union[grid.idx_a]
-
-    g = _gauss_markov(rng_g.standard_normal(n), grid.b_steps)
-
-    sw = params.noise_std
-    x_a = h_a + sw * rng_wa.standard_normal(n)
-    x_b = h_b + sw * rng_wb.standard_normal(n)
-    rho_e = params.eve_correlation
-    x_e = rho_e * h_b + math.sqrt(1.0 - rho_e**2) * g + sw * rng_we.standard_normal(n)
-
-    return ChannelTrace(x_a=x_a, x_b=x_b, x_e=x_e, t_a=grid.t_a, t_b=grid.t_b)
+    rows = generate_traces(params, [rngs])
+    return ChannelTrace(rows.x_a[0], rows.x_b[0], rows.x_e[0], rows.t_a, rows.t_b)
 
 
 def pearson_correlation(u, v) -> float:

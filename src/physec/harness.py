@@ -22,13 +22,19 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .bits import BitKey, bit_fraction_differing
 from .blockcode import LinearBlockCode, code_by_id
-from .channel import ChannelParams, generate_trace, load_filter
+from .channel import (
+    ChannelParams,
+    generate_trace,  # bound only for the benchmark's trace plan (ROADMAP item 0)
+    generate_traces,
+    load_filter,
+)
 from .distill import (
     amplify,
     monobit_test,
@@ -56,7 +62,9 @@ from .ple import (
 from .probing import (
     LossModel,
     align_timestamps,
-    apply_loss,
+    apply_loss,  # bound only for the benchmark's trace plan (ROADMAP item 0)
+    grid_rounds,
+    keep_masks,
     paired_base_times,  # bound only for the benchmark's trace plan
     read_trace,
 )
@@ -639,10 +647,11 @@ def _ber_trial(point: SweepPoint, trials: list) -> list[tuple[float, float]]:
 class _TrialSeeds(NamedTuple):
     """One trial's seed material, from the 16 words of
     SeedSequence((master_seed, sweep_index, trial_index)).generate_state(16)
-    (state): generate_trace's five generators, spawned from state[0], and
-    apply_loss's two, from state[1] (both None on a trace file); the
-    sketch's generator, default_rng(state[2]); the link's ber_seed,
-    state[3]; and the amplification salt, state[8:16]'s bytes."""
+    (state): the five channel generators of its generate_traces row,
+    spawned from state[0], and the two of its keep_masks row, from state[1]
+    (both None on a trace file); the sketch's generator,
+    default_rng(state[2]); the link's ber_seed, state[3]; and the
+    amplification salt, state[8:16]'s bytes."""
 
     channel: list | None
     loss: list | None
@@ -666,24 +675,41 @@ def _trial_seeds(point: SweepPoint, sweep_index: int, trial_indices) -> list:
     ]
 
 
-def run_single_trial(point: SweepPoint, seeds: _TrialSeeds) -> dict:
-    """Key generation of one Monte-Carlo trial, seeded by seeds: metric
+def _trial_probes(point: SweepPoint, seeds: list):
+    """Each trial's aligned (x_a, x_b, x_e), in order.
+
+    A trace point's trials all read its (x_a, x_b), with no eavesdropper. A
+    simulated point's are drawn in chunks of at most PROBE_CELLS probes, one
+    trial at least: a chunk's channels in one generate_traces call, its loss
+    in one keep_masks call, and its rounds paired by grid index
+    (grid_rounds). A generator: each chunk is drawn when its first trial is
+    asked for, so a batch's chunks are never all held at once.
+    """
+    if point.trace_file is not None:
+        yield from repeat((*point.trace, None), len(seeds))
+        return
+    n = point.channel.n_probes
+    size = max(1, PROBE_CELLS // n)
+    for start in range(0, len(seeds), size):
+        chunk = seeds[start : start + size]
+        trace = generate_traces(point.channel, [s.channel for s in chunk])
+        keep = keep_masks(n, point.loss, [s.loss for s in chunk])
+        yield from grid_rounds(trace, keep)
+
+
+def run_single_trial(point: SweepPoint, seeds: _TrialSeeds, probes: tuple) -> dict:
+    """Key generation of one Monte-Carlo trial, seeded by seeds, on its
+    aligned probes (x_a, x_b, x_e) as _trial_probes gives them: metric
     values with the BERs still NaN, an optional error, and link, the trial
     as _ber_trial takes it, or None when Alice has no key."""
     metrics = {name: math.nan for name in METRIC_NAMES}
     metrics["key_to_data_ratio"] = point.key_to_data_ratio
 
+    x_a, x_b, x_e = probes
     if point.trace_file is not None:
-        x_a, x_b = point.trace
-        x_e = None
         n_probes = max(len(x_a), 1)
     else:
-        params = point.channel
-        trace = generate_trace(params, seeds.channel)
-        alice, bob = apply_loss(trace, point.loss, seeds.loss)
-        x_a, x_b, rows = align_timestamps(alice, bob, params.sampling_delay)
-        x_e = trace.x_e[rows]
-        n_probes = params.n_probes
+        n_probes = point.channel.n_probes
 
     result = key_generation_trial(
         x_a,
@@ -727,6 +753,14 @@ LINK_FRAMES = 256
 # ~6.5 KB (x86-64, numpy 2.4), so seeding a 20,000-trial point without a
 # link in one batch raised peak RSS by ~130 MiB over batches of 256
 BATCH_TRIALS = 256
+# the most probes (trials x n_probes) a simulated point draws at once. A
+# chunk's channel, loss and pairing take a fixed count of numpy calls
+# however many trials it holds, but each of its probes holds ~10 float64
+# buffers while it is drawn: on the keygen benchmark (4096 probes, batches
+# of 20 trials; x86-64, numpy 2.4), peak RSS rose by 0.2-0.5 MiB at 8192
+# over one-trial chunks, by ~1.6 MiB at 16384, and by ~4.4 MiB with a
+# whole batch in one chunk
+PROBE_CELLS = 8192
 
 
 def _batches(point: SweepPoint, trials: int, jobs: int = 1) -> list:
@@ -747,12 +781,14 @@ def _batches(point: SweepPoint, trials: int, jobs: int = 1) -> list:
 
 def _run_batch(point: SweepPoint, sweep_index: int, trial_indices) -> list[dict]:
     """The outcomes, metrics and error, of a batch of one point's trials:
-    the batch's seeds, then each trial's key generation, then one
-    _ber_trial link of the trials with keys. If that link raises, its
-    trials are linked one at a time, and a trial that raises records it as
-    its ple: error."""
+    the batch's seeds, then each trial's key generation on its probes
+    (_trial_probes), a simulated point's chunk of trials generating their
+    keys before the next chunk is drawn, then one _ber_trial link of the
+    trials with keys. If that link raises, its trials are linked one at a
+    time, and a trial that raises records it as its ple: error."""
     seeds = _trial_seeds(point, sweep_index, trial_indices)
-    outcomes = [run_single_trial(point, trial) for trial in seeds]
+    probes = _trial_probes(point, seeds)
+    outcomes = [run_single_trial(point, s, p) for s, p in zip(seeds, probes)]
     keyed = [o for o in outcomes if o["link"] is not None]
     try:
         bers = _ber_trial(point, [o["link"] for o in keyed])
@@ -796,13 +832,17 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
     merged config), config_hash, seed and results, one entry per sweep
     value. The trials run the points config_from_dict resolved, and each
     trace file is read once per run. Each point's trials run in batches
-    (_batches): a batch's trials are seeded at once, every trial generates
-    its keys, then the batch's keyed trials cross one _ber_trial link.
+    (_batches): a batch's trials are seeded at once; on a simulated point
+    their channels and loss are drawn a chunk of trials at a time, at most
+    PROBE_CELLS probes, and paired by grid index; every trial generates its
+    keys, then the batch's keyed trials cross one _ber_trial link.
     jobs=1 runs the batches in order; more jobs map them over
     min(jobs, batches) worker processes, with the same report bytes. Rates
     are means of per-trial indicator variables and always land in [0, 1];
     numeric metrics carry a standard error when at least two trials
     produced a value. Per-trial module errors are tallied per sweep point.
+    A sampling delay at which a point's rounds cannot be told apart raises
+    the grid's ParameterError (channel.generate_traces).
     """
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")

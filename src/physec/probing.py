@@ -7,9 +7,12 @@ exchange is modeled as error-free. Each party's surviving probes are held
 as arrays (ProbeSide), whether they come from a simulated channel trace or
 from a measured trace file.
 
-Rounds are paired by timestamp to within TIME_ULPS ulps of the largest
-timestamp or tau, so the rounding of t + tau does not drop a round whose
-timestamps were written as decimals; pairs stay one-to-one.
+Rounds are paired by timestamp to within channel.TIME_ULPS ulps of the
+largest timestamp or tau (channel.pairing_slack), so the rounding of t + tau
+does not drop a round whose timestamps were written as decimals; pairs stay
+one-to-one. On a simulated sampling grid, Bob's round i can pair only with
+Alice's round i, so loss is drawn as keep masks over many trials at once and
+rounds are paired by index (keep_masks, grid_rounds).
 
 A trace file is read once, as bytes, in blocks of CHUNK_ROWS lines. A block's
 delimiter positions give the four-cells-per-row check in one pass; its
@@ -25,14 +28,13 @@ from itertools import chain
 
 import numpy as np
 
-from .channel import ChannelTrace
+from .channel import ChannelTrace, pairing_slack
 from .errors import ParameterError
 from .rng import check_seed, spawned
 
 TRACE_HEADER = ("timestamp_a", "rss_a", "timestamp_b", "rss_b")
 CHUNK_ROWS = 4096  # data rows parsed at a time: bounds the parser's memory
 READ_BYTES = 1 << 16  # bytes read from the file at a time
-TIME_ULPS = 4  # alignment slack; t + tau missed by at most 1 ulp on 1- to 6-decimal traces
 CELL_LIMIT = 131_072  # longest cell accepted, in characters: csv's default field limit
 _NOT_UTF8 = "bytes that are not UTF-8"
 # what can be wrong with one side of a row, in the order a row is checked
@@ -88,6 +90,37 @@ class LossModel:
         check_seed(self.rng_seed, "rng_seed")
 
 
+def keep_masks(n: int, loss: LossModel, rngs) -> np.ndarray:
+    """Which of n probing rounds survive in each direction, for len(rngs)
+    trials at once: [2, len(rngs), n] bools, Alice's masks, then Bob's.
+
+    Row r draws from rngs[r], the two generators apply_loss takes, each
+    into its row of one buffer: a probe survives where its uniform draw is
+    >= loss_probability.
+    """
+    draws = np.empty((2, len(rngs), n))
+    for r, (rng_a, rng_b) in enumerate(rngs):
+        rng_a.random(out=draws[0, r])
+        rng_b.random(out=draws[1, r])
+    return draws >= loss.loss_probability
+
+
+def grid_rounds(trace: ChannelTrace, keep: np.ndarray) -> list:
+    """The aligned (x_a, x_b, x_e) of each row of a trace of many trials
+    (channel.generate_traces) under its keep masks: the values at the
+    rounds both sides kept, in round order.
+
+    On the sampling grid, round i of Bob's can pair only with round i of
+    Alice's (the grid refuses delays at which it could not), so each row
+    equals align_timestamps(*apply_loss(...)) with x_e at its rows.
+    """
+    both = keep[0] & keep[1]
+    kept = np.flatnonzero(both)  # positions in the flattened [rows, n]
+    ends = np.cumsum(np.count_nonzero(both, axis=1)).tolist()
+    x_a, x_b, x_e = (x.take(kept) for x in (trace.x_a, trace.x_b, trace.x_e))
+    return [(x_a[a:b], x_b[a:b], x_e[a:b]) for a, b in zip([0, *ends], ends)]
+
+
 def apply_loss(trace: ChannelTrace, loss: LossModel, rngs=None):
     """Drop each probe independently per direction.
 
@@ -96,13 +129,14 @@ def apply_loss(trace: ChannelTrace, loss: LossModel, rngs=None):
     LossModel seed: Alice's side draws from the first generator of
     SeedSequence(loss.rng_seed).spawn(2), Bob's from the second. rngs, when
     given, are those two in place of loss.rng_seed's (physec.rng.spawned).
+    This is the one-trial case of keep_masks.
     """
     if rngs is None:
         rngs = spawned([loss.rng_seed], 2)[0]
+    keep = keep_masks(trace.x_b.size, loss, [rngs])[:, 0]
     sides = []
-    for rng, t, x in zip(rngs, (trace.t_a, trace.t_b), (trace.x_a, trace.x_b)):
-        keep = rng.random(x.size) >= loss.loss_probability
-        rows = np.flatnonzero(keep)
+    for kept, t, x in zip(keep, (trace.t_a, trace.t_b), (trace.x_a, trace.x_b)):
+        rows = np.flatnonzero(kept)
         sides.append(ProbeSide(t[rows], x[rows], rows))
     return tuple(sides)
 
@@ -130,18 +164,16 @@ def match_sorted(haystack: np.ndarray, needles: np.ndarray, slack: float = 0.0):
 
 def _rounds(alice: ProbeSide, bob: ProbeSide, tau: float):
     """Index pairs (ia, ib) of the rounds both parties retained: Alice's
-    timestamp within TIME_ULPS ulps of Bob's plus tau, in ulps of the
-    largest timestamp or tau, which covers the rounding of t + tau."""
-    ends = [abs(float(side.t[k])) for side in (alice, bob) if side.t.size for k in (0, -1)]
-    slack = TIME_ULPS * math.ulp(max([abs(tau), *ends]))
-    return match_sorted(alice.t, bob.t + tau, slack)
+    timestamp within pairing_slack of Bob's plus tau."""
+    ends = [float(side.t[k]) for side in (alice, bob) if side.t.size for k in (0, -1)]
+    return match_sorted(alice.t, bob.t + tau, pairing_slack(tau, *ends))
 
 
 def paired_base_times(alice: ProbeSide, bob: ProbeSide, tau: float) -> np.ndarray:
     """Bob-side timestamps of the rounds both parties retained.
 
     A round survives when Bob holds t and Alice holds t + tau, to within
-    TIME_ULPS ulps (see _rounds). Equivalent to the two-round exchange
+    pairing_slack (see _rounds). Equivalent to the two-round exchange
     (Alice announces her list, Bob censors and replies, Alice censors)
     regardless of which side starts.
     """

@@ -13,6 +13,7 @@ from physec.channel import (
     pearson_correlation,
 )
 from physec.errors import DegenerateInputError, ParameterError
+from physec.probing import LossModel, ProbeSide, align_timestamps, apply_loss
 
 
 def test_params_validation():
@@ -311,3 +312,39 @@ def test_grid_cache_stays_bounded_over_an_n_probes_sweep():
     for n in range(1, 2 * limit + 2):
         generate_trace(ChannelParams(n_probes=n, rng_seed=n))
     assert channel._sampling_grid.cache_info().currsize == limit
+
+
+def test_timestamp_pairing_cannot_tell_rounds_4e15_apart():
+    # why the grid refuses such delays: at 4e15, pairing_slack is 2.0, wider
+    # than the 1.0 between rounds, so Bob's rounds pair with Alice's
+    # neighbouring ones even with every round kept
+    t_b = np.arange(200.0)
+    t_a = t_b + 4e15
+    assert channel.pairing_slack(4e15, t_b[-1], t_a[-1]) == 2.0
+    alice = ProbeSide(t_a, t_b, np.arange(200))
+    bob = ProbeSide(t_b, t_b, np.arange(200))
+    x_a, _, rows = align_timestamps(alice, bob, 4e15)
+    assert not np.array_equal(x_a, t_b[rows])
+
+
+# 4e15: two adjacent times of Alice's within twice the 2.0 slack; 1e16: two
+# of them rounded to one value
+@pytest.mark.parametrize("tau", [4e15, 1e16])
+def test_grid_refuses_delays_whose_rounds_cannot_be_told_apart(tau):
+    channel._sampling_grid.cache_clear()
+    with pytest.raises(ParameterError, match="pairing slack"):
+        generate_trace(ChannelParams(sampling_delay=tau, n_probes=200))
+    # a single probe has no neighbour to confuse
+    generate_trace(ChannelParams(sampling_delay=tau, n_probes=1))
+
+
+def test_grid_accepts_a_large_delay_that_keeps_rounds_apart():
+    # at 5e14 the slack is 0.25, under half the spacing, and every round
+    # pairs with its own
+    params = ChannelParams(sampling_delay=5e14, n_probes=200)
+    tr = generate_trace(params)
+    alice, bob = apply_loss(tr, LossModel(0.2, rng_seed=1))
+    x_a, x_b, rows = align_timestamps(alice, bob, 5e14)
+    assert rows.size > 100
+    assert np.array_equal(x_a, tr.x_a[rows]) and np.array_equal(x_b, tr.x_b[rows])
+

@@ -33,7 +33,7 @@ from physec.harness import (
 from physec.keystream import KeystreamSeed
 from physec.ofdm import awgn_link, ebn0_db_to_snr_db, wifi_like_config
 from physec.ple import SCHEME_ORDER, PleCodec
-from physec.probing import read_trace_records
+from physec.probing import align_timestamps, apply_loss, read_trace_records
 from physec.quantize import CdfConfig, MeanSigmaConfig, intersect_kept_indices
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -490,7 +490,8 @@ def test_ber_trial_matches_per_frame_link(ebn0_db):
 def _trial(point, sweep_index, trial_index):
     """run_single_trial of one trial, seeded alone."""
     (seeds,) = harness._trial_seeds(point, sweep_index, [trial_index])
-    return run_single_trial(point, seeds)
+    (probes,) = harness._trial_probes(point, [seeds])
+    return run_single_trial(point, seeds, probes)
 
 
 def test_run_single_trial_shape():
@@ -811,3 +812,64 @@ def test_six_scheme_link_report_golden_hash():
     )
     digest = hashlib.sha256(report_json_bytes(run_experiment(cfg))).hexdigest()
     assert digest == SIX_SCHEME_REPORT_SHA256
+
+
+def _reference_probes(point, seeds):
+    """Each trial's aligned (x_a, x_b, x_e) the general way: a one-trial
+    trace, its two surviving sides, and timestamp alignment."""
+    params = point.channel
+    for s in seeds:
+        trace = generate_trace(params, s.channel)
+        alice, bob = apply_loss(trace, point.loss, s.loss)
+        x_a, x_b, rows = align_timestamps(alice, bob, params.sampling_delay)
+        yield x_a, x_b, trace.x_e[rows]
+
+
+# 0 puts both sides on one time; 0.3 and 2.5 make irregular grids, 0.5 an
+# evenly interleaved one
+@pytest.mark.parametrize("n_probes", [1, 2, 600, 4096])
+@pytest.mark.parametrize("loss", [0.0, 0.05, 0.5])
+@pytest.mark.parametrize("tau", [0.0, 0.3, 0.5, 1.0, 2.5])
+def test_grid_front_end_equals_timestamp_alignment(tau, loss, n_probes, monkeypatch):
+    cfg = _fast_cfg(
+        channel={"n_probes": n_probes, "sampling_delay": tau, "eve_correlation": 0.4},
+        loss={"loss_probability": loss},
+    )
+    point = config_from_dict(cfg).points[0]
+    # a one- or two-probe point chunks thousands of trials at once; 16
+    # rows take the same path
+    cap = min(max(1, harness.PROBE_CELLS // n_probes), 16)
+    trials = range(cap + 1)
+    want = list(_reference_probes(point, harness._trial_seeds(point, 0, trials)))
+    for rows in (1, cap, cap + 1):
+        monkeypatch.setattr(harness, "PROBE_CELLS", rows * n_probes)
+        seeds = harness._trial_seeds(point, 0, trials)
+        got = list(harness._trial_probes(point, seeds))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_irregular_grid_report_equals_timestamp_alignment(monkeypatch):
+    cfg = config_from_dict(
+        _fast_cfg(
+            channel={"n_probes": 600, "sampling_delay": 0.3, "eve_correlation": 0.3},
+            loss={"loss_probability": 0.1},
+            sweep={"parameter": "channel.snr_db", "values": [10.0, 30.0]},
+            trials=20,
+        )
+    )
+    expected = report_json_bytes(run_experiment(cfg))
+    assert report_json_bytes(run_experiment(cfg, jobs=2)) == expected
+    monkeypatch.setattr(harness, "_trial_probes", _reference_probes)
+    assert report_json_bytes(run_experiment(cfg)) == expected
+
+
+@pytest.mark.parametrize("tau", [4e15, 1e16])
+def test_run_refuses_a_grid_whose_rounds_cannot_be_told_apart(tau):
+    cfg = config_from_dict(
+        _fast_cfg(channel={"sampling_delay": tau}, loss={"loss_probability": 0.2})
+    )
+    with pytest.raises(ParameterError, match="sampling_delay"):
+        run_experiment(cfg)
