@@ -63,6 +63,15 @@ class ChannelParams:
             return 0.0
         return 10.0 ** (-self.snr_db / 20.0)
 
+    @functools.cached_property
+    def sampling_grid(self) -> _SamplingGrid:
+        """The sampling grid every trial on these params shares
+        (_sampling_grid), built at the first trial that needs it and freed
+        with the params."""
+        return _sampling_grid(
+            self.n_probes, self.temporal_correlation, self.sampling_delay
+        )
+
 
 TIME_ULPS = 4  # pairing slack; t + tau misses by <= 1 ulp on 1- to 6-decimal traces
 
@@ -80,7 +89,7 @@ class ChannelTrace:
 
     x_b[i] is Bob's measurement at time t_b[i] = i, x_a[i] is Alice's at
     t_a[i] = i + tau, and x_e[i] is the eavesdropper's at t_b[i]. t_a and
-    t_b are read-only: every trace with the same n_probes and tau shares them.
+    t_b are read-only: every trace of one ChannelParams shares them.
     A trace of many trials (generate_traces) holds x_a, x_b and x_e as
     [trials, n_probes] arrays, one row per trial.
     """
@@ -180,9 +189,10 @@ def _merge_sorted(a: np.ndarray, b: np.ndarray):
 
 
 class _SamplingGrid(NamedTuple):
-    """What every trial of one (n_probes, rho_t, tau) shares: Bob's and
-    Alice's sample times, the union of both with each side's position in
-    it, and the fading steps over the union (h) and over Bob's times (g)."""
+    """What every trial of one ChannelParams shares, fixed by its n_probes,
+    rho_t and tau: Bob's and Alice's sample times, the union of both with
+    each side's position in it, and the fading steps over the union (h) and
+    over Bob's times (g)."""
 
     t_b: np.ndarray
     t_a: np.ndarray
@@ -193,10 +203,9 @@ class _SamplingGrid(NamedTuple):
     b_steps: _Steps | None
 
 
-@functools.lru_cache(maxsize=8)
 def _sampling_grid(n: int, rho: float, tau: float) -> _SamplingGrid:
-    """The sampling grid of n probes at delay tau under rho, built at the
-    first trial that needs it; every array in it is read-only.
+    """The sampling grid of n probes at delay tau under rho; every array in
+    it is read-only.
 
     Raises ParameterError when two of Alice's sample times lie within
     twice pairing_slack of each other: rounds that close could pair with a
@@ -229,7 +238,7 @@ def generate_traces(params: ChannelParams, rngs) -> ChannelTrace:
     raises ParameterError (_sampling_grid).
     """
     n = params.n_probes
-    grid = _sampling_grid(n, params.temporal_correlation, params.sampling_delay)
+    grid = params.sampling_grid
     h = np.empty((len(rngs), grid.union.size))
     g, x_a, x_b, x_e = np.empty((4, len(rngs), n))
     for trial, *rows in zip(rngs, h, g, x_a, x_b, x_e):
@@ -263,8 +272,9 @@ def generate_trace(params: ChannelParams, rngs=None) -> ChannelTrace:
     process, plus her own measurement noise.
 
     The sample times and the fading process's step terms depend only on
-    (n_probes, rho_t, tau): they are built once per such grid and reused by
-    every trial on it, which draws only its own noise.
+    (n_probes, rho_t, tau): they are built once per params object
+    (ChannelParams.sampling_grid) and reused by every trial on it, which
+    draws only its own noise.
 
     The draws come from the five generators of
     SeedSequence(params.rng_seed).spawn(5), in spawn order: the fading

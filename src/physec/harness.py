@@ -682,29 +682,28 @@ def _trial_probes(point: SweepPoint, seeds: list):
     simulated point's are drawn in chunks of at most PROBE_CELLS probes, one
     trial at least: a chunk's channels in one generate_traces call, its loss
     in one keep_masks call, and its rounds paired by grid index
-    (grid_rounds). A generator: each chunk is drawn when its first trial is
-    asked for, so a batch's chunks are never all held at once.
+    (grid_rounds), on a copy of the point's channel whose sampling grid is
+    freed with the batch. A generator: each chunk is drawn when its first
+    trial is asked for, so a batch's chunks are never all held at once.
     """
     if point.trace_file is not None:
         yield from repeat((*point.trace, None), len(seeds))
         return
-    n = point.channel.n_probes
+    channel = replace(point.channel)
+    n = channel.n_probes
     size = max(1, PROBE_CELLS // n)
     for start in range(0, len(seeds), size):
         chunk = seeds[start : start + size]
-        trace = generate_traces(point.channel, [s.channel for s in chunk])
+        trace = generate_traces(channel, [s.channel for s in chunk])
         keep = keep_masks(n, point.loss, [s.loss for s in chunk])
         yield from grid_rounds(trace, keep)
 
 
-def run_single_trial(point: SweepPoint, seeds: _TrialSeeds, probes: tuple) -> dict:
+def run_single_trial(point: SweepPoint, seeds: _TrialSeeds, probes: tuple) -> tuple:
     """Key generation of one Monte-Carlo trial, seeded by seeds, on its
-    aligned probes (x_a, x_b, x_e) as _trial_probes gives them: metric
-    values with the BERs still NaN, an optional error, and link, the trial
-    as _ber_trial takes it, or None when Alice has no key."""
-    metrics = {name: math.nan for name in METRIC_NAMES}
-    metrics["key_to_data_ratio"] = point.key_to_data_ratio
-
+    aligned probes (x_a, x_b, x_e) as _trial_probes gives them: (metrics,
+    error, link), the METRIC_NAMES values it computed, by name, an optional
+    error, and the trial as _ber_trial takes it (None if Alice has no key)."""
     x_a, x_b, x_e = probes
     if point.trace_file is not None:
         n_probes = max(len(x_a), 1)
@@ -721,11 +720,14 @@ def run_single_trial(point: SweepPoint, seeds: _TrialSeeds, probes: tuple) -> di
         seeds.salt,
         x_e=x_e,
     )
-    metrics["kdr"] = result.kdr
-    metrics["eve_kdr"] = result.eve_kdr
-    metrics["reconcile_failure_rate"] = float(result.reconcile_failed)
-    metrics["key_agreement_rate"] = float(result.agreed)
-    metrics["key_generation_rate"] = point.out_len * float(result.agreed) / n_probes
+    metrics = {
+        "kdr": result.kdr,
+        "eve_kdr": result.eve_kdr,
+        "reconcile_failure_rate": float(result.reconcile_failed),
+        "key_agreement_rate": float(result.agreed),
+        "key_generation_rate": point.out_len * float(result.agreed) / n_probes,
+        "key_to_data_ratio": point.key_to_data_ratio,
+    }
     link = None
     if result.alice_key is not None:
         try:
@@ -738,7 +740,7 @@ def run_single_trial(point: SweepPoint, seeds: _TrialSeeds, probes: tuple) -> di
         if runs.applicable:
             metrics["runs_pass_rate"] = float(runs.passed)
         link = (result.alice_key, result.bob_key, result.eve_key, seeds.ber_seed)
-    return {"metrics": metrics, "error": result.error, "link": link}
+    return metrics, result.error, link
 
 
 # the most frames one _ber_trial link carries: a point's trials are linked
@@ -779,42 +781,37 @@ def _batches(point: SweepPoint, trials: int, jobs: int = 1) -> list:
     return [range(t, min(t + size, trials)) for t in range(0, trials, size)]
 
 
-def _run_batch(point: SweepPoint, sweep_index: int, trial_indices) -> list[dict]:
-    """The outcomes, metrics and error, of a batch of one point's trials:
-    the batch's seeds, then each trial's key generation on its probes
-    (_trial_probes), a simulated point's chunk of trials generating their
-    keys before the next chunk is drawn, then one _ber_trial link of the
-    trials with keys. If that link raises, its trials are linked one at a
-    time, and a trial that raises records it as its ple: error."""
+def _run_batch(point: SweepPoint, sweep_index: int, trial_indices) -> tuple:
+    """A batch of one point's trials as an outcome table, (values, errors):
+    values is [trials, len(METRIC_NAMES)] float64, NaN where a trial has no
+    value, and errors holds one message or None per trial. The batch's
+    seeds, then each trial's key generation on its probes (_trial_probes),
+    a simulated point's chunk of trials generating their keys before the
+    next chunk is drawn, then one _ber_trial link of the trials with keys.
+    If that link raises, its trials are linked one at a time, and a trial
+    whose own link raises gets a ple: error unless it has one."""
     seeds = _trial_seeds(point, sweep_index, trial_indices)
     probes = _trial_probes(point, seeds)
     outcomes = [run_single_trial(point, s, p) for s, p in zip(seeds, probes)]
-    keyed = [o for o in outcomes if o["link"] is not None]
+    rows = [[m.get(name, math.nan) for name in METRIC_NAMES] for m, _, _ in outcomes]
+    values = np.array(rows, dtype=float)
+    errors = [error for _, error, _ in outcomes]
+    links = {t: link for t, (_, _, link) in enumerate(outcomes) if link is not None}
+    bers = [METRIC_NAMES.index("bob_ber"), METRIC_NAMES.index("eve_ber")]
     try:
-        bers = _ber_trial(point, [o["link"] for o in keyed])
+        for t, ber in zip(links, _ber_trial(point, list(links.values()))):
+            values[t, bers] = ber
     except PhysecError:
-        bers = [_ber_or_error(point, o["link"]) for o in keyed]
-    for outcome, ber in zip(keyed, bers):
-        if isinstance(ber, PhysecError):
-            outcome["error"] = outcome["error"] or f"ple: {ber}"
-        else:
-            outcome["metrics"]["bob_ber"], outcome["metrics"]["eve_ber"] = ber
-    for outcome in outcomes:
-        del outcome["link"]
-    return outcomes
+        for t, link in links.items():
+            try:
+                values[t, bers] = _ber_trial(point, [link])[0]
+            except PhysecError as exc:
+                errors[t] = errors[t] or f"ple: {exc}"
+    return values, errors
 
 
-def _ber_or_error(point: SweepPoint, link: tuple):
-    """_ber_trial of one trial alone, or the PhysecError it raised."""
-    try:
-        return _ber_trial(point, [link])[0]
-    except PhysecError as exc:
-        return exc
-
-
-def _aggregate(values: list[float]) -> dict:
-    arr = np.asarray(values, dtype=float)
-    finite = arr[~np.isnan(arr)]
+def _aggregate(column: np.ndarray) -> dict:
+    finite = column[~np.isnan(column)]
     count = int(finite.size)
     if count == 0:
         return {"mean": None, "stderr": None, "count": 0}
@@ -837,7 +834,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
     PROBE_CELLS probes, and paired by grid index; every trial generates its
     keys, then the batch's keyed trials cross one _ber_trial link.
     jobs=1 runs the batches in order; more jobs map them over
-    min(jobs, batches) worker processes, with the same report bytes. Rates
+    min(jobs, batches) worker processes, with the same report bytes. Each
+    metric aggregates its column of the batches' outcome tables: rates
     are means of per-trial indicator variables and always land in [0, 1];
     numeric metrics carry a standard error when at least two trials
     produced a value. Per-trial module errors are tallied per sweep point.
@@ -868,22 +866,21 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> dict:
         # more than there are batches
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             batches = list(pool.map(_run_batch, *zip(*tasks)))
-    outcomes = [outcome for batch in batches for outcome in batch]
+    tables, batch_errors = zip(*batches)
+    values = np.concatenate(tables).reshape(len(points), trials, len(METRIC_NAMES))
+    errors = [error for batch in batch_errors for error in batch]
 
     results = []
     for sweep_index, value in enumerate(config.sweep_values):
-        point_outcomes = outcomes[sweep_index * trials : (sweep_index + 1) * trials]
-        metrics = {
-            name: _aggregate([o["metrics"][name] for o in point_outcomes])
-            for name in METRIC_NAMES
-        }
-        errors = Counter(o["error"] for o in point_outcomes if o["error"])
+        columns = values[sweep_index].T
+        point_errors = errors[sweep_index * trials : (sweep_index + 1) * trials]
+        tally = Counter(error for error in point_errors if error)
         results.append(
             {
                 "sweep_value": value,
                 "trials": trials,
-                "metrics": metrics,
-                "errors": dict(sorted(errors.items())),
+                "metrics": dict(zip(METRIC_NAMES, map(_aggregate, columns))),
+                "errors": dict(sorted(tally.items())),
             }
         )
     return {

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from physec.channel import (
 )
 from physec.errors import DegenerateInputError, ParameterError
 from physec.probing import LossModel, ProbeSide, align_timestamps, apply_loss
+from physec.rng import spawned
 
 
 def test_params_validation():
@@ -224,8 +227,8 @@ def test_trace_golden_hash(tau):
         n_probes=4096,
         rng_seed=5,
     )
-    # the first call builds the sampling grid, the second reuses it
-    channel._sampling_grid.cache_clear()
+    # the first call builds the params' sampling grid, the second reuses it
+    assert "sampling_grid" not in vars(params)
     for _ in range(2):
         tr = generate_trace(params)
         digest = hashlib.sha256()
@@ -253,13 +256,10 @@ def _assert_same_arrays(got, want):
 def test_merge_matches_union_and_searchsorted(tau, monkeypatch):
     t_b = np.arange(10, dtype=float)
     _assert_same_arrays(channel._merge_sorted(t_b, t_b + tau), _reference_merge(t_b, t_b + tau))
-    params = ChannelParams(sampling_delay=tau, n_probes=10, rng_seed=3)
-    # each call builds its own grid, with the merge in force at the time
-    channel._sampling_grid.cache_clear()
-    merged = generate_trace(params)
+    # each params object builds its own grid, with the merge in force at the time
+    merged = generate_trace(ChannelParams(sampling_delay=tau, n_probes=10, rng_seed=3))
     monkeypatch.setattr(channel, "_merge_sorted", _reference_merge)
-    channel._sampling_grid.cache_clear()
-    reference = generate_trace(params)
+    reference = generate_trace(ChannelParams(sampling_delay=tau, n_probes=10, rng_seed=3))
     for name in ("x_a", "x_b", "x_e", "t_a", "t_b"):
         assert getattr(merged, name).tobytes() == getattr(reference, name).tobytes()
 
@@ -279,9 +279,9 @@ def test_a_new_trial_on_a_grid_merges_nothing(monkeypatch):
         return _reference_merge(a, b)
 
     monkeypatch.setattr(channel, "_merge_sorted", counted)
-    channel._sampling_grid.cache_clear()
-    first = generate_trace(ChannelParams(n_probes=64, rng_seed=1))
-    second = generate_trace(ChannelParams(n_probes=64, rng_seed=2))
+    # two trials on one params object, each with its own generators
+    params = ChannelParams(n_probes=64)
+    first, second = (generate_trace(params, rngs) for rngs in spawned([1, 2], 5))
     assert calls == [64]
     assert not np.array_equal(first.x_b, second.x_b)
     # another delay is another grid
@@ -293,7 +293,7 @@ def test_a_new_trial_on_a_grid_merges_nothing(monkeypatch):
 def test_cached_grid_is_read_only(tau):
     params = ChannelParams(temporal_correlation=0.9, sampling_delay=tau, n_probes=32)
     tr = generate_trace(params)
-    grid = channel._sampling_grid(32, 0.9, tau)
+    grid = params.sampling_grid
     steps = [s for s in (grid.union_steps, grid.b_steps) if not s.constant]
     arrays = [a for a in grid if isinstance(a, np.ndarray)]
     arrays += [a for s in steps for a in (s.phi, s.sigma)]
@@ -306,12 +306,13 @@ def test_cached_grid_is_read_only(tau):
             arr[0] = 1.0
 
 
-def test_grid_cache_stays_bounded_over_an_n_probes_sweep():
-    limit = channel._sampling_grid.cache_info().maxsize
-    channel._sampling_grid.cache_clear()
-    for n in range(1, 2 * limit + 2):
-        generate_trace(ChannelParams(n_probes=n, rng_seed=n))
-    assert channel._sampling_grid.cache_info().currsize == limit
+def test_grid_is_freed_with_its_params():
+    params = ChannelParams(n_probes=64)
+    generate_trace(params)
+    union = weakref.ref(params.sampling_grid.union)
+    del params
+    gc.collect()
+    assert union() is None
 
 
 def test_timestamp_pairing_cannot_tell_rounds_4e15_apart():
@@ -331,9 +332,11 @@ def test_timestamp_pairing_cannot_tell_rounds_4e15_apart():
 # of them rounded to one value
 @pytest.mark.parametrize("tau", [4e15, 1e16])
 def test_grid_refuses_delays_whose_rounds_cannot_be_told_apart(tau):
-    channel._sampling_grid.cache_clear()
-    with pytest.raises(ParameterError, match="pairing slack"):
-        generate_trace(ChannelParams(sampling_delay=tau, n_probes=200))
+    # a refused grid is not kept: each trial on the params is refused
+    params = ChannelParams(sampling_delay=tau, n_probes=200)
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="pairing slack"):
+            generate_trace(params)
     # a single probe has no neighbour to confuse
     generate_trace(ChannelParams(sampling_delay=tau, n_probes=1))
 

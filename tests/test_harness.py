@@ -299,7 +299,7 @@ def test_high_snr_always_agrees():
     assert report["results"][0]["errors"] == {}
 
 
-def test_reports_byte_identical_across_jobs():
+def test_reports_byte_identical_across_jobs(monkeypatch):
     cfg = config_from_dict(
         _fast_cfg(
             channel={"n_probes": 150},
@@ -311,6 +311,13 @@ def test_reports_byte_identical_across_jobs():
     # no link: each point runs in min(jobs, 3) batches, seeded at once
     for jobs in (2, 3):
         assert report_json_bytes(run_experiment(cfg, jobs=jobs)) == serial
+    # a link point whose batch link raises: its trials cross one at a time,
+    # in workers forked from this process with the failing codec
+    linked = config_from_dict({**BATCHED, "trials": 5})
+    _failing_codec(monkeypatch, _trial(linked.points[1], 1, 3)[2][0])
+    serial = report_json_bytes(run_experiment(linked, jobs=1))
+    assert b'"ple: no link for this key":1' in serial
+    assert report_json_bytes(run_experiment(linked, jobs=2)) == serial
 
 
 def test_kdr_monotone_in_snr():
@@ -497,10 +504,18 @@ def _trial(point, sweep_index, trial_index):
 def test_run_single_trial_shape():
     point = _resolve_point(config_from_dict(_fast_cfg()).raw)
     out = _trial(point, 0, 0)
-    assert set(out) == {"metrics", "error", "link"}
-    assert set(out["metrics"]) == set(METRIC_NAMES)
+    metrics, error, link = out
+    assert set(metrics) <= set(METRIC_NAMES)
     # key generation only: the link batch fills in the BERs
-    assert math.isnan(out["metrics"]["bob_ber"])
+    assert "bob_ber" not in metrics
+    # the batch's table holds the trial's values in METRIC_NAMES order
+    values, errors = harness._run_batch(point, 0, [0])
+    assert values.shape == (1, len(METRIC_NAMES)) and values.dtype == np.float64
+    assert math.isnan(values[0, METRIC_NAMES.index("bob_ber")])
+    np.testing.assert_array_equal(
+        values[0], [metrics.get(name, math.nan) for name in METRIC_NAMES]
+    )
+    assert errors == [error]
     again = _trial(point, 0, 0)
     assert out == again
     other = _trial(point, 0, 1)
@@ -533,11 +548,8 @@ def test_batched_link_reports_equal_trial_by_trial_at_any_jobs(monkeypatch):
     assert report_json_bytes(run_experiment(cfg)) == expected
 
 
-def test_a_trial_failing_in_the_batched_link_keeps_its_own_error(monkeypatch):
-    point = config_from_dict(BATCHED).points[1]
-    want = harness._run_batch(point, 1, range(5))
-    assert not any(o["error"] for o in want)
-    doomed = _trial(point, 1, 3)["link"][0]
+def _failing_codec(monkeypatch, doomed):
+    """Make every codec that keys a frame by the key doomed raise."""
     real = harness.PleCodec
 
     def codec(cfg, schemes, seeds, phase):
@@ -546,14 +558,40 @@ def test_a_trial_failing_in_the_batched_link_keeps_its_own_error(monkeypatch):
         return real(cfg, schemes, seeds, phase)
 
     monkeypatch.setattr(harness, "PleCodec", codec)
-    got = harness._run_batch(point, 1, range(5))
-    assert got[3]["error"] == "ple: no link for this key"
-    assert math.isnan(got[3]["metrics"]["bob_ber"])
-    assert math.isnan(got[3]["metrics"]["eve_ber"])
-    want[3]["error"] = got[3]["error"]
-    for name in ("bob_ber", "eve_ber"):
-        want[3]["metrics"][name] = got[3]["metrics"][name]
-    assert got == want
+
+
+def test_a_trial_failing_in_the_batched_link_keeps_its_own_error(monkeypatch):
+    point = config_from_dict(BATCHED).points[1]
+    want_values, want_errors = harness._run_batch(point, 1, range(5))
+    assert not any(want_errors)
+    _failing_codec(monkeypatch, _trial(point, 1, 3)[2][0])
+    values, errors = harness._run_batch(point, 1, range(5))
+    assert errors[3] == "ple: no link for this key"
+    bers = [METRIC_NAMES.index("bob_ber"), METRIC_NAMES.index("eve_ber")]
+    assert np.isnan(values[3, bers]).all()
+    want_errors[3] = errors[3]
+    want_values[3, bers] = values[3, bers]
+    assert errors == want_errors
+    np.testing.assert_array_equal(values, want_values)
+
+
+def test_a_metric_nothing_computes_has_no_values_at_any_point(monkeypatch):
+    # the 30-probe point's trials fail to amplify, the others link their keys
+    raw = _fast_cfg(
+        ple={"ber_bits": 480},
+        sweep={"parameter": "channel.n_probes", "values": [30, 600, 1000]},
+    )
+    del raw["channel"]
+    cfg = config_from_dict(raw)
+    want = run_experiment(cfg)
+    monkeypatch.setattr(harness, "METRIC_NAMES", (*METRIC_NAMES, "unmeasured"))
+    got = run_experiment(cfg)
+    assert [r["errors"] != {} for r in got["results"]] == [True, False, False]
+    for entry, expected in zip(got["results"], want["results"]):
+        metrics = entry["metrics"]
+        assert metrics.pop("unmeasured") == {"mean": None, "stderr": None, "count": 0}
+        assert metrics["bob_ber"]["count"] == (0 if entry["errors"] else cfg.trials)
+        assert entry == expected
 
 
 def test_pool_starts_no_more_workers_than_batches(monkeypatch):
